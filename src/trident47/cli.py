@@ -61,15 +61,23 @@ class RunSpec:
         return d
 
 
-def _parse_point(text: str) -> tuple[float, ...]:
+def _parse_floats(text: str) -> tuple[float, ...]:
+    """Comma-separated finite numbers; nan and inf are invalid input."""
     vals = tuple(float(v) for v in text.split(","))
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"non-finite value in {text!r}")
+    return vals
+
+
+def _parse_point(text: str) -> tuple[float, ...]:
+    vals = _parse_floats(text)
     if len(vals) != 7:
         raise ValueError("--point needs 7 comma-separated numbers")
     return vals
 
 
 def _write_json(path, obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if path is None:
         print(text)
     else:
@@ -301,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--point", type=_parse_point, default=_default_point())
     c.add_argument("--chart", choices=(ORIGINAL, ADAPTED), default=ORIGINAL)
     c.add_argument("--tol-rank", type=float, default=mechanism.RANK_TOL)
-    c.add_argument("--dynamic-f", type=lambda s: [float(v) for v in s.split(",")],
-                   default=[1.0, 2.0, -0.5])
+    c.add_argument("--dynamic-f", type=_parse_floats, default=(1.0, 2.0, -0.5))
     c.add_argument("--sweep", type=int, default=0, help="random valid-shape sweep size")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default=None, help="report path (stdout if omitted)")

@@ -14,7 +14,7 @@ class DivisionByZero(TridentError):
 
 
 class SingularConfiguration(TridentError):
-    """The configuration violates l2 != 0, L != 0 or a frame gauge condition."""
+    """The configuration violates l2 != 0 or L = l1 + l3 + 2 != 0."""
 
 
 class DegenerateGrowth(TridentError):

@@ -25,15 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
+from .charts import ADAPTED, CHART_COORDS, ORIGINAL
 from .errors import ChartMismatch, DivisionByZero
-
-ORIGINAL = "original"
-ADAPTED = "adapted"
-
-CHART_COORDS = {
-    ORIGINAL: ("x", "y", "theta", "phi", "l1", "l2", "l3"),
-    ADAPTED: ("x", "l1", "l2", "l3", "y1", "y2", "y3"),
-}
 
 #: exact constants used throughout the field library
 SQRT3 = sp.sqrt(3)

@@ -10,19 +10,26 @@ Configurations live in R^7 with original-chart coordinates
 (x, y, theta, phi, l1, l2, l3).  The no-side-slip conditions give three
 Pfaffian constraint one-forms whose common kernel is the rank-4 horizontal
 distribution spanned by the frame X1..X4 built here.
+
+The numeric analyses run on one closed-form matrix (``closed_form_gbar``)
+and never import sympy; only the printed symbolic slice frame and its
+brackets (``horizontal_frame_slice``, ``slice_bracket_fields``) load the
+field library.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import sympy as sp
 
-from . import fields
+from .charts import ADAPTED, CHART_COORDS, ORIGINAL
 from .errors import ChartMismatch, DegenerateGrowth, SingularConfiguration
-from .fields import ORIGINAL, ADAPTED, SQRT3, VectorFieldSym, coords, lie_bracket
+
+if TYPE_CHECKING:
+    from .fields import VectorFieldSym
 
 #: l2 or L = l1 + l3 + 2 closer to zero than this is a singular configuration
 SINGULAR_EPS = 1e-9
@@ -30,8 +37,7 @@ SINGULAR_EPS = 1e-9
 #: default relative singular-value cutoff for rank decisions
 RANK_TOL = 1e-9
 
-#: central-difference step for numeric brackets (Richardson pair uses step/2)
-FD_STEP = 1e-4
+_SQRT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,7 @@ class Configuration:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if self.chart not in fields.CHART_COORDS:
+        if self.chart not in CHART_COORDS:
             raise ChartMismatch(f"unknown chart {self.chart!r}")
         vals = tuple(float(v) for v in self.values)
         if len(vals) != 7:
@@ -73,16 +79,12 @@ class Configuration:
         return np.array(self.values)
 
     def coord(self, name: str) -> float:
-        return self.values[fields.CHART_COORDS[self.chart].index(name)]
+        return self.values[CHART_COORDS[self.chart].index(name)]
 
     def legs(self) -> tuple[float, float, float]:
         if self.chart == ORIGINAL:
             return self.values[4:7]
         return self.values[1:4]
-
-    def is_mechanically_valid(self) -> bool:
-        """Positive leg lengths; a predicate, never a construction-time check."""
-        return all(l > 0.0 for l in self.legs())
 
     def to_json(self) -> dict:
         return {"chart": self.chart, "point": list(self.values)}
@@ -165,47 +167,59 @@ def _check_regular(q: Configuration) -> None:
         raise SingularConfiguration(f"L = l1 + l3 + 2 = {L} is numerically zero")
 
 
-def _frame_at(arr: np.ndarray) -> np.ndarray:
-    """Frame rows X1..X4 at original-chart coordinates arr, as a 4x7 array.
+def closed_form_gbar(theta: float, phi: float, l1: float, l2: float, l3: float) -> np.ndarray:
+    """Gbar = (X1, X2, X3, X4, [X1,X2], [X1,X3], [X1,X4]) as the rows of a 7x7 array.
 
-    X2..X4 are exactly the leg coordinate fields.  X1 spans the remaining
-    kernel direction of the Pfaffian matrix, gauged to unit component along
-    the body-frame x-axis (the direction that is d/dx when theta = pi/2);
-    on that slice this is exactly the 'dx-coefficient = 1' normalization.
+    X2..X4 are the leg coordinate fields d/dl1, d/dl2, d/dl3.  X1 is the
+    slice frame field (x = y = 0, theta = pi/2, unit dx-coefficient) with
+    its (x, y) part rotated by delta = theta - pi/2: the constraints are
+    SE(2)-equivariant, so X1 depends on the heading and the shape only.
+    The leg fields are constant, so [X1, d/dl_k] = -dX1/dl_k.  The only
+    denominators are l2 and L = l1 + l3 + 2, which ``_check_regular``
+    keeps away from zero.
     """
-    q = Configuration(ORIGINAL, tuple(arr))
+    delta = theta - math.pi / 2.0
+    c, s = math.cos(delta), math.sin(delta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    L = l1 + l3 + 2.0
+    a = _SQRT3 * (l1 - l3) / (3.0 * L)                # dy-coefficient of X1 on the slice
+    a1 = 2.0 * _SQRT3 * (l3 + 1.0) / (3.0 * L * L)    # da/dl1
+    a3 = -2.0 * _SQRT3 * (l1 + 1.0) / (3.0 * L * L)   # da/dl3
+    leg_term = (cp + l2) / (l2 * L * L)               # -d/dl1 = -d/dl3 of (cos phi + l2)/(l2 L)
+    g = np.zeros((7, 7))
+    g[0, :4] = (c - a * s, s + a * c, -1.0 / L, (a * sp + cp) / l2 + (cp + l2) / (l2 * L))
+    g[1, 4] = g[2, 5] = g[3, 6] = 1.0
+    g[4, :4] = (a1 * s, -a1 * c, -1.0 / (L * L), leg_term - a1 * sp / l2)
+    g[5, 3] = ((a * sp + cp) + cp / L) / (l2 * l2)
+    g[6, :4] = (a3 * s, -a3 * c, -1.0 / (L * L), leg_term - a3 * sp / l2)
+    g += 0.0  # -0.0 -> 0.0, so that serialized matrices do not depend on signs of zero
+    return g
+
+
+def _gbar(q: Configuration) -> np.ndarray:
     _check_regular(q)
-    m4 = pfaff_matrix(q)[:, :4]
-    _, s, vt = np.linalg.svd(m4)
-    if s[2] < 1e-12 * s[0]:
-        raise SingularConfiguration("Pfaffian kernel is not one-dimensional")
-    v = vt[-1]
-    delta = arr[2] - math.pi / 2.0
-    gauge = v[0] * math.cos(delta) + v[1] * math.sin(delta)
-    if abs(gauge) < SINGULAR_EPS:
-        raise SingularConfiguration("frame gauge degenerates at this configuration")
-    frame = np.zeros((4, 7))
-    frame[0, :4] = v / gauge
-    frame[1, 4] = 1.0
-    frame[2, 5] = 1.0
-    frame[3, 6] = 1.0
-    return frame
+    return closed_form_gbar(*q.values[2:])
 
 
 def horizontal_frame(q: Configuration) -> np.ndarray:
     """A basis X1..X4 of the horizontal distribution at q (rows of a 4x7 array)."""
     _require_original(q, "horizontal_frame")
-    return _frame_at(q.array)
+    return _gbar(q)[:4]
 
 
 @functools.lru_cache(maxsize=1)
 def horizontal_frame_slice() -> tuple[VectorFieldSym, ...]:
-    """Closed-form frame on the slice x = y = 0, theta = pi/2.
+    """Closed-form frame on the slice x = y = 0, theta = pi/2, as symbolic fields.
 
     Valid for arbitrary (phi, l1, l2, l3); the coefficients depend on the
     shape variables only, so brackets against the leg fields taken from
-    these expressions agree with the true brackets on the slice.
+    these expressions agree with the true brackets on the slice.  This is
+    the printed formula, kept as the symbolic oracle for ``closed_form_gbar``.
     """
+    import sympy as sp
+
+    from .fields import SQRT3, VectorFieldSym, coordinate_field, coords
+
     x, y, th, ph, l1, l2, l3 = coords(ORIGINAL)
     L = l1 + l3 + 2
     x1 = VectorFieldSym(ORIGINAL, (
@@ -216,70 +230,18 @@ def horizontal_frame_slice() -> tuple[VectorFieldSym, ...]:
         0, 0, 0,
     ))
     return (x1,
-            fields.coordinate_field(ORIGINAL, 4),
-            fields.coordinate_field(ORIGINAL, 5),
-            fields.coordinate_field(ORIGINAL, 6))
+            coordinate_field(ORIGINAL, 4),
+            coordinate_field(ORIGINAL, 5),
+            coordinate_field(ORIGINAL, 6))
 
 
 @functools.lru_cache(maxsize=1)
 def slice_bracket_fields() -> tuple[VectorFieldSym, ...]:
     """Exact X12 = [X1,X2], X13 = [X1,X3], X14 = [X1,X4] on the slice."""
+    from .fields import lie_bracket
+
     x1, x2, x3, x4 = horizontal_frame_slice()
     return (lie_bracket(x1, x2), lie_bracket(x1, x3), lie_bracket(x1, x4))
-
-
-def _frame_jacobians(arr: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """(4,7,7) array of frame-field Jacobians by Richardson-extrapolated
-    central differences: J[k,i,j] = d(X_k)^i / dq^j."""
-
-    def jac(h: float) -> np.ndarray:
-        J = np.empty((4, 7, 7))
-        for j in range(7):
-            dq = np.zeros(7)
-            dq[j] = h
-            J[:, :, j] = (_frame_at(arr + dq) - _frame_at(arr - dq)) / (2.0 * h)
-        return J
-
-    return (4.0 * jac(step / 2.0) - jac(step)) / 3.0
-
-
-def bracket_fd(F, G, arr: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """[F,G](q) for numeric vector fields F, G: R^7 -> R^7 via FD Jacobians."""
-
-    def jac(field, h):
-        J = np.empty((7, 7))
-        for j in range(7):
-            dq = np.zeros(7)
-            dq[j] = h
-            J[:, j] = (field(arr + dq) - field(arr - dq)) / (2.0 * h)
-        return J
-
-    def rich(field):
-        return (4.0 * jac(field, step / 2.0) - jac(field, step)) / 3.0
-
-    return rich(G) @ F(arr) - rich(F) @ G(arr)
-
-
-def _is_on_slice(arr: np.ndarray, tol: float = 1e-12) -> bool:
-    return abs(arr[0]) < tol and abs(arr[1]) < tol and abs(arr[2] - math.pi / 2.0) < tol
-
-
-def _frame_brackets(arr: np.ndarray, method: str = "auto") -> np.ndarray:
-    """(3,7) array of [X1,X2], [X1,X3], [X1,X4] at arr.
-
-    method 'symbolic' evaluates the exact slice brackets (requires the
-    point to be on the slice); 'fd' always differentiates the numeric
-    frame; 'auto' picks symbolic on the slice.
-    """
-    if method == "auto":
-        method = "symbolic" if _is_on_slice(arr) else "fd"
-    if method == "symbolic":
-        if not _is_on_slice(arr):
-            raise ChartMismatch("symbolic brackets are only available on the slice x=y=0, theta=pi/2")
-        return np.stack([b(arr) for b in slice_bracket_fields()])
-    J = _frame_jacobians(arr)
-    F = _frame_at(arr)
-    return np.stack([J[i] @ F[0] - J[0] @ F[i] for i in (1, 2, 3)])
 
 
 def _rank(m: np.ndarray, tol: float) -> int:
@@ -300,8 +262,7 @@ class ControllabilityResult:
         return self.growth == (4, 7)
 
 
-def controllability(q: Configuration, rank_tol: float = RANK_TOL,
-                    method: str = "auto") -> ControllabilityResult:
+def controllability(q: Configuration, rank_tol: float = RANK_TOL) -> ControllabilityResult:
     """Rank test of the bracket-generated distribution at q.
 
     Stacks the frame and its first-level brackets into the 7x7 matrix Gbar
@@ -310,13 +271,9 @@ def controllability(q: Configuration, rank_tol: float = RANK_TOL,
     have growth (4, 7) and det Gbar != 0.
     """
     _require_original(q, "controllability")
-    arr = q.array
-    frame = _frame_at(arr)
-    brackets = _frame_brackets(arr, method)
-    gbar = np.vstack([frame, brackets])
-    d1 = _rank(frame, rank_tol)
-    d2 = _rank(gbar, rank_tol)
-    return ControllabilityResult(gbar=gbar, det=float(np.linalg.det(gbar)), growth=(d1, d2))
+    gbar = _gbar(q)
+    growth = (_rank(gbar[:4], rank_tol), _rank(gbar, rank_tol))
+    return ControllabilityResult(gbar=gbar, det=float(np.linalg.det(gbar)), growth=growth)
 
 
 @dataclass(frozen=True)
@@ -330,25 +287,16 @@ def check_dynamic_pair(q: Configuration, f: float, rank_tol: float = RANK_TOL) -
     """Regularity of the dynamic pair with drift f*X1 and inputs X2, X3, X4.
 
     V0 = span(X2,X3,X4), V1 = V0 + [f*X1, V0]; at regular points the ranks
-    are (3, 6) and V1 + <f*X1> fills the tangent space.
+    are (3, 6) and V1 + <f*X1> fills the tangent space.  For constant f,
+    [f*X1, Xi] = f*[X1, Xi].
     """
     _require_original(q, "check_dynamic_pair")
     if f == 0.0:
         raise ValueError("f must be a nonzero constant")
-    arr = q.array
-    frame = _frame_at(arr)
-    drift = f * frame[0]
-
-    def drift_field(a: np.ndarray) -> np.ndarray:
-        return f * _frame_at(a)[0]
-
-    v0 = frame[1:4]
-    brackets = np.stack([
-        bracket_fd(drift_field, lambda a, i=i: _frame_at(a)[i], arr)
-        for i in (1, 2, 3)
-    ])
-    v1 = np.vstack([v0, brackets])
-    full = np.vstack([v1, drift[None, :]])
+    gbar = _gbar(q)
+    v0 = gbar[1:4]
+    v1 = np.vstack([v0, f * gbar[4:]])
+    full = np.vstack([v1, f * gbar[:1]])
     return DynamicPairResult(
         rank_v0=_rank(v0, rank_tol),
         rank_v1=_rank(v1, rank_tol),
@@ -382,8 +330,7 @@ def _pfaffian4(a: np.ndarray) -> float:
     return a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
 
 
-def pfaffian_signature(q: Configuration, eig_tol: float = RANK_TOL,
-                       method: str = "auto") -> SignatureResult:
+def pfaffian_signature(q: Configuration, eig_tol: float = RANK_TOL) -> SignatureResult:
     """Signature of the Pfaffian quadratic form on the constraint annihilator.
 
     For the annihilator basis mu_1..mu_3 (the Pfaffian-constraint rows),
@@ -392,32 +339,15 @@ def pfaffian_signature(q: Configuration, eig_tol: float = RANK_TOL,
     times the natural bracket scale) give the signature, reported unordered.
     """
     _require_original(q, "pfaffian_signature")
-    arr = q.array
-    res = controllability(q, method=method)
-    if res.growth[1] < 7:
-        raise DegenerateGrowth(f"growth vector {res.growth} at {q.values}")
-    mus = pfaff_matrix(q)
-    frame = _frame_at(arr)
-    use_symbolic = method == "symbolic" or (method == "auto" and _is_on_slice(arr))
-    brackets = {}
-    if use_symbolic:
-        top = _frame_brackets(arr, "symbolic")
-        for col, (i, j) in enumerate(((0, 1), (0, 2), (0, 3))):
-            brackets[(i, j)] = top[col]
-        # leg fields are exactly constant: their mutual brackets vanish
-        for (i, j) in ((1, 2), (1, 3), (2, 3)):
-            brackets[(i, j)] = np.zeros(7)
-    else:
-        J = _frame_jacobians(arr)
-        for (i, j) in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-            brackets[(i, j)] = J[j] @ frame[i] - J[i] @ frame[j]
-
+    gbar = _gbar(q)
+    rank = _rank(gbar, RANK_TOL)
+    if rank < 7:
+        raise DegenerateGrowth(f"Gbar has rank {rank} < 7 at {q.values}")
+    # the leg fields are constant, so their mutual brackets vanish exactly:
+    # only the entries pairing X1 with X2..X4 are nonzero
     A = np.zeros((3, 4, 4))
-    for k in range(3):
-        for (i, j), b in brackets.items():
-            val = -float(mus[k] @ b)
-            A[k, i, j] = val
-            A[k, j, i] = -val
+    A[:, 0, 1:] = -(pfaff_matrix(q) @ gbar[4:].T)
+    A[:, 1:, 0] = -A[:, 0, 1:]
     return _signature_of_pfaffian_form(A, eig_tol)
 
 

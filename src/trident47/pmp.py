@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ChartMismatch, SingularConfiguration, ZeroHorizontalMomentum
 from .fields import ADAPTED, ORIGINAL
-from .mechanism import Configuration, horizontal_frame, reference_configuration
+from .mechanism import Configuration, horizontal_frame, leg_span, reference_configuration
 from .nilpotent import AdaptedPoint, from_adapted, nilpotent_frame_matrix, to_adapted
 
 _S3 = math.sqrt(3.0)
@@ -545,6 +545,7 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
         if q_start.chart != ORIGINAL:
             raise ChartMismatch("original-system gait needs an original-chart start")
         state = q_start.array.copy()
+        span0 = leg_span(q_start)
 
         def rhs(t, q):
             u = params.controls(t)
@@ -570,11 +571,15 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
         k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if chart == ORIGINAL and y[5] * states[0, 5] <= 0.0:
-            # the revolute leg length crossed zero between samples; the
-            # frame is singular somewhere inside this step
-            raise SingularConfiguration(
-                f"l2 crossed zero near t = {times[k + 1]:.6g} during the gait")
+        if chart == ORIGINAL:
+            # l2 = 0 and L = l1 + l3 + 2 = 0 are the whole singular set; a
+            # sign change (or a non-finite value) means the frame is singular
+            # somewhere inside this step
+            for name, start, now in (("l2", states[0, 5], y[5]),
+                                     ("L = l1 + l3 + 2", span0, y[4] + y[6] + 2.0)):
+                if not now * start > 0.0:
+                    raise SingularConfiguration(
+                        f"{name} crossed zero near t = {times[k + 1]:.6g} during the gait")
         states[k + 1] = y
         controls[k + 1] = params.controls(times[k + 1])
     return Trajectory(chart, times, states, None, controls, None)

@@ -165,6 +165,17 @@ def test_invalid_point_exits_2(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("option, value", [("--point", "nan,0,1.5707963,0,1,1,1"),
+                                           ("--point", "0,inf,1.5707963,0,1,1,1"),
+                                           ("--dynamic-f", "1,nan")])
+def test_non_finite_input_exits_2(tmp_path, option, value):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(["controllability", option, value, "--out", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+
+
 def test_missing_fixture_exits_2(tmp_path):
     code = main(["geodesic", "--constants", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x.csv")])

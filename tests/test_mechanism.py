@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import sympy as sp
 
+import trident47
 from trident47 import mechanism
 from trident47.errors import ChartMismatch, SingularConfiguration
 from trident47.fields import ORIGINAL, SQRT3, VectorFieldSym, coords, fields_equal
@@ -104,8 +108,9 @@ def test_singular_configurations_raise():
 
 
 # ---------------------------------------------------------------------------
-# brackets: the printed closed forms are the oracle for the symbolic path,
-# and the symbolic path is the oracle for the finite-difference path
+# brackets: the printed closed forms are the oracle for the symbolic slice
+# brackets, which with a constraint-kernel / finite-difference oracle off the
+# slice check the closed-form Gbar
 
 
 def _printed_bracket_fields():
@@ -143,12 +148,51 @@ def test_x12_at_q0(q0):
                        atol=1e-15)
 
 
-def test_fd_brackets_match_symbolic_on_slice(rng):
+def test_closed_form_brackets_match_symbolic_on_slice(rng):
+    brackets = slice_bracket_fields()
     for _ in range(10):
         q = random_valid(rng, on_slice=True)
-        fd = mechanism._frame_brackets(q.array, "fd")
-        symb = mechanism._frame_brackets(q.array, "symbolic")
-        assert np.abs(fd - symb).max() < 1e-6
+        want = np.stack([b(q.values) for b in brackets])
+        assert np.abs(controllability(q).gbar[4:] - want).max() < 1e-12
+
+
+def _nullspace_x1(p):
+    """X1 at p from the numeric kernel of the Pfaffian matrix, scaled to unit
+    component along the body-frame x-axis (cos delta, sin delta)."""
+    m = pfaff_matrix(Configuration(ORIGINAL, tuple(p)))
+    v = np.linalg.svd(m[:, :4])[2][-1]
+    delta = p[2] - math.pi / 2.0
+    out = np.zeros(7)
+    out[:4] = v / (v[0] * math.cos(delta) + v[1] * math.sin(delta))
+    return out
+
+
+def _fd_bracket(F, G, p, h=1e-4):
+    """[F, G](p) from Richardson-extrapolated central-difference Jacobians."""
+
+    def jac(field, step):
+        cols = [(field(p + step * e) - field(p - step * e)) / (2.0 * step) for e in np.eye(7)]
+        return np.stack(cols, axis=1)
+
+    def rich(field):
+        return (4.0 * jac(field, h / 2.0) - jac(field, h)) / 3.0
+
+    return rich(G) @ F(p) - rich(F) @ G(p)
+
+
+def test_gbar_matches_nullspace_and_fd_oracles_off_slice(rng):
+    # independent of the closed form: X1 is recomputed as the gauged numeric
+    # kernel of the constraint matrix, and its brackets by finite differences
+    for _ in range(10):
+        q = random_valid(rng, on_slice=False)
+        gbar = controllability(q).gbar
+        assert np.abs(pfaff_matrix(q) @ gbar[0]).max() < 1e-12
+        # the rescaled numeric kernel equals X1, so the two are parallel
+        assert np.abs(_nullspace_x1(q.array) - gbar[0]).max() < 1e-12
+        for k in range(3):
+            leg = np.eye(7)[4 + k]
+            fd = _fd_bracket(_nullspace_x1, lambda a, leg=leg: leg, q.array)
+            assert np.abs(fd - gbar[4 + k]).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -316,3 +360,30 @@ def test_matrix_serialization_roundtrip(q0):
     assert obj["shape"] == [7, 7]
     assert len(obj["data"]) == 49
     assert np.array_equal(matrix_from_json(obj), g)
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+
+def test_numeric_analyses_do_not_import_sympy():
+    code = ("import sys, trident47\n"
+            "from trident47 import mechanism\n"
+            "q = mechanism.Configuration.original(0.3, -0.2, 1.1, 0.2, 1.2, 0.8, 0.7)\n"
+            "mechanism.controllability(q)\n"
+            "mechanism.pfaffian_signature(q)\n"
+            "mechanism.check_dynamic_pair(q, 2.0)\n"
+            "mechanism.horizontal_frame(q)\n"
+            "sys.exit('sympy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trident47.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_lazy_public_names_resolve():
+    for name in trident47.__all__:
+        assert getattr(trident47, name) is not None
+    assert trident47.controllability is mechanism.controllability
+    assert trident47.pmp.bracket_motion is trident47.bracket_motion

@@ -204,7 +204,7 @@ def test_pushforward_of_frame_matches_nilpotent_frame(q0):
     frame = mechanism.horizontal_frame(q0)
     for i in range(4):
         assert np.abs(T @ frame[i] - n[i](p0.array)).max() < 1e-9
-    brackets = mechanism._frame_brackets(q0.array, "symbolic")
+    brackets = mechanism.controllability(q0).gbar[4:]
     for col, slot in enumerate((4, 5, 6)):
         assert np.abs(T @ brackets[col] - np.eye(7)[slot]).max() < 1e-9
 

@@ -351,6 +351,17 @@ def test_original_gait_raises_when_leg_collapses():
                        q_start=start)
 
 
+def test_original_gait_raises_when_span_collapses():
+    # L = l1 + l3 + 2 runs from 0.1 to -0.2 while l2 stays at 1
+    from trident47.errors import SingularConfiguration
+    from trident47.mechanism import Configuration
+
+    start = Configuration.original(0, 0, math.pi / 2, 0, -0.95, 1.0, -0.95)
+    with pytest.raises(SingularConfiguration, match="L = l1 \\+ l3 \\+ 2"):
+        bracket_motion(BracketMotionParams(amplitude=0.3, partner=2), "original",
+                       q_start=start)
+
+
 def test_original_converges_to_nilpotent_quadratically():
     diffs = []
     amps = (0.4, 0.2, 0.1)
