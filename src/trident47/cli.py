@@ -12,6 +12,9 @@ Four subcommands, each writing deterministic CSV/JSON artifacts:
 
 Exit codes: 0 pass, 1 internal/check failure, 2 invalid input or
 precondition breach.
+
+Subcommands import the sympy-backed modules when they run, so
+``controllability`` at an original-chart point never loads sympy.
 """
 from __future__ import annotations
 
@@ -23,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mechanism, nilpotent, pmp, symmetry
+from . import mechanism
+from .charts import ADAPTED, ORIGINAL
 from .errors import (ChartMismatch, DegenerateGrowth, SingularConfiguration,
                      NotASymmetry, TridentError, ZeroHorizontalMomentum)
-from .fields import ADAPTED, ORIGINAL
 from .mechanism import Configuration
 
 EXIT_OK = 0
@@ -48,12 +51,6 @@ class RunSpec:
     tol_rank: float | None = None
     seed: int = 0
 
-    def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.T is not None and self.T <= 0:
-            raise ValueError("T must be positive")
-
     def to_json(self) -> dict:
         d = {k: v for k, v in self.__dict__.items() if v is not None}
         if "point" in d:
@@ -67,6 +64,14 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     if not all(math.isfinite(v) for v in vals):
         raise ValueError(f"non-finite value in {text!r}")
     return vals
+
+
+def _positive_finite(text: str) -> float:
+    """A finite number > 0 (tolerances, T and dt)."""
+    val = float(text)
+    if not (math.isfinite(val) and val > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return val
 
 
 def _parse_point(text: str) -> tuple[float, ...]:
@@ -94,6 +99,7 @@ def cmd_controllability(args) -> int:
                    out=args.out, tol_rank=args.tol_rank, seed=args.seed)
     q = Configuration(args.chart, args.point)
     if q.chart == ADAPTED:
+        from . import nilpotent
         q = nilpotent.from_adapted(nilpotent.AdaptedPoint.from_array(q.array))
     try:
         res = mechanism.controllability(q, rank_tol=args.tol_rank)
@@ -138,6 +144,7 @@ def _pair_tuple(res: mechanism.DynamicPairResult):
 
 
 def cmd_geodesic(args) -> int:
+    from . import nilpotent, pmp
     spec = RunSpec(command="geodesic", point=args.point, chart=args.chart,
                    constants=args.constants, out=args.out, dt=args.dt, T=args.T,
                    seed=args.seed)
@@ -180,6 +187,7 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_bracket_motion(args) -> int:
+    from . import pmp
     spec = RunSpec(command="bracket-motion", out=args.out, seed=args.seed)
     params = pmp.BracketMotionParams(amplitude=args.A, omega=args.omega,
                                      partner=args.partner, cycles=args.cycles)
@@ -234,6 +242,8 @@ def _write_trace_csv(traj, path) -> None:
 
 
 def cmd_symmetry_check(args) -> int:
+    from . import nilpotent, symmetry
+    from .fields import coordinate_field
     spec = RunSpec(command="symmetry-check", out=args.out, seed=args.seed)
     report: dict = {"spec": spec.to_json()}
     ok = True
@@ -245,7 +255,6 @@ def cmd_symmetry_check(args) -> int:
 
     vs = list(symmetry.v_fields())
     if args.perturb != 0.0:
-        from .fields import coordinate_field
         bent = symmetry.SymmetryField(
             "v1(perturbed)",
             vs[0].field + args.perturb * coordinate_field(ADAPTED, 2))
@@ -308,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("controllability", help="rank/signature/dynamic-pair analysis")
     c.add_argument("--point", type=_parse_point, default=_default_point())
     c.add_argument("--chart", choices=(ORIGINAL, ADAPTED), default=ORIGINAL)
-    c.add_argument("--tol-rank", type=float, default=mechanism.RANK_TOL)
+    c.add_argument("--tol-rank", type=_positive_finite, default=mechanism.RANK_TOL)
     c.add_argument("--dynamic-f", type=_parse_floats, default=(1.0, 2.0, -0.5))
     c.add_argument("--sweep", type=int, default=0, help="random valid-shape sweep size")
     c.add_argument("--seed", type=int, default=0)
@@ -317,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("geodesic", help="integrate a normal extremal from a fixture")
     g.add_argument("--constants", required=True, help="SolutionConstants JSON fixture")
-    g.add_argument("--T", type=float, default=2.0 * math.pi)
-    g.add_argument("--dt", type=float, default=1e-3)
+    g.add_argument("--T", type=_positive_finite, default=2.0 * math.pi)
+    g.add_argument("--dt", type=_positive_finite, default=1e-3,
+                   help="RK4 step; T/dt may not exceed pmp.MAX_STEPS")
     g.add_argument("--point", type=_parse_point, default=None,
                    help="start point (default: adapted origin)")
     g.add_argument("--chart", choices=(ORIGINAL, ADAPTED), default=ADAPTED)

@@ -10,9 +10,9 @@ fibre system (position-independent)
 
 and the state follows the base system q' = h1 N1(q) + h2 N2 + h3 N3 + h4 N4.
 With K = sqrt(C5^2 + C6^2 + C7^2) > 0, h1 is a pure oscillation of
-frequency K and x, l1, l2, l3 integrate in closed form; the y-components
-are obtained by quadrature.  K = 0 gives straight lines.  Three worked
-example solutions are built in, including their original-chart formulas.
+frequency K and the whole state, y1..y3 included, integrates in closed form.
+K = 0 gives straight lines.  Three worked example solutions are built in,
+including their original-chart formulas.
 """
 from __future__ import annotations
 
@@ -32,6 +32,9 @@ _S3 = math.sqrt(3.0)
 
 #: advisory threshold on Hamiltonian drift per unit time
 H_DRIFT_LIMIT = 1e-6
+
+#: most steps one time grid may have (T/dt); bounds the work and memory per run
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -138,8 +141,18 @@ class SolutionConstants:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SolutionConstants":
+        """Read the eight constants; a missing or non-finite one is a ValueError."""
         keys = ("C5", "C6", "C7", "C11", "C12", "C13", "C14", "C15")
-        return cls(**{k: float(obj[k]) for k in keys})
+        if not isinstance(obj, dict):
+            raise ValueError("solution constants must be a JSON object")
+        try:
+            values = {k: float(obj[k]) for k in keys if k in obj}
+        except TypeError as exc:
+            raise ValueError(f"solution constants must be numbers: {exc}") from None
+        bad = [k for k in keys if not math.isfinite(values.get(k, math.nan))]
+        if bad:
+            raise ValueError(f"missing or non-finite solution constants: {', '.join(bad)}")
+        return cls(**values)
 
 
 def random_solution_constants(rng, k_min: float = 0.1, k_max: float = 3.0) -> SolutionConstants:
@@ -176,77 +189,45 @@ def closed_form_fibre(c: SolutionConstants, t: float) -> FibreState:
     )
 
 
-def _closed_form_flat(c: SolutionConstants, t: float) -> tuple[float, float, float, float]:
-    """x, l1, l2, l3 at time t, starting from the adapted origin."""
+def _closed_form_states(c: SolutionConstants, t) -> np.ndarray:
+    """(x, l1, l2, l3, y1, y2, y3) at time(s) t, starting from the adapted origin.
+
+    t is a float or an array; the last axis holds the coordinates.  Since
+    x' = h1, y_k = c_k(x) - int_0^t l_k h1 ds with the centre curve
+    c(x) = (x + sqrt(3)x^2/4, x, x - sqrt(3)x^2/4), and the integral is a
+    polynomial in t, sin Kt and cos Kt.
+    """
+    t = np.asarray(t, dtype=float)
     K = c.K
+    bracket = np.array([c.C5, c.C6, c.C7])
+    affine = np.array([c.C13, c.C14, c.C15])
     if K == 0.0:
-        return (c.C11 * t, c.C13 * t, c.C14 * t, c.C15 * t)
-    s, co = math.sin(K * t), math.cos(K * t)
-    x = c.C11 / K * s - c.C12 / K * co + c.C12 / K
-    hump = c.C11 - c.C11 * co - c.C12 * s
-    return (x,
-            c.C5 / K**2 * hump + c.C13 * t,
-            c.C6 / K**2 * hump + c.C14 * t,
-            c.C7 / K**2 * hump + c.C15 * t)
+        x = c.C11 * t
+        legs = affine * t[..., None]
+        leg_work = affine * (c.C11 * t * t / 2.0)[..., None]
+    else:
+        s, co = np.sin(K * t), np.cos(K * t)
+        x = c.C11 / K * s - c.C12 / K * co + c.C12 / K
+        hump = c.C11 - c.C11 * co - c.C12 * s
+        legs = bracket / K**2 * hump[..., None] + affine * t[..., None]
+        # int_0^t h1^2 and int_0^t x, with sin 2Kt = 2 s co and 1 - cos 2Kt = 2 s^2
+        h1_sq = ((c.C11**2 + c.C12**2) * t / 2.0 + (c.C11**2 - c.C12**2) * s * co / (2.0 * K)
+                 + c.C11 * c.C12 * s * s / K)
+        x_int = (c.C11 * (1.0 - co) - c.C12 * s) / K**2 + c.C12 * t / K
+        leg_work = (bracket / K**2 * (c.C11 * x - h1_sq)[..., None]
+                    + affine * (t * x - x_int)[..., None])
+    bump = _S3 / 4.0 * x * x
+    centre = np.stack([x + bump, x, x - bump], axis=-1)
+    return np.concatenate([x[..., None], legs, centre - leg_work], axis=-1)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40) -> float:
-    """Classic adaptive Simpson quadrature with the /15 error estimate."""
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        fl, fr = f(lmid), f(rmid)
-        left = simpson(lo, mid, flo, fl, fmid)
-        right = simpson(mid, hi, fmid, fr, fhi)
-        err = left + right - whole
-        if depth >= max_depth or abs(err) <= 15.0 * eps:
-            return left + right + err / 15.0
-        return (recurse(lo, mid, flo, fl, fmid, left, eps / 2.0, depth + 1)
-                + recurse(mid, hi, fmid, fr, fhi, right, eps / 2.0, depth + 1))
-
-    if a == b:
-        return 0.0
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
-
-def _y_integrands(c: SolutionConstants):
-    def dy1(s):
-        x, l1, _, _ = _closed_form_flat(c, s)
-        return (1.0 + _S3 / 2.0 * x - l1) * closed_form_fibre(c, s).h1
-
-    def dy2(s):
-        _, _, l2, _ = _closed_form_flat(c, s)
-        return (1.0 - l2) * closed_form_fibre(c, s).h1
-
-    def dy3(s):
-        x, _, _, l3 = _closed_form_flat(c, s)
-        return (1.0 - _S3 / 2.0 * x - l3) * closed_form_fibre(c, s).h1
-
-    return dy1, dy2, dy3
-
-
-def closed_form_base(c: SolutionConstants, t: float, quad_tol: float = 1e-10) -> AdaptedPoint:
-    """Exact x, l1..l3 plus y1..y3 by adaptive quadrature, from the origin.
+def closed_form_base(c: SolutionConstants, t: float) -> AdaptedPoint:
+    """Exact state at time t of the extremal from the origin, y1..y3 included.
 
     Other starting points are reached by left-translating the result with
     the group product.
     """
-    x, l1, l2, l3 = _closed_form_flat(c, t)
-    dy1, dy2, dy3 = _y_integrands(c)
-    return AdaptedPoint(
-        x=x, l1=l1, l2=l2, l3=l3,
-        y1=_adaptive_simpson(dy1, 0.0, t, quad_tol),
-        y2=_adaptive_simpson(dy2, 0.0, t, quad_tol),
-        y3=_adaptive_simpson(dy3, 0.0, t, quad_tol),
-    )
+    return AdaptedPoint.from_array(_closed_form_states(c, t))
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +296,13 @@ class Trajectory:
 
 
 def _grid(T: float, dt: float) -> tuple[int, float]:
+    """Step count and step of a uniform grid on [0, T], at most MAX_STEPS steps."""
+    if not (math.isfinite(T) and math.isfinite(dt)):
+        raise ValueError("T and dt must be finite")
     if dt <= 0.0 or T <= 0.0:
         raise ValueError("T and dt must be positive")
+    if T / dt > MAX_STEPS:
+        raise ValueError(f"T/dt = {T / dt:.6g} exceeds the step cap of {MAX_STEPS}")
     n = max(1, int(round(T / dt)))
     return n, T / n
 
@@ -401,23 +387,13 @@ def integrate_extremal_batch(h0s: np.ndarray, q0s: np.ndarray, T: float,
     return times, path[:, :, :7], path[:, :, 7:]
 
 
-def closed_form_trajectory(c: SolutionConstants, T: float, dt: float = 1e-3,
-                           quad_tol: float = 1e-10) -> Trajectory:
-    """Closed-form solution sampled on a uniform grid (y's by quadrature)."""
-    n, h = _grid(T, dt)
+def closed_form_trajectory(c: SolutionConstants, T: float, dt: float = 1e-3) -> Trajectory:
+    """Closed-form solution sampled on a uniform grid."""
+    n, _ = _grid(T, dt)
     times = np.linspace(0.0, T, n + 1)
-    states = np.empty((n + 1, 7))
-    momenta = np.empty((n + 1, 7))
-    dys = _y_integrands(c)
-    yacc = [0.0, 0.0, 0.0]
-    for k, t in enumerate(times):
-        states[k, :4] = _closed_form_flat(c, t)
-        if k > 0:
-            for i, f in enumerate(dys):
-                yacc[i] += _adaptive_simpson(f, times[k - 1], t, quad_tol)
-        states[k, 4:] = yacc
-        momenta[k] = closed_form_fibre(c, t).array
-    return Trajectory(ADAPTED, times, states, momenta, momenta[:, :4], None)
+    momenta = np.stack([closed_form_fibre(c, t).array for t in times])
+    return Trajectory(ADAPTED, times, _closed_form_states(c, times), momenta,
+                      momenta[:, :4], None)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ Two explicit families in the adapted chart:
   as a simultaneous rotation of the leg block (l1,l2,l3) and the (y1,y2,y3)
   block, commutes with N1, and rotates (N2,N3,N4) orthogonally, so the
   control metric is preserved.
+
+The flows of the so(3) family are exact: a1 v1 + a2 v2 + a3 v3 equals
+(0, hat(a) l, hat(a)(y - c(x))) with the centre curve
+c(x) = (x + sqrt(3)x^2/4, x, x - sqrt(3)x^2/4), a linear system with x
+constant, so its time-t flow rotates l and y - c(x) by R = exp(t hat(a))
+(Rodrigues' formula).
 """
 from __future__ import annotations
 
@@ -29,10 +35,15 @@ _S3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class SymmetryField:
-    """A named symbolic field in the adapted chart."""
+    """A named symbolic field in the adapted chart.
+
+    ``axis`` is (a1, a2, a3) when the field is a1 v1 + a2 v2 + a3 v3 and None
+    otherwise; only fields with an axis have an exact flow.
+    """
 
     name: str
     field: VectorFieldSym
+    axis: tuple[float, float, float] | None = None
 
 
 @functools.lru_cache(maxsize=1)
@@ -45,7 +56,8 @@ def v_fields() -> tuple[SymmetryField, SymmetryField, SymmetryField]:
     v1 = VectorFieldSym(ADAPTED, (0, 0, -l3, l2, 0, -P, -Q))
     v2 = VectorFieldSym(ADAPTED, (0, l3, 0, -l1, P, 0, R))
     v3 = VectorFieldSym(ADAPTED, (0, -l2, l1, 0, Q, -R, 0))
-    return (SymmetryField("v1", v1), SymmetryField("v2", v2), SymmetryField("v3", v3))
+    return (SymmetryField("v1", v1, (1.0, 0.0, 0.0)), SymmetryField("v2", v2, (0.0, 1.0, 0.0)),
+            SymmetryField("v3", v3, (0.0, 0.0, 1.0)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -68,7 +80,7 @@ def so3_combination(a1: float, a2: float, a3: float) -> SymmetryField:
     """The combination a1*v1 + a2*v2 + a3*v3."""
     v1, v2, v3 = v_fields()
     f = sp.nsimplify(a1) * v1.field + sp.nsimplify(a2) * v2.field + sp.nsimplify(a3) * v3.field
-    return SymmetryField(f"{a1}*v1+{a2}*v2+{a3}*v3", f)
+    return SymmetryField(f"{a1}*v1+{a2}*v2+{a3}*v3", f, (float(a1), float(a2), float(a3)))
 
 
 def _coefficients_in_basis(b: VectorFieldSym, basis: list[VectorFieldSym],
@@ -169,6 +181,12 @@ def check_symmetry_conditions(v: SymmetryField) -> SymmetryReport:
     )
 
 
+def _centre(x: float) -> np.ndarray:
+    """The centre curve c(x) = (x + sqrt(3)x^2/4, x, x - sqrt(3)x^2/4) of the y-block."""
+    bump = _S3 / 4.0 * x * x
+    return np.array([x + bump, x, x - bump])
+
+
 def fixed_point_set(a: tuple[float, float, float], x: float, k: float) -> AdaptedPoint:
     """A point of the fixed-point set of a1*v1 + a2*v2 + a3*v3.
 
@@ -179,64 +197,53 @@ def fixed_point_set(a: tuple[float, float, float], x: float, k: float) -> Adapte
     a1, a2, a3 = (float(v) for v in a)
     if a1 == 0.0 and a2 == 0.0 and a3 == 0.0:
         raise ZeroCombination("(a1, a2, a3) must be nonzero")
-    bump = _S3 / 4.0 * x * x
-    return AdaptedPoint(
-        x=x,
-        l1=k * a1, l2=k * a2, l3=k * a3,
-        y1=x + bump + k * a1,
-        y2=x + k * a2,
-        y3=x - bump + k * a3,
-    )
+    legs = k * np.array([a1, a2, a3])
+    return AdaptedPoint.from_array(np.concatenate([[x], legs, _centre(x) + legs]))
+
+
+def _rotation(v: SymmetryField, t: float, dt: float) -> np.ndarray:
+    """R = exp(t hat(a)) for the axis a of v, by Rodrigues' formula."""
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if v.axis is None:
+        raise NotASymmetry(f"{v.name} is not a combination of v1, v2, v3; it has no flow")
+    a = np.asarray(v.axis, dtype=float)
+    norm = float(np.linalg.norm(a))
+    if norm == 0.0:
+        return np.eye(3)
+    k = a / norm
+    hat = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + math.sin(t * norm) * hat + (1.0 - math.cos(t * norm)) * (hat @ hat)
 
 
 def symmetry_flow(v: SymmetryField, p: AdaptedPoint, t: float, dt: float = 1e-3) -> AdaptedPoint:
-    """Flow p for time t along v with fixed-step RK4."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    n = max(1, int(math.ceil(abs(t) / dt)))
-    h = t / n
-    f = v.field
-    y = p.array
-    for _ in range(n):
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return AdaptedPoint.from_array(y)
+    """Flow p for time t along v = a1 v1 + a2 v2 + a3 v3, exactly.
 
-
-@functools.lru_cache(maxsize=64)
-def _field_jacobian_fn(field: VectorFieldSym):
-    cs = coords(ADAPTED)
-    jac = sp.Matrix([[sp.diff(c, s) for s in cs] for c in field.components])
-    fn = sp.lambdify(cs, jac, modules="numpy")
-    return lambda arr: np.asarray(fn(*arr), dtype=float)
+    Fl_t(x, l, y) = (x, R l, y + (R - I)(y - c(x))) with R = exp(t hat(a));
+    this returns p bit for bit at t = 0.  The exact flow takes no steps, so
+    dt is only checked (it must be positive).  Raises NotASymmetry when v
+    has no axis.
+    """
+    R = _rotation(v, t, dt)
+    legs, y = p.array[1:4], p.array[4:7]
+    return AdaptedPoint.from_array(
+        np.concatenate([[p.x], R @ legs, y + (R - np.eye(3)) @ (y - _centre(p.x))]))
 
 
 def flow_with_jacobian(v: SymmetryField, p: AdaptedPoint, t: float,
                        dt: float = 1e-3) -> tuple[AdaptedPoint, np.ndarray]:
-    """Flow a point and the differential of the flow map (variational RK4)."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    n = max(1, int(math.ceil(abs(t) / dt)))
-    h = t / n
-    f = v.field
-    Df = _field_jacobian_fn(f)
+    """Flow a point exactly and return the differential of the flow map.
 
-    def rhs(state):
-        y, J = state
-        return f(y), Df(y) @ J
-
-    y, J = p.array, np.eye(7)
-    for _ in range(n):
-        k1y, k1j = rhs((y, J))
-        k2y, k2j = rhs((y + 0.5 * h * k1y, J + 0.5 * h * k1j))
-        k3y, k3j = rhs((y + 0.5 * h * k2y, J + 0.5 * h * k2j))
-        k4y, k4j = rhs((y + h * k3y, J + h * k3j))
-        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        J = J + (h / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
-    return AdaptedPoint.from_array(y), J
+    The differential is [[1, 0, 0], [0, R, 0], [(I - R) c'(x), 0, R]] with
+    c'(x) = (1 + sqrt(3)x/2, 1, 1 - sqrt(3)x/2); dt is only checked, as in
+    ``symmetry_flow``.
+    """
+    R = _rotation(v, t, dt)
+    J = np.zeros((7, 7))
+    J[0, 0] = 1.0
+    J[1:4, 1:4] = J[4:7, 4:7] = R
+    J[4:7, 0] = (np.eye(3) - R) @ np.array([1.0 + _S3 / 2.0 * p.x, 1.0, 1.0 - _S3 / 2.0 * p.x])
+    return symmetry_flow(v, p, t, dt), J
 
 
 def w_structure_report() -> dict:
@@ -287,8 +294,9 @@ def flow_invariance_report(v: SymmetryField, states: np.ndarray, times: np.ndarr
                            dt: float = 1e-3) -> FlowInvarianceReport:
     """Push a horizontal curve through Fl^s_v and measure what it preserves.
 
-    Tangents are transported exactly by the differential of the flow map
-    (variational equation), re-expressed in the frame N1..N4; the report
+    Tangents are transported by the exact differential of the flow map and
+    re-expressed in the frame N1..N4; dt is only checked (see
+    ``symmetry_flow``), so both figures measure round-off.  The report
     carries the worst distance from the horizontal bundle relative to speed
     and the relative change of sub-Riemannian arc length.
     """

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import trident47
 from trident47 import pmp
 from trident47.cli import main
 from trident47.pmp import read_trajectory_csv, save_solution_constants
@@ -180,3 +184,59 @@ def test_missing_fixture_exits_2(tmp_path):
     code = main(["geodesic", "--constants", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def test_controllability_does_not_import_sympy(tmp_path):
+    code = ("import sys\n"
+            "from trident47.cli import main\n"
+            f"code = main(['controllability', '--out', {str(tmp_path / 'r.json')!r}])\n"
+            "sys.exit(10 * code + ('sympy' in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trident47.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_tol_rank_must_be_finite_and_positive(tmp_path, capsys, value):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(["controllability", f"--tol-rank={value}", "--out", str(out)])
+    assert err.value.code == 2
+    assert "--tol-rank" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value", [("--T", "inf"), ("--T", "nan"), ("--dt", "0"),
+                                           ("--dt", "-1e-3")])
+def test_geodesic_rejects_non_finite_or_non_positive_times(tmp_path, capsys,
+                                                           example2_fixture, option, value):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["geodesic", "--constants", example2_fixture, f"{option}={value}",
+              "--out", str(out)])
+    assert err.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("T, dt", [("1e9", "1e-3"), ("1e300", "1e-300")])
+def test_geodesic_step_cap_exits_2(tmp_path, capsys, example2_fixture, T, dt):
+    out = tmp_path / "x.csv"
+    assert main(["geodesic", "--constants", example2_fixture, "--T", T, "--dt", dt,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "step cap" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_geodesic_non_finite_constant_exits_2(tmp_path, capsys):
+    fixture = tmp_path / "nan.json"
+    obj = pmp.example_constants(2).to_json()
+    obj["C5"] = "nan"
+    fixture.write_text(json.dumps(obj))
+    out = tmp_path / "x.csv"
+    assert main(["geodesic", "--constants", str(fixture), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "C5" in err and "Traceback" not in err
+    assert not out.exists()

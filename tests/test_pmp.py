@@ -6,7 +6,8 @@ import pytest
 
 from trident47 import pmp
 from trident47.errors import ZeroHorizontalMomentum
-from trident47.nilpotent import AdaptedPoint, group_identity, nilpotent_frame_matrix
+from trident47.nilpotent import (AdaptedPoint, from_adapted, group_identity,
+                                 nilpotent_frame_matrix)
 from trident47.pmp import (BracketMotionParams, FibreState, SolutionConstants,
                            base_rhs, bracket_displacement, bracket_motion,
                            closed_form_base, closed_form_fibre, example_constants,
@@ -113,6 +114,75 @@ def test_closed_form_base_examples():
     assert p.x == pytest.approx(-math.sqrt(10.0) / 4.0 * math.sin(t), abs=1e-13)
     assert p.l1 == pytest.approx(math.sqrt(30.0) / 12.0 * (math.cos(t) - 1.0) + 0.5 * t,
                                  abs=1e-13)
+
+
+def _y_closed_form_sym(C, t, K):
+    """The closed form of (x, h1, l1..l3, y1..y3), typed out independently.
+
+    K is None on the constant-controls branch; otherwise a positive symbol
+    or number standing for sqrt(C5^2 + C6^2 + C7^2).
+    """
+    import sympy as sp
+
+    a = (C["C5"], C["C6"], C["C7"])
+    b = (C["C13"], C["C14"], C["C15"])
+    if K is None:
+        x, h1 = C["C11"] * t, C["C11"]
+        legs = [bk * t for bk in b]
+        work = [bk * C["C11"] * t**2 / 2 for bk in b]
+    else:
+        s, co = sp.sin(K * t), sp.cos(K * t)
+        x = (C["C11"] * s - C["C12"] * co + C["C12"]) / K
+        h1 = C["C11"] * co + C["C12"] * s
+        hump = C["C11"] - C["C11"] * co - C["C12"] * s
+        legs = [ak / K**2 * hump + bk * t for ak, bk in zip(a, b)]
+        h1_sq = ((C["C11"]**2 + C["C12"]**2) * t / 2
+                 + (C["C11"]**2 - C["C12"]**2) * sp.sin(2 * K * t) / (4 * K)
+                 + C["C11"] * C["C12"] * (1 - sp.cos(2 * K * t)) / (2 * K))
+        x_int = (C["C11"] * (1 - co) - C["C12"] * s) / K**2 + C["C12"] * t / K
+        work = [ak / K**2 * (C["C11"] * x - h1_sq) + bk * (t * x - x_int)
+                for ak, bk in zip(a, b)]
+    bump = sp.sqrt(3) * x**2 / 4
+    ys = [x + bump - work[0], x - work[1], x - bump - work[2]]
+    return x, h1, legs, ys
+
+
+@pytest.mark.parametrize("branch", ["oscillating", "constant-controls"])
+def test_closed_form_y_certificate(branch):
+    import sympy as sp
+
+    t = sp.Symbol("t", real=True)
+    C = {k: sp.Symbol(k, real=True)
+         for k in ("C5", "C6", "C7", "C11", "C12", "C13", "C14", "C15")}
+    K = sp.Symbol("K", positive=True) if branch == "oscillating" else None
+    x, h1, legs, ys = _y_closed_form_sym(C, t, K)
+    assert sp.simplify(sp.diff(x, t) - h1) == 0
+    # y1' = (1 + sqrt(3)x/2 - l1) h1, y2' = (1 - l2) h1, y3' = (1 - sqrt(3)x/2 - l3) h1
+    slopes = (1 + sp.sqrt(3) * x / 2, 1, 1 - sp.sqrt(3) * x / 2)
+    for y, slope, leg in zip(ys, slopes, legs):
+        assert sp.simplify(sp.expand_trig(sp.diff(y, t) - (slope - leg) * h1)) == 0
+        assert sp.simplify(y.subs(t, 0)) == 0
+
+    # the implementation evaluates the same formula
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        c = random_solution_constants(rng)
+        if K is None:
+            c = SolutionConstants(C11=c.C11, C13=c.C13, C14=c.C14, C15=c.C15)
+        vals = {C[k]: v for k, v in c.to_json().items()}
+        if K is not None:
+            vals[K] = c.K
+        tv = float(rng.uniform(0.0, 2.0 * math.pi))
+        want = [float(e.subs(vals).subs(t, tv)) for e in [x, *legs, *ys]]
+        assert np.abs(closed_form_base(c, tv).array - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_base_reproduces_printed_examples(n):
+    c = example_constants(n)
+    for t in np.linspace(0.0, 2.0 * math.pi, 41):
+        got = from_adapted(closed_form_base(c, float(t))).array
+        assert np.abs(got - example_solution(n, float(t)).array).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -413,3 +483,28 @@ def test_solution_constants_json_roundtrip(tmp_path):
     assert back == c
     keys = set(json.loads(path.read_text()))
     assert keys == {"C5", "C6", "C7", "C11", "C12", "C13", "C14", "C15"}
+
+
+def test_solution_constants_reject_non_finite_and_missing():
+    good = example_constants(2).to_json()
+    for key, value in (("C5", "nan"), ("C12", float("inf")), ("C15", "-inf")):
+        with pytest.raises(ValueError, match=key):
+            SolutionConstants.from_json(dict(good, **{key: value}))
+    partial = dict(good)
+    del partial["C7"]
+    with pytest.raises(ValueError, match="C7"):
+        SolutionConstants.from_json(partial)
+    for bad in (5, [good], dict(good, C13=[1.0])):
+        with pytest.raises(ValueError):
+            SolutionConstants.from_json(bad)
+
+
+@pytest.mark.parametrize("T, dt", [(math.inf, 1e-3), (1.0, math.nan), (math.nan, 1e-3),
+                                   (1.0, 0.0), (-1.0, 1e-3),
+                                   (pmp.MAX_STEPS * 1e-3 * 1.01, 1e-3), (1e300, 1e-300)])
+def test_grid_rejects_unbounded_or_invalid_times(T, dt):
+    c = example_constants(2)
+    with pytest.raises(ValueError):
+        integrate_extremal(c.initial_fibre_state(), group_identity(), T, dt)
+    with pytest.raises(ValueError):
+        pmp.closed_form_trajectory(c, T, dt)

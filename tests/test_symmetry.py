@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from trident47 import nilpotent, pmp
 from trident47.errors import NotASymmetry, ZeroCombination
-from trident47.fields import ADAPTED, coordinate_field, coords, lie_bracket
+from trident47.fields import ADAPTED, SQRT3, coordinate_field, coords, lie_bracket
 from trident47.nilpotent import AdaptedPoint
 from trident47.symmetry import (SymmetryField, check_symmetry_conditions,
                                 fixed_point_set, flow_invariance_report,
-                                so3_combination, so3_structure, symmetry_flow,
-                                transitivity_rank, v_fields, w_fields,
+                                flow_with_jacobian, so3_combination, so3_structure,
+                                symmetry_flow, transitivity_rank, v_fields, w_fields,
                                 w_structure_report)
 
 
@@ -127,7 +128,7 @@ def test_flow_fixes_fixed_points():
 def test_flow_zero_time_is_identity():
     v = v_fields()[1]
     p = AdaptedPoint(0.3, 1.0, 0.5, -0.2, 0.1, 0.2, 0.3)
-    # n = max(1, ceil(0)) takes a single step of size zero
+    # R = I exactly at t = 0, so (R - I)(y - c(x)) adds exact zeros
     out = symmetry_flow(v, p, t=0.0, dt=1e-3)
     assert np.array_equal(out.array, p.array)
 
@@ -138,6 +139,75 @@ def test_flow_reversibility():
     there = symmetry_flow(v, p, t=1.5, dt=1e-3)
     back = symmetry_flow(v, there, t=-1.5, dt=1e-3)
     assert np.abs(back.array - p.array).max() < 1e-8
+
+
+def test_so3_combination_is_a_rotation_of_legs_and_centre_offset():
+    # a.(v1, v2, v3) = (0, hat(a) l, hat(a)(y - c(x))): a linear system with x
+    # constant, whose time-t flow is the Rodrigues rotation exp(t hat(a))
+    a1, a2, a3 = sp.symbols("a1 a2 a3", real=True)
+    x, l1, l2, l3, y1, y2, y3 = coords(ADAPTED)
+    v1, v2, v3 = (v.field.components for v in v_fields())
+    combo = [a1 * c1 + a2 * c2 + a3 * c3 for c1, c2, c3 in zip(v1, v2, v3)]
+    hat = sp.Matrix([[0, -a3, a2], [a3, 0, -a1], [-a2, a1, 0]])
+    centre = sp.Matrix([x + SQRT3 * x**2 / 4, x, x - SQRT3 * x**2 / 4])
+    want = [0, *(hat * sp.Matrix([l1, l2, l3])),
+            *(hat * (sp.Matrix([y1, y2, y3]) - centre))]
+    for got, expected in zip(combo, want):
+        assert sp.expand(got - expected) == 0
+    for v, axis in zip(v_fields(), np.eye(3)):
+        assert v.axis == tuple(axis)
+    assert so3_combination(0.5, -1.0, 2.0).axis == (0.5, -1.0, 2.0)
+
+
+def _rk4_flow(field, p, t, dt):
+    """Fixed-step RK4 of the field and of its variational equation.
+
+    The independent oracle for the exact flow and its differential.
+    """
+    cs = coords(ADAPTED)
+    jac = sp.lambdify(cs, sp.Matrix([[sp.diff(c, s) for s in cs]
+                                     for c in field.components]), modules="numpy")
+
+    def rhs(y, J):
+        return field(y), np.asarray(jac(*y), dtype=float) @ J
+
+    n = max(1, int(math.ceil(abs(t) / dt)))
+    h = t / n
+    y, J = np.asarray(p, dtype=float), np.eye(7)
+    for _ in range(n):
+        k1y, k1j = rhs(y, J)
+        k2y, k2j = rhs(y + 0.5 * h * k1y, J + 0.5 * h * k1j)
+        k3y, k3j = rhs(y + 0.5 * h * k2y, J + 0.5 * h * k2j)
+        k4y, k4j = rhs(y + h * k3y, J + h * k3j)
+        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        J = J + (h / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
+    return y, J
+
+
+def test_exact_flow_matches_rk4_oracle(rng):
+    for v, t in ((v_fields()[0], 1.5), (so3_combination(0.6, -0.8, 0.4), -0.9),
+                 (so3_combination(1.0, 0.5, -1.5), 0.7)):
+        p = AdaptedPoint.from_array(rng.uniform(-1.0, 1.0, 7))
+        y_ref, J_ref = _rk4_flow(v.field, p.array, t, dt=2e-3)
+        out = symmetry_flow(v, p, t)
+        flowed, J = flow_with_jacobian(v, p, t)
+        assert np.abs(out.array - y_ref).max() < 1e-9
+        assert np.array_equal(flowed.array, out.array)
+        assert np.abs(J - J_ref).max() < 1e-9
+
+
+def test_flow_of_axisless_field_is_rejected():
+    bent = SymmetryField("v1(perturbed)",
+                         v_fields()[0].field + 0.01 * coordinate_field(ADAPTED, 2))
+    p = AdaptedPoint(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+    for flow in (symmetry_flow, flow_with_jacobian):
+        with pytest.raises(NotASymmetry):
+            flow(bent, p, 0.5)
+    with pytest.raises(NotASymmetry):
+        symmetry_flow(w_fields()["w2"], p, 0.5)
+    for dt in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError):
+            symmetry_flow(v_fields()[0], p, 0.5, dt=dt)
 
 
 # ---------------------------------------------------------------------------
