@@ -12,14 +12,14 @@ _EXPORTS = {
                "SingularConfiguration", "TridentError", "ZeroCombination",
                "ZeroHorizontalMomentum"),
     "charts": ("ADAPTED", "ORIGINAL"),
-    "fields": ("VectorFieldSym", "coordinate_field", "coords", "differentiate", "eval_field",
-               "evaluate", "fields_equal", "lie_bracket", "zero_field"),
+    "fields": ("VectorFieldSym", "coordinate_field", "coords", "differentiate", "evaluate",
+               "fields_equal", "lie_bracket", "zero_field"),
     "mechanism": ("Configuration", "ControllabilityResult", "DynamicPairResult",
                   "MechanismConstants", "SignatureResult", "check_dynamic_pair",
                   "controllability", "horizontal_frame", "horizontal_frame_slice",
                   "leg_span", "pfaff_matrix", "pfaffian_signature",
                   "reference_configuration", "wheel_positions"),
-    "nilpotent": ("AdaptedPoint", "GroupElement", "check_left_invariance",
+    "nilpotent": ("AdaptedPoint", "check_left_invariance",
                   "check_path_geometry_conditions", "from_adapted", "group_identity",
                   "group_inverse", "group_mul", "nilpotent_frame", "to_adapted"),
     "pmp": ("BracketMotionParams", "FibreState", "SolutionConstants", "Trajectory",

@@ -67,10 +67,26 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _positive_finite(text: str) -> float:
-    """A finite number > 0 (tolerances, T and dt)."""
+    """A finite number > 0 (tolerances, T, dt and the gait's A and omega)."""
     val = float(text)
     if not (math.isfinite(val) and val > 0.0):
         raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return val
+
+
+def _non_negative_int(text: str) -> int:
+    """An integer >= 0 (the sweep size)."""
+    val = int(text)
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return val
+
+
+def _positive_int(text: str) -> int:
+    """An integer >= 1 (the left-invariance sample count)."""
+    val = int(text)
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return val
 
 
@@ -319,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--chart", choices=(ORIGINAL, ADAPTED), default=ORIGINAL)
     c.add_argument("--tol-rank", type=_positive_finite, default=mechanism.RANK_TOL)
     c.add_argument("--dynamic-f", type=_parse_floats, default=(1.0, 2.0, -0.5))
-    c.add_argument("--sweep", type=int, default=0, help="random valid-shape sweep size")
+    c.add_argument("--sweep", type=_non_negative_int, default=0,
+                   help="random valid-shape sweep size")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default=None, help="report path (stdout if omitted)")
     c.set_defaults(func=cmd_controllability)
@@ -337,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_geodesic)
 
     b = sub.add_parser("bracket-motion", help="bracket gait on both systems")
-    b.add_argument("--A", type=float, default=0.4)
-    b.add_argument("--omega", type=float, default=2.0 * math.pi / 50.0)
+    b.add_argument("--A", type=_positive_finite, default=0.4)
+    b.add_argument("--omega", type=_positive_finite, default=2.0 * math.pi / 50.0)
     b.add_argument("--partner", type=int, choices=(2, 3, 4), default=2)
     b.add_argument("--cycles", type=int, default=1)
     b.add_argument("--seed", type=int, default=0)
@@ -346,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bracket_motion)
 
     s = sub.add_parser("symmetry-check", help="verify the symmetry algebra")
-    s.add_argument("--samples", type=int, default=200)
+    s.add_argument("--samples", type=_positive_int, default=200)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--perturb", type=float, default=0.0,
                    help="self-test: add EPS * d/dl2 to v1 and watch it fail")

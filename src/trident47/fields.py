@@ -173,11 +173,6 @@ def coordinate_field(chart: str, index: int) -> VectorFieldSym:
     return VectorFieldSym(chart, tuple(comps))
 
 
-def eval_field(X: VectorFieldSym, point) -> np.ndarray:
-    """Component-wise evaluation of a symbolic field at a point of R^7."""
-    return X(point)
-
-
 def lie_bracket(X: VectorFieldSym, Y: VectorFieldSym) -> VectorFieldSym:
     """[X,Y]^i = sum_j (X^j dY^i/dx_j - Y^j dX^i/dx_j), components tidied."""
     if X.chart != Y.chart:

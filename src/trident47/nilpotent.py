@@ -50,15 +50,6 @@ class AdaptedPoint:
     def from_array(cls, arr) -> "AdaptedPoint":
         return cls(*(float(v) for v in arr))
 
-    def as_configuration(self) -> Configuration:
-        return Configuration(ADAPTED, tuple(self.array))
-
-    @classmethod
-    def from_configuration(cls, q: Configuration) -> "AdaptedPoint":
-        if q.chart != ADAPTED:
-            raise ChartMismatch("expected an adapted-chart configuration")
-        return cls(*q.values)
-
     def to_json(self) -> dict:
         return {"chart": ADAPTED, "point": [float(v) for v in self.array]}
 
@@ -67,10 +58,6 @@ class AdaptedPoint:
         if obj.get("chart") != ADAPTED:
             raise ChartMismatch("expected an adapted-chart point")
         return cls.from_array(obj["point"])
-
-
-#: a group element is just an adapted point under group_mul
-GroupElement = AdaptedPoint
 
 
 def to_adapted(q: Configuration) -> AdaptedPoint:
@@ -129,14 +116,30 @@ def extended_frame() -> tuple[VectorFieldSym, ...]:
             lie_bracket(n1, n2), lie_bracket(n1, n3), lie_bracket(n1, n4))
 
 
+def centre(x):
+    """The centre curve c(x) = (x + sqrt(3)x^2/4, x, x - sqrt(3)x^2/4), as a tuple.
+
+    x is a float or an array; the so(3) symmetries rotate y - c(x).
+    """
+    bump = _S3 / 4.0 * x * x
+    return x + bump, x, x - bump
+
+
+def n1_vertical(x, l1, l2, l3):
+    """The y-part of N1, c'(x) - l = (1 + sqrt(3)x/2 - l1, 1 - l2, 1 - sqrt(3)x/2 - l3).
+
+    Works on floats or arrays and returns a tuple, so the numeric frame and
+    the Hamiltonian right-hand side read N1 from this one formula.
+    """
+    return 1.0 + _S3 / 2.0 * x - l1, 1.0 - l2, 1.0 - _S3 / 2.0 * x - l3
+
+
 def nilpotent_frame_matrix(arr) -> np.ndarray:
     """Fast numeric frame evaluation: rows N1..N4 at adapted coordinates arr."""
     x, l1, l2, l3 = float(arr[0]), float(arr[1]), float(arr[2]), float(arr[3])
     F = np.zeros((4, 7))
     F[0, 0] = 1.0
-    F[0, 4] = 1.0 + _S3 / 2.0 * x - l1
-    F[0, 5] = 1.0 - l2
-    F[0, 6] = 1.0 - _S3 / 2.0 * x - l3
+    F[0, 4], F[0, 5], F[0, 6] = n1_vertical(x, l1, l2, l3)
     F[1, 1] = F[2, 2] = F[3, 3] = 1.0
     return F
 
@@ -186,9 +189,11 @@ class LeftInvarianceReport:
 
 def check_left_invariance(X: VectorFieldSym, samples: int = 1000, seed: int = 0,
                           tol: float = 1e-9, box: float = 2.0) -> LeftInvarianceReport:
-    """Check dL_g(X(p)) = X(g*p) at random (g, p) pairs."""
+    """Check dL_g(X(p)) = X(g*p) at random (g, p) pairs; samples must be >= 1."""
     if X.chart != ADAPTED:
         raise ChartMismatch("left invariance is defined on the adapted chart")
+    if samples < 1:
+        raise ValueError(f"left invariance needs at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):

@@ -13,6 +13,12 @@ With K = sqrt(C5^2 + C6^2 + C7^2) > 0, h1 is a pure oscillation of
 frequency K and the whole state, y1..y3 included, integrates in closed form.
 K = 0 gives straight lines.  Three worked example solutions are built in,
 including their original-chart formulas.
+
+What stays numeric runs on one fixed-step RK4 loop, ``_rk4``: the extremals
+of ``_hamiltonian_rhs`` (the only place the equations above are written;
+``fibre_rhs`` and ``base_rhs`` are its halves) and the bracket gaits on the
+nilpotent and the original system.  Every time grid has at most
+``MAX_STEPS`` steps.
 """
 from __future__ import annotations
 
@@ -26,7 +32,8 @@ import numpy as np
 from .errors import ChartMismatch, SingularConfiguration, ZeroHorizontalMomentum
 from .fields import ADAPTED, ORIGINAL
 from .mechanism import Configuration, horizontal_frame, leg_span, reference_configuration
-from .nilpotent import AdaptedPoint, from_adapted, nilpotent_frame_matrix, to_adapted
+from .nilpotent import (AdaptedPoint, centre, from_adapted, n1_vertical, nilpotent_frame_matrix,
+                        to_adapted)
 
 _S3 = math.sqrt(3.0)
 
@@ -75,32 +82,43 @@ def normalize_arclength(h0: FibreState) -> FibreState:
     return FibreState(h0.h1 / n, h0.h2 / n, h0.h3 / n, h0.h4 / n, h0.h5, h0.h6, h0.h7)
 
 
-def fibre_rhs(h) -> np.ndarray:
-    """Right-hand side of the momentum system."""
-    a = h.array if isinstance(h, FibreState) else np.asarray(h, dtype=float)
-    out = np.zeros(7)
-    out[0] = -a[4] * a[1] - a[5] * a[2] - a[6] * a[3]
-    out[1] = a[4] * a[0]
-    out[2] = a[5] * a[0]
-    out[3] = a[6] * a[0]
+def _hamiltonian_rhs(y: np.ndarray) -> np.ndarray:
+    """The coupled system on (state, momenta) = y[..., :7], y[..., 7:]; works on (..., 14).
+
+    The state follows q' = h1 N1(q) + h2 N2 + h3 N3 + h4 N4 and the momenta
+    the fibre system of the module docstring.  This is the one place the
+    equations are written; ``base_rhs`` and ``fibre_rhs`` are its halves.
+    """
+    out = np.empty_like(y)
+    c = np.moveaxis(y, -1, 0)  # for one state c[k] is a scalar, not a slower 0-d array
+    h1, h2, h3, h4, h5, h6, h7 = c[7:]
+    v1, v2, v3 = n1_vertical(*c[:4])
+    out[..., 0] = h1
+    out[..., 1] = h2
+    out[..., 2] = h3
+    out[..., 3] = h4
+    out[..., 4] = v1 * h1
+    out[..., 5] = v2 * h1
+    out[..., 6] = v3 * h1
+    out[..., 7] = -h5 * h2 - h6 * h3 - h7 * h4
+    out[..., 8] = h5 * h1
+    out[..., 9] = h6 * h1
+    out[..., 10] = h7 * h1
+    out[..., 11:] = 0.0
     return out
+
+
+def fibre_rhs(h) -> np.ndarray:
+    """Right-hand side of the momentum system (it does not depend on the state)."""
+    a = h.array if isinstance(h, FibreState) else np.asarray(h, dtype=float)
+    return _hamiltonian_rhs(np.concatenate([np.zeros(7), a]))[7:]
 
 
 def base_rhs(q, h) -> np.ndarray:
     """Right-hand side of the state system q' = sum h_i N_i(q)."""
     qa = q.array if isinstance(q, AdaptedPoint) else np.asarray(q, dtype=float)
     ha = h.array if isinstance(h, FibreState) else np.asarray(h, dtype=float)
-    x, l1, l2, l3 = qa[0], qa[1], qa[2], qa[3]
-    h1 = ha[0]
-    out = np.empty(7)
-    out[0] = h1
-    out[1] = ha[1]
-    out[2] = ha[2]
-    out[3] = ha[3]
-    out[4] = (1.0 + _S3 / 2.0 * x - l1) * h1
-    out[5] = (1.0 - l2) * h1
-    out[6] = (1.0 - _S3 / 2.0 * x - l3) * h1
-    return out
+    return _hamiltonian_rhs(np.concatenate([qa, ha]))[:7]
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +234,7 @@ def _closed_form_states(c: SolutionConstants, t) -> np.ndarray:
         x_int = (c.C11 * (1.0 - co) - c.C12 * s) / K**2 + c.C12 * t / K
         leg_work = (bracket / K**2 * (c.C11 * x - h1_sq)[..., None]
                     + affine * (t * x - x_int)[..., None])
-    bump = _S3 / 4.0 * x * x
-    centre = np.stack([x + bump, x, x - bump], axis=-1)
-    return np.concatenate([x[..., None], legs, centre - leg_work], axis=-1)
+    return np.concatenate([x[..., None], legs, np.stack(centre(x), axis=-1) - leg_work], axis=-1)
 
 
 def closed_form_base(c: SolutionConstants, t: float) -> AdaptedPoint:
@@ -307,39 +323,21 @@ def _grid(T: float, dt: float) -> tuple[int, float]:
     return n, T / n
 
 
-def _hamiltonian_rhs(y: np.ndarray) -> np.ndarray:
-    """Coupled (state, momentum) right-hand side; works on (..., 14) arrays."""
-    out = np.empty_like(y)
-    x, l1, l2, l3 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-    h1, h2, h3, h4 = y[..., 7], y[..., 8], y[..., 9], y[..., 10]
-    h5, h6, h7 = y[..., 11], y[..., 12], y[..., 13]
-    out[..., 0] = h1
-    out[..., 1] = h2
-    out[..., 2] = h3
-    out[..., 3] = h4
-    out[..., 4] = (1.0 + _S3 / 2.0 * x - l1) * h1
-    out[..., 5] = (1.0 - l2) * h1
-    out[..., 6] = (1.0 - _S3 / 2.0 * x - l3) * h1
-    out[..., 7] = -h5 * h2 - h6 * h3 - h7 * h4
-    out[..., 8] = h5 * h1
-    out[..., 9] = h6 * h1
-    out[..., 10] = h7 * h1
-    out[..., 11] = 0.0
-    out[..., 12] = 0.0
-    out[..., 13] = 0.0
-    return out
+def _rk4(rhs, y0: np.ndarray, times: np.ndarray, h: float) -> np.ndarray:
+    """Classical fixed-step RK4 of y' = rhs(t, y) over the grid ``times``, step h.
 
-
-def _rk4_path(y0: np.ndarray, n: int, h: float) -> np.ndarray:
-    """Fixed-step RK4 of the Hamiltonian system, all samples retained."""
-    path = np.empty((n + 1,) + y0.shape)
-    path[0] = y0
-    y = y0
-    for k in range(n):
-        k1 = _hamiltonian_rhs(y)
-        k2 = _hamiltonian_rhs(y + 0.5 * h * k1)
-        k3 = _hamiltonian_rhs(y + 0.5 * h * k2)
-        k4 = _hamiltonian_rhs(y + h * k3)
+    The one integrator of the module: the extremals and both gaits run on
+    it.  Step k starts at times[k]; y0 may carry leading batch axes, and
+    every sample is kept, so the result has shape (len(times),) + y0.shape.
+    """
+    path = np.empty((len(times),) + y0.shape)
+    path[0] = y = y0
+    for k in range(len(times) - 1):
+        t = times[k]
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         path[k + 1] = y
     return path
@@ -353,9 +351,8 @@ def integrate_extremal(h0: FibreState, q0: AdaptedPoint, T: float, dt: float = 1
     diagnostics when Hamiltonian drift per unit time exceeds 1e-6.
     """
     n, h = _grid(T, dt)
-    y0 = np.concatenate([q0.array, h0.array])
-    path = _rk4_path(y0, n, h)
     times = np.linspace(0.0, T, n + 1)
+    path = _rk4(lambda t, y: _hamiltonian_rhs(y), np.concatenate([q0.array, h0.array]), times, h)
     states = path[:, :7]
     momenta = path[:, 7:]
     energies = 0.5 * np.sum(momenta[:, :4] ** 2, axis=1)
@@ -380,9 +377,8 @@ def integrate_extremal_batch(h0s: np.ndarray, q0s: np.ndarray, T: float,
     if q0s.shape[0] == 1 and h0s.shape[0] > 1:
         q0s = np.repeat(q0s, h0s.shape[0], axis=0)
     n, h = _grid(T, dt)
-    y0 = np.concatenate([q0s, h0s], axis=1)
-    path = _rk4_path(y0, n, h)  # (n+1, B, 14)
     times = np.linspace(0.0, T, n + 1)
+    path = _rk4(lambda t, y: _hamiltonian_rhs(y), np.concatenate([q0s, h0s], axis=1), times, h)
     path = np.swapaxes(path, 0, 1)
     return times, path[:, :, :7], path[:, :, 7:]
 
@@ -477,12 +473,18 @@ class BracketMotionParams:
     steps_per_cycle: int = 2000
 
     def __post_init__(self):
-        if self.amplitude <= 0.0 or self.omega <= 0.0:
-            raise ValueError("amplitude and omega must be positive")
+        if not (math.isfinite(self.amplitude) and self.amplitude > 0.0
+                and math.isfinite(self.omega) and self.omega > 0.0
+                and math.isfinite(self.period)):
+            raise ValueError("amplitude and omega must be finite and positive, "
+                             "with a finite period 2*pi/omega")
         if self.partner not in (2, 3, 4):
             raise ValueError("partner index must be 2, 3 or 4")
-        if self.cycles < 1:
-            raise ValueError("cycle count must be at least 1")
+        if self.cycles < 1 or self.steps_per_cycle < 1:
+            raise ValueError("cycle count and steps per cycle must be at least 1")
+        if self.cycles * self.steps_per_cycle > MAX_STEPS:
+            raise ValueError(f"cycles * steps_per_cycle = {self.cycles * self.steps_per_cycle} "
+                             f"exceeds the step cap of {MAX_STEPS}")
 
     @property
     def period(self) -> float:
@@ -507,12 +509,9 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
     if system == "nilpotent":
         if q_start is None:
             q_start = to_adapted(reference_configuration())
-        state = q_start.array.copy()
 
         def rhs(t, q):
-            u = params.controls(t)
-            F = nilpotent_frame_matrix(q)
-            return u @ F
+            return params.controls(t) @ nilpotent_frame_matrix(q)
 
         chart = ADAPTED
     elif system == "original":
@@ -520,44 +519,31 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
             q_start = reference_configuration()
         if q_start.chart != ORIGINAL:
             raise ChartMismatch("original-system gait needs an original-chart start")
-        state = q_start.array.copy()
-        span0 = leg_span(q_start)
+        l2_0, span0 = q_start.array[5], leg_span(q_start)
+
+        def check_regular(t, q):
+            # l2 = 0 and L = l1 + l3 + 2 = 0 are the whole singular set; a
+            # sign change (or a non-finite value) means the frame is singular
+            # somewhere between the start and q
+            if not (q[5] * l2_0 > 0.0 and (q[4] + q[6] + 2.0) * span0 > 0.0):
+                name = "L = l1 + l3 + 2" if q[5] * l2_0 > 0.0 else "l2"
+                raise SingularConfiguration(
+                    f"{name} crossed zero near t = {t:.6g} during the gait")
 
         def rhs(t, q):
-            u = params.controls(t)
-            F = horizontal_frame(Configuration(ORIGINAL, tuple(q)))
-            return u @ F
+            check_regular(t, q)
+            return params.controls(t) @ horizontal_frame(Configuration(ORIGINAL, tuple(q)))
 
         chart = ORIGINAL
     else:
         raise ValueError("system must be 'nilpotent' or 'original'")
 
     n = params.steps_per_cycle * params.cycles
-    h = params.period / params.steps_per_cycle
     times = np.linspace(0.0, params.cycles * params.period, n + 1)
-    states = np.empty((n + 1, 7))
-    controls = np.empty((n + 1, 4))
-    states[0] = state
-    controls[0] = params.controls(0.0)
-    y = state
-    for k in range(n):
-        t = times[k]
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if chart == ORIGINAL:
-            # l2 = 0 and L = l1 + l3 + 2 = 0 are the whole singular set; a
-            # sign change (or a non-finite value) means the frame is singular
-            # somewhere inside this step
-            for name, start, now in (("l2", states[0, 5], y[5]),
-                                     ("L = l1 + l3 + 2", span0, y[4] + y[6] + 2.0)):
-                if not now * start > 0.0:
-                    raise SingularConfiguration(
-                        f"{name} crossed zero near t = {times[k + 1]:.6g} during the gait")
-        states[k + 1] = y
-        controls[k + 1] = params.controls(times[k + 1])
+    states = _rk4(rhs, q_start.array, times, params.period / params.steps_per_cycle)
+    if chart == ORIGINAL:
+        check_regular(times[-1], states[-1])  # every earlier sample was checked as a stage
+    controls = np.array([params.controls(t) for t in times])
     return Trajectory(chart, times, states, None, controls, None)
 
 

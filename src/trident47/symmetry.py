@@ -28,9 +28,8 @@ from . import fields
 from .errors import NotASymmetry, ZeroCombination
 from .fields import (ADAPTED, SQRT3, VectorFieldSym, coordinate_field, coords,
                      is_zero_expr, lie_bracket)
-from .nilpotent import AdaptedPoint, nilpotent_frame, nilpotent_frame_matrix
-
-_S3 = math.sqrt(3.0)
+from .nilpotent import (AdaptedPoint, centre, n1_vertical, nilpotent_frame,
+                        nilpotent_frame_matrix)
 
 
 @dataclass(frozen=True)
@@ -181,24 +180,18 @@ def check_symmetry_conditions(v: SymmetryField) -> SymmetryReport:
     )
 
 
-def _centre(x: float) -> np.ndarray:
-    """The centre curve c(x) = (x + sqrt(3)x^2/4, x, x - sqrt(3)x^2/4) of the y-block."""
-    bump = _S3 / 4.0 * x * x
-    return np.array([x + bump, x, x - bump])
-
-
 def fixed_point_set(a: tuple[float, float, float], x: float, k: float) -> AdaptedPoint:
     """A point of the fixed-point set of a1*v1 + a2*v2 + a3*v3.
 
     The set is the curve of double-rotation centres shifted along the
     rotation axis: legs proportional to a, y-block offset by the centre
-    curve (x + sqrt(3)x^2/4, x, x - sqrt(3)x^2/4).
+    curve c(x) of ``nilpotent.centre``.
     """
     a1, a2, a3 = (float(v) for v in a)
     if a1 == 0.0 and a2 == 0.0 and a3 == 0.0:
         raise ZeroCombination("(a1, a2, a3) must be nonzero")
     legs = k * np.array([a1, a2, a3])
-    return AdaptedPoint.from_array(np.concatenate([[x], legs, _centre(x) + legs]))
+    return AdaptedPoint.from_array(np.concatenate([[x], legs, np.array(centre(x)) + legs]))
 
 
 def _rotation(v: SymmetryField, t: float, dt: float) -> np.ndarray:
@@ -227,7 +220,7 @@ def symmetry_flow(v: SymmetryField, p: AdaptedPoint, t: float, dt: float = 1e-3)
     R = _rotation(v, t, dt)
     legs, y = p.array[1:4], p.array[4:7]
     return AdaptedPoint.from_array(
-        np.concatenate([[p.x], R @ legs, y + (R - np.eye(3)) @ (y - _centre(p.x))]))
+        np.concatenate([[p.x], R @ legs, y + (R - np.eye(3)) @ (y - np.array(centre(p.x)))]))
 
 
 def flow_with_jacobian(v: SymmetryField, p: AdaptedPoint, t: float,
@@ -235,14 +228,14 @@ def flow_with_jacobian(v: SymmetryField, p: AdaptedPoint, t: float,
     """Flow a point exactly and return the differential of the flow map.
 
     The differential is [[1, 0, 0], [0, R, 0], [(I - R) c'(x), 0, R]] with
-    c'(x) = (1 + sqrt(3)x/2, 1, 1 - sqrt(3)x/2); dt is only checked, as in
-    ``symmetry_flow``.
+    c'(x) = (1 + sqrt(3)x/2, 1, 1 - sqrt(3)x/2), the y-part of N1 at l = 0;
+    dt is only checked, as in ``symmetry_flow``.
     """
     R = _rotation(v, t, dt)
     J = np.zeros((7, 7))
     J[0, 0] = 1.0
     J[1:4, 1:4] = J[4:7, 4:7] = R
-    J[4:7, 0] = (np.eye(3) - R) @ np.array([1.0 + _S3 / 2.0 * p.x, 1.0, 1.0 - _S3 / 2.0 * p.x])
+    J[4:7, 0] = (np.eye(3) - R) @ np.array(n1_vertical(p.x, 0.0, 0.0, 0.0))
     return symmetry_flow(v, p, t, dt), J
 
 

@@ -3,9 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trident47
 from trident47 import pmp
@@ -240,3 +243,99 @@ def test_geodesic_non_finite_constant_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "C5" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value", [("--A", "nan"), ("--A", "inf"), ("--A", "0"),
+                                           ("--A", "-0.4"), ("--omega", "nan"),
+                                           ("--omega", "inf"), ("--omega", "0"),
+                                           ("--cycles", "0"), ("--cycles", "1000")])
+def test_bracket_motion_rejects_invalid_inputs(tmp_path, capsys, option, value):
+    # --cycles 1000 asks for 2,000,000 steps per system, over pmp.MAX_STEPS
+    try:
+        code = main(["bracket-motion", f"{option}={value}", "--out", str(tmp_path / "gait")])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["symmetry-check", "--samples=0"],
+                                  ["symmetry-check", "--samples=-1"],
+                                  ["controllability", "--sweep=-3"]])
+def test_sample_counts_must_be_valid(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(out)])
+    assert err.value.code == 2
+    assert argv[1].split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# property: any argv ends in exit 0, 1 or 2, never in an escaped exception
+
+_BAD_NUMBERS = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300")
+
+
+def _number(*valid):
+    """One of the valid values or, as often, a non-finite, zero, negative or extreme one."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(_BAD_NUMBERS))
+
+
+_CONTROLLABILITY = st.tuples(
+    st.just("controllability"),
+    st.sampled_from(["0,0,1.5707963267948966,0,1,1,1", "0.1,-0.2,1.2,0.3,0.8,1.1,1.4",
+                     "nan,0,1.57,0,1,1,1", "0,0,1.57,0,1,0,1", "1,2,3"]).map("--point={}".format),
+    st.sampled_from(["--chart=original", "--chart=adapted"]),
+    _number("1e-9", "1e-6").map("--tol-rank={}".format),
+    st.sampled_from(["0", "3", "-3"]).map("--sweep={}".format),
+    st.sampled_from(["1,2", "1,nan", "0", "-0.5"]).map("--dynamic-f={}".format),
+)
+_GEODESIC = st.tuples(
+    st.just("geodesic"),
+    st.sampled_from(["good", "nan", "missing"]),
+    _number("1", "0.5").map("--T={}".format),
+    _number("0.01", "0.05").map("--dt={}".format),
+    st.sampled_from([[], ["--point=0.3,0.1,0.2,0.4,0,0,0.5"], ["--point=nan,0,0,0,0,0,0"]]),
+)
+_BRACKET_MOTION = st.tuples(
+    st.just("bracket-motion"),
+    _number("0.4", "0.1").map("--A={}".format),
+    _number("0.5", "0.12566370614359174").map("--omega={}".format),
+    st.sampled_from(["2", "3", "4", "5"]).map("--partner={}".format),
+    st.sampled_from(["1", "1", "0", "-1", "1000"]).map("--cycles={}".format),
+)
+_SYMMETRY_CHECK = st.tuples(
+    st.just("symmetry-check"),
+    st.sampled_from(["1", "3", "0", "-1"]).map("--samples={}".format),
+    st.sampled_from(["0", "0.01", "nan"]).map("--perturb={}".format),
+)
+
+
+@pytest.fixture(scope="module")
+def constants_fixtures(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("constants")
+    save_solution_constants(pmp.example_constants(2), folder / "good.json")
+    bad = pmp.example_constants(2).to_json()
+    bad["C5"] = "nan"
+    (folder / "nan.json").write_text(json.dumps(bad))
+    return folder
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_CONTROLLABILITY, _GEODESIC, _BRACKET_MOTION, _SYMMETRY_CHECK))
+def test_cli_exits_0_1_or_2_on_any_input(constants_fixtures, case):
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = [case[0]]
+        for arg in case[1:]:
+            if case[0] == "geodesic" and arg in ("good", "nan", "missing"):
+                arg = f"--constants={constants_fixtures / (arg + '.json')}"
+            argv += arg if isinstance(arg, list) else [arg]
+        argv.append(f"--out={os.path.join(out_dir, 'run')}")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses malformed options
+            code = exc.code
+            assert code == 2
+        assert code in (0, 1, 2)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from trident47 import fields, nilpotent
 from trident47.errors import ChartMismatch, DivisionByZero
 from trident47.fields import (ADAPTED, ORIGINAL, SQRT3, VectorFieldSym,
-                              coordinate_field, coords, differentiate, eval_field,
+                              coordinate_field, coords, differentiate,
                               evaluate, fields_equal, lie_bracket, zero_field)
 from trident47.mechanism import horizontal_frame_slice, slice_bracket_fields
 
@@ -30,7 +30,7 @@ def fd_derivative(e, i, point, chart=ORIGINAL, step=1e-6):
 def test_constant_field_evaluates_everywhere(rng):
     X = coordinate_field(ORIGINAL, 0)
     for p in fields.random_points(ORIGINAL, 5, rng):
-        assert np.array_equal(eval_field(X, p), np.eye(7)[0])
+        assert np.array_equal(X(p), np.eye(7)[0])
 
 
 def test_n2_is_unit_vector_in_l1_slot():

@@ -9,10 +9,11 @@ from trident47 import fields, mechanism, nilpotent
 from trident47.errors import ChartMismatch
 from trident47.fields import ADAPTED, ORIGINAL, coordinate_field, fields_equal, lie_bracket
 from trident47.mechanism import Configuration
-from trident47.nilpotent import (AdaptedPoint, adapted_jacobian, check_left_invariance,
+from trident47.nilpotent import (AdaptedPoint, adapted_jacobian, centre, check_left_invariance,
                                  check_path_geometry_conditions, extended_frame,
                                  from_adapted, group_identity, group_inverse, group_mul,
-                                 nilpotent_frame, nilpotent_frame_matrix, to_adapted)
+                                 n1_vertical, nilpotent_frame, nilpotent_frame_matrix,
+                                 to_adapted)
 
 S3 = math.sqrt(3.0)
 
@@ -95,6 +96,21 @@ def test_frame_matrix_agrees_with_symbolic(rng):
             assert np.abs(F[i] - n[i](p)).max() < 1e-14
 
 
+def test_n1_vertical_is_symbolic_n1_and_the_slope_of_the_centre_curve(rng):
+    pts = rng.uniform(-2.0, 2.0, (10, 7))
+    n1 = nilpotent_frame()[0]
+    rows = np.stack(n1_vertical(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]), axis=-1)
+    for p, row in zip(pts, rows):
+        assert np.abs(row - n1(p)[4:]).max() < 1e-14
+        assert n1_vertical(*(float(v) for v in p[:4])) == tuple(row)
+    # c'(x) is N1's y-part at l = 0; c is quadratic, so central differences are exact
+    x, e = pts[:, 0], 1e-3
+    slope = (np.stack(centre(x + e)) - np.stack(centre(x - e))) / (2.0 * e)
+    want = np.stack(np.broadcast_arrays(*n1_vertical(x, 0.0, 0.0, 0.0)))
+    assert np.abs(slope - want).max() < 1e-10
+    assert centre(0.0) == (0.0, 0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # group structure
 
@@ -152,6 +168,13 @@ def test_frame_fields_are_left_invariant():
 def test_coordinate_x_field_is_not_left_invariant():
     rep = check_left_invariance(coordinate_field(ADAPTED, 0), samples=20)
     assert not rep.field_ok
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_left_invariance_without_samples_is_refused(samples):
+    # zero samples used to report ok with max_residual 0.0 after checking nothing
+    with pytest.raises(ValueError, match="at least one sample"):
+        check_left_invariance(nilpotent_frame()[0], samples=samples)
 
 
 def test_constant_vertical_fields_are_left_invariant():

@@ -55,6 +55,135 @@ def test_base_rhs_is_frame_combination(rng):
         assert np.abs(base_rhs(q, h) - want).max() < 1e-12
 
 
+def test_rhs_halves_match_reference_equations(rng):
+    # base_rhs and fibre_rhs are the halves of the one Hamiltonian system
+    for _ in range(10):
+        q, h = rng.uniform(-2, 2, 7), rng.uniform(-1, 1, 7)
+        want = _reference_hamiltonian_rhs(np.concatenate([q, h]))
+        assert np.array_equal(base_rhs(q, h), want[:7])
+        assert np.array_equal(fibre_rhs(h), want[7:])
+
+
+# ---------------------------------------------------------------------------
+# the one integrator, against the loops it replaced (kept here bit for bit)
+
+
+def _reference_hamiltonian_rhs(y):
+    out = np.empty_like(y)
+    x, l1, l2, l3 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+    h1, h2, h3, h4 = y[..., 7], y[..., 8], y[..., 9], y[..., 10]
+    h5, h6, h7 = y[..., 11], y[..., 12], y[..., 13]
+    out[..., 0] = h1
+    out[..., 1] = h2
+    out[..., 2] = h3
+    out[..., 3] = h4
+    out[..., 4] = (1.0 + S3 / 2.0 * x - l1) * h1
+    out[..., 5] = (1.0 - l2) * h1
+    out[..., 6] = (1.0 - S3 / 2.0 * x - l3) * h1
+    out[..., 7] = -h5 * h2 - h6 * h3 - h7 * h4
+    out[..., 8] = h5 * h1
+    out[..., 9] = h6 * h1
+    out[..., 10] = h7 * h1
+    out[..., 11] = 0.0
+    out[..., 12] = 0.0
+    out[..., 13] = 0.0
+    return out
+
+
+def _reference_rk4_path(y0, n, h):
+    path = np.empty((n + 1,) + y0.shape)
+    path[0] = y0
+    y = y0
+    for k in range(n):
+        k1 = _reference_hamiltonian_rhs(y)
+        k2 = _reference_hamiltonian_rhs(y + 0.5 * h * k1)
+        k3 = _reference_hamiltonian_rhs(y + 0.5 * h * k2)
+        k4 = _reference_hamiltonian_rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        path[k + 1] = y
+    return path
+
+
+def _reference_nilpotent_frame(q):
+    F = np.zeros((4, 7))
+    F[0, 0] = 1.0
+    F[0, 4] = 1.0 + S3 / 2.0 * q[0] - q[1]
+    F[0, 5] = 1.0 - q[2]
+    F[0, 6] = 1.0 - S3 / 2.0 * q[0] - q[3]
+    F[1, 1] = F[2, 2] = F[3, 3] = 1.0
+    return F
+
+
+def _reference_gait(params, system, q_start):
+    from trident47.mechanism import Configuration, horizontal_frame
+
+    if system == "nilpotent":
+        def rhs(t, q):
+            return params.controls(t) @ _reference_nilpotent_frame(q)
+    else:
+        def rhs(t, q):
+            return params.controls(t) @ horizontal_frame(Configuration("original", tuple(q)))
+    n = params.steps_per_cycle * params.cycles
+    h = params.period / params.steps_per_cycle
+    times = np.linspace(0.0, params.cycles * params.period, n + 1)
+    states = np.empty((n + 1, 7))
+    controls = np.empty((n + 1, 4))
+    states[0] = q_start.array
+    controls[0] = params.controls(0.0)
+    y = q_start.array
+    for k in range(n):
+        t = times[k]
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[k + 1] = y
+        controls[k + 1] = params.controls(times[k + 1])
+    return times, states, controls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_integrate_extremal_is_the_reference_rk4_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    h0 = FibreState.from_array(rng.uniform(-1, 1, 7))
+    q0 = AdaptedPoint.from_array(rng.uniform(-1, 1, 7))
+    traj = integrate_extremal(h0, q0, T=1.3, dt=0.01)
+    path = _reference_rk4_path(np.concatenate([q0.array, h0.array]), 130, 1.3 / 130)
+    assert np.array_equal(traj.times, np.linspace(0.0, 1.3, 131))
+    assert np.array_equal(traj.states, path[:, :7])
+    assert np.array_equal(traj.momenta, path[:, 7:])
+
+
+def test_integrate_extremal_batch_is_the_reference_rk4_bit_for_bit(rng):
+    h0s, q0s = rng.uniform(-1, 1, (4, 7)), rng.uniform(-1, 1, (4, 7))
+    times, states, momenta = pmp.integrate_extremal_batch(h0s, q0s, T=0.7, dt=0.01)
+    path = np.swapaxes(_reference_rk4_path(np.concatenate([q0s, h0s], axis=1), 70, 0.01), 0, 1)
+    assert np.array_equal(times, np.linspace(0.0, 0.7, 71))
+    assert np.array_equal(states, path[:, :, :7])
+    assert np.array_equal(momenta, path[:, :, 7:])
+
+
+@pytest.mark.parametrize("system", ["nilpotent", "original"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_bracket_motion_is_the_reference_gait_bit_for_bit(system, seed):
+    from trident47.mechanism import Configuration, reference_configuration
+    from trident47.nilpotent import to_adapted
+
+    rng = np.random.default_rng(seed)
+    params = BracketMotionParams(amplitude=rng.uniform(0.05, 0.4), omega=rng.uniform(0.1, 1.0),
+                                 partner=int(rng.integers(2, 5)), cycles=int(rng.integers(1, 3)),
+                                 steps_per_cycle=150)
+    q = Configuration.original(*(np.array(reference_configuration().values)
+                                 + rng.uniform(-0.1, 0.1, 7)))
+    start = to_adapted(q) if system == "nilpotent" else q
+    traj = bracket_motion(params, system, q_start=start)
+    times, states, controls = _reference_gait(params, system, start)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.controls, controls)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -430,6 +559,36 @@ def test_original_gait_raises_when_span_collapses():
     with pytest.raises(SingularConfiguration, match="L = l1 \\+ l3 \\+ 2"):
         bracket_motion(BracketMotionParams(amplitude=0.3, partner=2), "original",
                        q_start=start)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"amplitude": math.nan}, {"amplitude": math.inf}, {"amplitude": 0.0}, {"amplitude": -0.4},
+    {"omega": math.nan}, {"omega": math.inf}, {"omega": 0.0}, {"omega": -1.0},
+    {"omega": 1e-310}, {"steps_per_cycle": 0}, {"cycles": 0},
+    {"cycles": pmp.MAX_STEPS // 2000 + 1}, {"cycles": 2, "steps_per_cycle": pmp.MAX_STEPS},
+])
+def test_bracket_motion_params_are_validated(kwargs):
+    with pytest.raises(ValueError):
+        BracketMotionParams(**kwargs)
+
+
+def test_bracket_motion_params_accept_the_step_cap():
+    p = BracketMotionParams(cycles=pmp.MAX_STEPS // 2000)
+    assert p.cycles * p.steps_per_cycle == pmp.MAX_STEPS
+
+
+def test_original_gait_checks_its_last_sample():
+    # one step whose stage inputs all equal the start: only the end point has L < 0
+    from trident47.errors import SingularConfiguration
+
+    class KickAtEnd(BracketMotionParams):
+        def controls(self, t):
+            u = np.zeros(4)
+            u[1] = -30.0 / self.period if t == self.period else 0.0  # l1: 1 -> -4
+            return u
+
+    with pytest.raises(SingularConfiguration, match="L = l1 \\+ l3 \\+ 2 crossed zero near t = 50 "):
+        bracket_motion(KickAtEnd(steps_per_cycle=1), "original")
 
 
 def test_original_converges_to_nilpotent_quadratically():
