@@ -18,7 +18,7 @@ import pathlib
 import numpy as np
 
 from trident47 import nilpotent, pmp, symmetry
-from trident47.fields import ADAPTED
+from trident47.charts import ADAPTED
 from trident47.nilpotent import AdaptedPoint
 
 

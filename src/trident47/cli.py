@@ -13,8 +13,8 @@ Four subcommands, each writing deterministic CSV/JSON artifacts:
 Exit codes: 0 pass, 1 internal/check failure, 2 invalid input or
 precondition breach.
 
-Subcommands import the sympy-backed modules when they run, so
-``controllability`` at an original-chart point never loads sympy.
+Only ``symmetry-check`` loads sympy.  Every CSV, traces included, is
+computed on whole arrays and written by the one row writer ``pmp.write_csv_rows``.
 """
 from __future__ import annotations
 
@@ -64,6 +64,14 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     if not all(math.isfinite(v) for v in vals):
         raise ValueError(f"non-finite value in {text!r}")
     return vals
+
+
+def _finite(text: str) -> float:
+    """A finite number (the symmetry self-test's perturbation; zero and negatives are valid)."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return val
 
 
 def _positive_finite(text: str) -> float:
@@ -172,21 +180,15 @@ def cmd_geodesic(args) -> int:
     traj = pmp.integrate_extremal(h0, nilpotent.group_identity(), args.T, args.dt)
 
     # cross-check the closed form on a decimated grid
-    check_every = max(1, len(traj) // 200)
-    idx = np.arange(0, len(traj), check_every)
-    worst = 0.0
-    for i in idx:
-        ref = pmp.closed_form_base(constants, float(traj.times[i]))
-        worst = max(worst, float(np.max(np.abs(ref.array - traj.states[i]))))
+    idx = np.arange(0, len(traj), max(1, len(traj) // 200))
+    ref = pmp._closed_form_states(constants, traj.times[idx])
+    worst = float(np.max(np.abs(ref - traj.states[idx])))
 
     if args.point is not None:
         start = nilpotent.AdaptedPoint.from_array(args.point)
         if args.chart == ORIGINAL:
             start = nilpotent.to_adapted(Configuration(ORIGINAL, args.point))
-        states = np.stack([
-            nilpotent.group_mul(start, nilpotent.AdaptedPoint.from_array(q)).array
-            for q in traj.states
-        ])
+        states = np.stack(nilpotent.group_law(start.array, traj.states.T), axis=-1)
         traj = pmp.Trajectory(ADAPTED, traj.times, states, traj.momenta,
                               traj.controls, traj.diagnostics)
 
@@ -236,25 +238,13 @@ def cmd_bracket_motion(args) -> int:
 
 
 def _write_trace_csv(traj, path) -> None:
-    """Planar traces of the block centre, vertices and wheels."""
-    import csv as _csv
-
+    """Planar traces of the block centre, vertices and wheels of an original-chart path."""
+    from . import pmp
     header = ["t", "cx", "cy"]
-    for i in (1, 2, 3):
-        header += [f"v{i}x", f"v{i}y"]
-    for i in (1, 2, 3):
-        header += [f"w{i}x", f"w{i}y"]
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(header)
-        for t, state in zip(traj.times, traj.states):
-            q = Configuration(ORIGINAL, tuple(state))
-            verts = mechanism.root_vertices(q)
-            wheels = mechanism.wheel_positions(q)
-            row = [t, state[0], state[1]]
-            row += [v for xy in verts for v in xy]
-            row += [v for xy in wheels for v in xy]
-            writer.writerow([format(float(v), ".17g") for v in row])
+    header += [f"{kind}{i}{axis}" for kind in "vw" for i in (1, 2, 3) for axis in "xy"]
+    x, y, th, ph, l1, l2, l3 = traj.states.T
+    pmp.write_csv_rows(path, header, (traj.times, x, y, *mechanism.vertex_coords(x, y, th),
+                                      *mechanism.wheel_coords(x, y, th, ph, l1, l2, l3)))
 
 
 def cmd_symmetry_check(args) -> int:
@@ -365,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("symmetry-check", help="verify the symmetry algebra")
     s.add_argument("--samples", type=_positive_int, default=200)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--perturb", type=float, default=0.0,
+    s.add_argument("--perturb", type=_finite, default=0.0,
                    help="self-test: add EPS * d/dl2 to v1 and watch it fail")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_symmetry_check)

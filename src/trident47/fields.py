@@ -173,6 +173,14 @@ def coordinate_field(chart: str, index: int) -> VectorFieldSym:
     return VectorFieldSym(chart, tuple(comps))
 
 
+def linear_combination(fields_, coeffs) -> VectorFieldSym:
+    """coeffs[0] * fields_[0] + coeffs[1] * fields_[1] + ..., summed left to right."""
+    out = coeffs[0] * fields_[0]
+    for c, f in zip(coeffs[1:], fields_[1:]):
+        out = out + c * f
+    return out
+
+
 def lie_bracket(X: VectorFieldSym, Y: VectorFieldSym) -> VectorFieldSym:
     """[X,Y]^i = sum_j (X^j dY^i/dx_j - Y^j dX^i/dx_j), components tidied."""
     if X.chart != Y.chart:

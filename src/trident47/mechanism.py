@@ -110,32 +110,36 @@ def _require_original(q: Configuration, op: str) -> None:
         raise ChartMismatch(f"{op} expects the original chart, got {q.chart!r}")
 
 
-def wheel_positions(q: Configuration) -> np.ndarray:
-    """Planar positions of the three wheels, one row per wheel.
+def wheel_coords(x, y, th, ph, l1, l2, l3):
+    """The wheel positions (w1x, w1y, w2x, w2y, w3x, w3y); floats or arrays.
 
     Wheel i sits at distance 1 + l_i from the block centre along the leg
     direction; leg 2's direction is rotated by the revolute angle phi from
     its vertex direction.
     """
+    a1, a3 = th + CONSTANTS.alpha1, th + CONSTANTS.alpha3
+    return (x + (1.0 + l1) * np.cos(a1), y + (1.0 + l1) * np.sin(a1),
+            x + np.cos(th) + l2 * np.cos(th + ph), y + np.sin(th) + l2 * np.sin(th + ph),
+            x + (1.0 + l3) * np.cos(a3), y + (1.0 + l3) * np.sin(a3))
+
+
+def wheel_positions(q: Configuration) -> np.ndarray:
+    """Planar positions of the three wheels, one row per wheel."""
     _require_original(q, "wheel_positions")
-    x, y, th, ph, l1, l2, l3 = q.values
-    out = np.empty((3, 2))
-    for row, (alpha, l) in enumerate(((CONSTANTS.alpha1, l1), (0.0, l2), (CONSTANTS.alpha3, l3))):
-        if row == 1:
-            out[row, 0] = x + math.cos(th) + l * math.cos(th + ph)
-            out[row, 1] = y + math.sin(th) + l * math.sin(th + ph)
-        else:
-            out[row, 0] = x + (1.0 + l) * math.cos(th + alpha)
-            out[row, 1] = y + (1.0 + l) * math.sin(th + alpha)
-    return out
+    return np.reshape(wheel_coords(*q.values), (3, 2))
+
+
+def vertex_coords(x, y, th):
+    """The root-block vertices (v1x, v1y, v2x, v2y, v3x, v3y), unit circumradius."""
+    a1, a3 = th + CONSTANTS.alpha1, th + CONSTANTS.alpha3
+    return (x + np.cos(a1), y + np.sin(a1), x + np.cos(th), y + np.sin(th),
+            x + np.cos(a3), y + np.sin(a3))
 
 
 def root_vertices(q: Configuration) -> np.ndarray:
-    """Planar positions of the three root-block vertices (unit circumradius)."""
+    """Planar positions of the three root-block vertices, one row per vertex."""
     _require_original(q, "root_vertices")
-    x, y, th = q.values[:3]
-    angles = (th + CONSTANTS.alpha1, th, th + CONSTANTS.alpha3)
-    return np.array([[x + math.cos(a), y + math.sin(a)] for a in angles])
+    return np.reshape(vertex_coords(*q.values[:3]), (3, 2))
 
 
 def pfaff_matrix(q: Configuration) -> np.ndarray:

@@ -18,14 +18,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import sympy as sp
 
-from . import fields
+from .charts import ADAPTED, ORIGINAL
 from .errors import ChartMismatch
-from .fields import ADAPTED, ORIGINAL, SQRT3, VectorFieldSym, coordinate_field, coords, lie_bracket
-from .mechanism import Configuration
+from .mechanism import RANK_TOL, Configuration, _rank
+
+if TYPE_CHECKING:
+    from .fields import VectorFieldSym
 
 _S3 = math.sqrt(3.0)
 
@@ -73,12 +75,17 @@ def to_adapted(q: Configuration) -> AdaptedPoint:
     )
 
 
+def adapted_to_original(x, l1, l2, l3, y1, y2, y3):
+    """The tuple (x, y, theta, phi, l1, l2, l3) of an adapted point; floats or arrays."""
+    ph = 1.25 * y2 + 1.5 * x + 0.125 * y1 + 0.125 * y3
+    th = -y1 / 16.0 - y3 / 16.0 - x / 4.0
+    y = -_S3 / 12.0 * (y1 - y3)
+    return x, y, th, ph, l1, l2, l3
+
+
 def from_adapted(p: AdaptedPoint) -> Configuration:
     """Adapted chart -> original chart, the exact inverse of to_adapted."""
-    ph = 1.25 * p.y2 + 1.5 * p.x + 0.125 * p.y1 + 0.125 * p.y3
-    th = -p.y1 / 16.0 - p.y3 / 16.0 - p.x / 4.0
-    y = -_S3 / 12.0 * (p.y1 - p.y3)
-    return Configuration.original(p.x, y, th, ph, p.l1, p.l2, p.l3)
+    return Configuration.original(*adapted_to_original(*p.array))
 
 
 def adapted_jacobian() -> np.ndarray:
@@ -95,9 +102,10 @@ def adapted_jacobian() -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def nilpotent_frame() -> tuple[VectorFieldSym, ...]:
     """The frame N1..N4 in the adapted chart."""
+    from .fields import SQRT3, VectorFieldSym, coordinate_field, coords
     x, l1, l2, l3, y1, y2, y3 = coords(ADAPTED)
     n1 = VectorFieldSym(ADAPTED, (
-        sp.Integer(1), 0, 0, 0,
+        1, 0, 0, 0,
         -(-SQRT3 / 2 * x + l1 - 1),
         -(l2 - 1),
         -(SQRT3 / 2 * x + l3 - 1),
@@ -111,6 +119,7 @@ def nilpotent_frame() -> tuple[VectorFieldSym, ...]:
 @functools.lru_cache(maxsize=1)
 def extended_frame() -> tuple[VectorFieldSym, ...]:
     """N1..N4 followed by N12 = [N1,N2], N13 = [N1,N3], N14 = [N1,N4]."""
+    from .fields import lie_bracket
     n1, n2, n3, n4 = nilpotent_frame()
     return (n1, n2, n3, n4,
             lie_bracket(n1, n2), lie_bracket(n1, n3), lie_bracket(n1, n4))
@@ -148,15 +157,19 @@ def group_identity() -> AdaptedPoint:
     return AdaptedPoint()
 
 
+def group_law(p, q):
+    """The product p * q of two coordinate 7-sequences (floats or arrays), as a tuple."""
+    px, pl1, pl2, pl3, py1, py2, py3 = p
+    qx, ql1, ql2, ql3, qy1, qy2, qy3 = q
+    return (px + qx, pl1 + ql1, pl2 + ql2, pl3 + ql3,
+            py1 + qy1 + _S3 / 2.0 * px * qx - pl1 * qx,
+            py2 + qy2 - pl2 * qx,
+            py3 + qy3 - _S3 / 2.0 * px * qx - pl3 * qx)
+
+
 def group_mul(p: AdaptedPoint, q: AdaptedPoint) -> AdaptedPoint:
     """The nilpotent group product on R^7."""
-    return AdaptedPoint(
-        x=p.x + q.x,
-        l1=p.l1 + q.l1, l2=p.l2 + q.l2, l3=p.l3 + q.l3,
-        y1=p.y1 + q.y1 + _S3 / 2.0 * p.x * q.x - p.l1 * q.x,
-        y2=p.y2 + q.y2 - p.l2 * q.x,
-        y3=p.y3 + q.y3 - _S3 / 2.0 * p.x * q.x - p.l3 * q.x,
-    )
+    return AdaptedPoint.from_array(group_law(p.array, q.array))
 
 
 def group_inverse(p: AdaptedPoint) -> AdaptedPoint:
@@ -234,9 +247,12 @@ def check_path_geometry_conditions(samples: int = 25, seed: int = 0) -> PathGeom
     (3) For generic sections xi in E and nu in V that do not vanish at a
         point, [xi, nu] at that point leaves E + V.
     """
+    import sympy as sp
+
+    from . import fields
     rng = np.random.default_rng(seed)
     n = nilpotent_frame()
-    cs = coords(ADAPTED)
+    cs = fields.coords(ADAPTED)
 
     def affine_coeff():
         c = rng.integers(-3, 4, size=8)
@@ -247,14 +263,14 @@ def check_path_geometry_conditions(samples: int = 25, seed: int = 0) -> PathGeom
     rank_ok = True
     for p in pts:
         F = nilpotent_frame_matrix(p)
-        if _rank4(F) != 4:
+        if _rank(F, RANK_TOL) != 4:
             rank_ok = False
 
     v_ok = True
     for _ in range(4):
-        nu = _combine(n[1:], [affine_coeff() for _ in range(3)])
-        nu2 = _combine(n[1:], [affine_coeff() for _ in range(3)])
-        b = lie_bracket(nu, nu2)
+        nu = fields.linear_combination(n[1:], [affine_coeff() for _ in range(3)])
+        nu2 = fields.linear_combination(n[1:], [affine_coeff() for _ in range(3)])
+        b = fields.lie_bracket(nu, nu2)
         # vertical fields close among themselves: x- and y-components vanish
         for idx in (0, 4, 5, 6):
             if not fields.is_zero_expr(b.components[idx]):
@@ -271,8 +287,8 @@ def check_path_geometry_conditions(samples: int = 25, seed: int = 0) -> PathGeom
             if abs(fval) > 0.1 and np.linalg.norm(avals) > 0.1:
                 break
         xi = f * n[0]
-        nu = _combine(n[1:], coeffs)
-        w = lie_bracket(xi, nu)(p)
+        nu = fields.linear_combination(n[1:], coeffs)
+        w = fields.lie_bracket(xi, nu)(p)
         res = _in_span_residual(w, p)
         expected = abs(fval) * float(np.linalg.norm(avals, ord=np.inf))
         min_res = min(min_res, res)
@@ -286,15 +302,3 @@ def check_path_geometry_conditions(samples: int = 25, seed: int = 0) -> PathGeom
         min_mixed_residual=min_res,
         samples=samples,
     )
-
-
-def _combine(fields_, coeffs) -> VectorFieldSym:
-    out = coeffs[0] * fields_[0]
-    for c, f in zip(coeffs[1:], fields_[1:]):
-        out = out + c * f
-    return out
-
-
-def _rank4(m: np.ndarray) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > 1e-9 * s[0]))

@@ -19,21 +19,23 @@ of ``_hamiltonian_rhs`` (the only place the equations above are written;
 ``fibre_rhs`` and ``base_rhs`` are its halves) and the bracket gaits on the
 nilpotent and the original system.  Every time grid has at most
 ``MAX_STEPS`` steps.
+CSV rows go through one writer, ``write_csv_rows``, fed whole columns (the
+chart change included); the module loads no sympy.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ChartMismatch, SingularConfiguration, ZeroHorizontalMomentum
-from .fields import ADAPTED, ORIGINAL
+from .charts import ADAPTED, ORIGINAL
 from .mechanism import Configuration, horizontal_frame, leg_span, reference_configuration
-from .nilpotent import (AdaptedPoint, centre, from_adapted, n1_vertical, nilpotent_frame_matrix,
-                        to_adapted)
+from .nilpotent import (AdaptedPoint, adapted_to_original, centre, n1_vertical,
+                        nilpotent_frame_matrix, to_adapted)
 
 _S3 = math.sqrt(3.0)
 
@@ -259,13 +261,7 @@ class IntegrationDiagnostics:
     step_too_large: bool
 
     def to_json(self) -> dict:
-        return {
-            "dt": self.dt,
-            "h_drift_max": self.h_drift_max,
-            "h_drift_rate": self.h_drift_rate,
-            "casimir_drift": self.casimir_drift,
-            "step_too_large": self.step_too_large,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -290,9 +286,7 @@ class Trajectory:
         """Convert the states to the original chart (no-op if already there)."""
         if self.chart == ORIGINAL:
             return self
-        states = np.stack([
-            from_adapted(AdaptedPoint.from_array(q)).array for q in self.states
-        ])
+        states = np.stack(adapted_to_original(*self.states.T), axis=-1)
         return Trajectory(ORIGINAL, self.times, states, self.momenta,
                           self.controls, self.diagnostics)
 
@@ -348,11 +342,18 @@ def integrate_extremal(h0: FibreState, q0: AdaptedPoint, T: float, dt: float = 1
 
     The returned trajectory carries the momenta, the controls (equal to
     h1..h4) and drift diagnostics; an advisory flag is raised in the
-    diagnostics when Hamiltonian drift per unit time exceeds 1e-6.
+    diagnostics when Hamiltonian drift per unit time exceeds 1e-6.  A path
+    that overflows (T or dt far too large) is a ValueError.
     """
     n, h = _grid(T, dt)
     times = np.linspace(0.0, T, n + 1)
-    path = _rk4(lambda t, y: _hamiltonian_rhs(y), np.concatenate([q0.array, h0.array]), times, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = _rk4(lambda t, y: _hamiltonian_rhs(y), np.concatenate([q0.array, h0.array]),
+                    times, h)
+    finite = np.isfinite(path).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"the extremal overflowed at t = {times[np.argmin(finite)]:.6g}; "
+                         "use a smaller T or dt")
     states = path[:, :7]
     momenta = path[:, 7:]
     energies = 0.5 * np.sum(momenta[:, :4] ** 2, axis=1)
@@ -564,32 +565,31 @@ _MOMENTA_COLUMNS = tuple(f"h{i}" for i in range(1, 8))
 _CONTROL_COLUMNS = tuple(f"u{i}" for i in range(1, 5))
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def write_csv_rows(path, header, columns) -> None:
+    """Write equal-length float columns as CSV rows at 17 significant digits.
+
+    Rows are formatted one at a time (the table is never held as Python
+    floats); the floats written are exactly the floats a reader gets back.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([format(v, ".17g") for v in row])
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write a trajectory in original-chart columns at 17 significant digits.
 
-    Adapted-chart trajectories are converted sample-by-sample first; the
-    floats written are exactly the floats a reader gets back.
+    Adapted-chart trajectories are converted first, as whole arrays.
     """
     traj = traj.to_original()
-    header = list(_BASE_COLUMNS)
-    if traj.momenta is not None:
-        header += list(_MOMENTA_COLUMNS)
-    if traj.controls is not None:
-        header += list(_CONTROL_COLUMNS)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(traj.times):
-            row = [_fmt(t)] + [_fmt(v) for v in traj.states[i]]
-            if traj.momenta is not None:
-                row += [_fmt(v) for v in traj.momenta[i]]
-            if traj.controls is not None:
-                row += [_fmt(v) for v in traj.controls[i]]
-            writer.writerow(row)
+    header, columns = list(_BASE_COLUMNS), [traj.times, *traj.states.T]
+    for names, block in ((_MOMENTA_COLUMNS, traj.momenta), (_CONTROL_COLUMNS, traj.controls)):
+        if block is not None:
+            header += names
+            columns += list(block.T)
+    write_csv_rows(path, header, columns)
 
 
 def read_trajectory_csv(path) -> Trajectory:

@@ -28,6 +28,7 @@ from . import fields
 from .errors import NotASymmetry, ZeroCombination
 from .fields import (ADAPTED, SQRT3, VectorFieldSym, coordinate_field, coords,
                      is_zero_expr, lie_bracket)
+from .mechanism import RANK_TOL, _rank
 from .nilpotent import (AdaptedPoint, centre, n1_vertical, nilpotent_frame,
                         nilpotent_frame_matrix)
 
@@ -97,18 +98,11 @@ def _coefficients_in_basis(b: VectorFieldSym, basis: list[VectorFieldSym],
     bvec = np.concatenate(rhs)
     sol, *_ = np.linalg.lstsq(Amat, bvec, rcond=None)
     rounded = [sp.nsimplify(round(c * 12) / 12, rational=True) for c in sol]
-    residual = b - _linear_combo(basis, rounded)
+    residual = b - fields.linear_combination(basis, rounded)
     if not residual.is_zero():
         raise NotASymmetry("field is not a constant combination of the basis",
                            residual=residual)
     return tuple(float(c) for c in rounded)
-
-
-def _linear_combo(basis, coeffs) -> VectorFieldSym:
-    out = coeffs[0] * basis[0]
-    for c, f in zip(coeffs[1:], basis[1:]):
-        out = out + c * f
-    return out
 
 
 def so3_structure() -> dict[tuple[int, int], tuple[float, float, float]]:
@@ -270,9 +264,7 @@ def transitivity_rank(samples: int = 20, seed: int = 0) -> int:
     order = ["w1", "w2", "w3", "w4", "w12", "w13", "w14"]
     worst = 7
     for p in fields.random_points(ADAPTED, samples, rng) * 2.0:
-        m = np.stack([w[name].field(p) for name in order])
-        s = np.linalg.svd(m, compute_uv=False)
-        worst = min(worst, int(np.sum(s > 1e-9 * s[0])))
+        worst = min(worst, _rank(np.stack([w[name].field(p) for name in order]), RANK_TOL))
     return worst
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import trident47
 from trident47 import pmp
-from trident47.cli import main
+from trident47.cli import build_parser, main
 from trident47.pmp import read_trajectory_csv, save_solution_constants
 
 
@@ -198,6 +198,47 @@ def test_controllability_does_not_import_sympy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("argv", [["geodesic", "--constants", "FIXTURE", "--T", "1"],
+                                  ["bracket-motion", "--cycles", "1"]],
+                         ids=["geodesic", "bracket-motion"])
+def test_numeric_runs_do_not_import_sympy(tmp_path, example2_fixture, argv):
+    argv = [example2_fixture if a == "FIXTURE" else a for a in argv]
+    code = ("import sys\n"
+            "from trident47.cli import main\n"
+            f"code = main({argv + ['--out', str(tmp_path / 'run')]!r})\n"
+            "sys.exit(10 * code + ('sympy' in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trident47.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_perturb_must_be_finite(tmp_path, capsys, value):
+    out = tmp_path / "s.json"
+    with pytest.raises(SystemExit) as err:
+        main(["symmetry-check", "--samples", "1", f"--perturb={value}", "--out", str(out)])
+    assert err.value.code == 2
+    assert "--perturb" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-0.01", "0.01"])
+def test_perturb_accepts_zero_and_negative(value):
+    args = build_parser().parse_args(["symmetry-check", f"--perturb={value}"])
+    assert args.perturb == float(value)
+
+
+def test_geodesic_overflow_exits_2_without_artifacts(tmp_path, capsys, example2_fixture):
+    # one step of dt = 1e300 overflows; before, a nan/-inf CSV was left behind
+    out = tmp_path / "x.csv"
+    assert main(["geodesic", "--constants", example2_fixture, "--T", "1e300",
+                 "--dt", "1e300", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "overflowed" in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "x.csv.diagnostics.json").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])

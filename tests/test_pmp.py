@@ -667,3 +667,10 @@ def test_grid_rejects_unbounded_or_invalid_times(T, dt):
         integrate_extremal(c.initial_fibre_state(), group_identity(), T, dt)
     with pytest.raises(ValueError):
         pmp.closed_form_trajectory(c, T, dt)
+
+
+@pytest.mark.parametrize("T, dt", [(1e300, 1e300), (1e200, 1e199)])
+def test_integrate_extremal_refuses_an_overflowing_path(T, dt):
+    c = example_constants(2)
+    with pytest.raises(ValueError, match="overflowed"):
+        integrate_extremal(c.initial_fibre_state(), group_identity(), T, dt)
