@@ -19,17 +19,18 @@ import numpy as np
 
 from trident47 import nilpotent, pmp, symmetry
 from trident47.charts import ADAPTED
+from trident47.cli import _finite, _positive_finite
 from trident47.nilpotent import AdaptedPoint
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--example", type=int, default=3, choices=(1, 2, 3))
-    ap.add_argument("--axis", type=float, nargs=3, default=[1.0, 1.0, 1.0],
+    ap.add_argument("--axis", type=_finite, nargs=3, default=[1.0, 1.0, 1.0],
                     metavar=("A1", "A2", "A3"))
-    ap.add_argument("--T", type=float, default=2.0)
-    ap.add_argument("--flow-values", type=float, nargs="+", default=[0.5, 1.0, 2.0])
-    ap.add_argument("--dt", type=float, default=2e-3)
+    ap.add_argument("--T", type=_positive_finite, default=2.0)
+    ap.add_argument("--flow-values", type=_finite, nargs="+", default=[0.5, 1.0, 2.0])
+    ap.add_argument("--dt", type=_positive_finite, default=2e-3)
     ap.add_argument("--outdir", default="out")
     args = ap.parse_args()
 

@@ -18,7 +18,7 @@ What stays numeric runs on one fixed-step RK4 loop, ``_rk4``: the extremals
 of ``_hamiltonian_rhs`` (the only place the equations above are written;
 ``fibre_rhs`` and ``base_rhs`` are its halves) and the bracket gaits on the
 nilpotent and the original system.  Every time grid has at most
-``MAX_STEPS`` steps.
+``MAX_STEPS`` steps, and a path that overflows is refused there, once.
 CSV rows go through one writer, ``write_csv_rows``, fed whole columns (the
 chart change included); the module loads no sympy.
 """
@@ -323,17 +323,23 @@ def _rk4(rhs, y0: np.ndarray, times: np.ndarray, h: float) -> np.ndarray:
     The one integrator of the module: the extremals and both gaits run on
     it.  Step k starts at times[k]; y0 may carry leading batch axes, and
     every sample is kept, so the result has shape (len(times),) + y0.shape.
+    A path that overflows (a step or inputs far too large) is a ValueError.
     """
     path = np.empty((len(times),) + y0.shape)
     path[0] = y = y0
-    for k in range(len(times) - 1):
-        t = times[k]
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        path[k + 1] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(times) - 1):
+            t = times[k]
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            path[k + 1] = y
+    finite = np.isfinite(path.reshape(len(times), -1)).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"the path overflowed at t = {times[np.argmin(finite)]:.6g}; "
+                         "use a smaller step or smaller inputs")
     return path
 
 
@@ -347,13 +353,7 @@ def integrate_extremal(h0: FibreState, q0: AdaptedPoint, T: float, dt: float = 1
     """
     n, h = _grid(T, dt)
     times = np.linspace(0.0, T, n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        path = _rk4(lambda t, y: _hamiltonian_rhs(y), np.concatenate([q0.array, h0.array]),
-                    times, h)
-    finite = np.isfinite(path).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"the extremal overflowed at t = {times[np.argmin(finite)]:.6g}; "
-                         "use a smaller T or dt")
+    path = _rk4(lambda t, y: _hamiltonian_rhs(y), np.concatenate([q0.array, h0.array]), times, h)
     states = path[:, :7]
     momenta = path[:, 7:]
     energies = 0.5 * np.sum(momenta[:, :4] ** 2, axis=1)
@@ -371,7 +371,7 @@ def integrate_extremal_batch(h0s: np.ndarray, q0s: np.ndarray, T: float,
     """Vectorized sweep: B initial conditions integrated side by side.
 
     Returns (times, states, momenta) with shapes (n+1,), (B, n+1, 7),
-    (B, n+1, 7).
+    (B, n+1, 7).  An overflowing path is a ValueError.
     """
     h0s = np.atleast_2d(np.asarray(h0s, dtype=float))
     q0s = np.atleast_2d(np.asarray(q0s, dtype=float))

@@ -9,28 +9,31 @@ Two explicit families in the adapted chart:
   block, commutes with N1, and rotates (N2,N3,N4) orthogonally, so the
   control metric is preserved.
 
-The flows of the so(3) family are exact: a1 v1 + a2 v2 + a3 v3 equals
-(0, hat(a) l, hat(a)(y - c(x))) with the centre curve
+The axis (a1, a2, a3) defines a1 v1 + a2 v2 + a3 v3; its symbolic field is
+built on first read, each float taken as the exact rational it is.  That
+field equals (0, hat(a) l, hat(a)(y - c(x))) with the centre curve
 c(x) = (x + sqrt(3)x^2/4, x, x - sqrt(3)x^2/4), a linear system with x
 constant, so its time-t flow rotates l and y - c(x) by R = exp(t hat(a))
-(Rodrigues' formula).
+(Rodrigues' formula).  The flows, fixed points and invariance report are
+numpy; only the certificates (symbolic fields, structure constants solved
+exactly, symmetry conditions) load sympy.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import sympy as sp
 
-from . import fields
+from .charts import ADAPTED
 from .errors import NotASymmetry, ZeroCombination
-from .fields import (ADAPTED, SQRT3, VectorFieldSym, coordinate_field, coords,
-                     is_zero_expr, lie_bracket)
 from .mechanism import RANK_TOL, _rank
-from .nilpotent import (AdaptedPoint, centre, n1_vertical, nilpotent_frame,
-                        nilpotent_frame_matrix)
+from .nilpotent import AdaptedPoint, centre, n1_vertical, nilpotent_frame
+
+if TYPE_CHECKING:
+    from .fields import VectorFieldSym
 
 
 @dataclass(frozen=True)
@@ -38,17 +41,29 @@ class SymmetryField:
     """A named symbolic field in the adapted chart.
 
     ``axis`` is (a1, a2, a3) when the field is a1 v1 + a2 v2 + a3 v3 and None
-    otherwise; only fields with an axis have an exact flow.
+    otherwise; only fields with an axis have an exact flow.  ``field`` is the
+    given field or, when none is given, the combination built from the axis.
     """
 
     name: str
-    field: VectorFieldSym
+    given: VectorFieldSym | None = None
     axis: tuple[float, float, float] | None = None
+
+    @functools.cached_property
+    def field(self) -> VectorFieldSym:
+        if self.given is not None:
+            return self.given
+        import sympy as sp
+
+        from . import fields
+        return fields.linear_combination([v.field for v in v_fields()],
+                                         [sp.Rational(a) for a in self.axis])
 
 
 @functools.lru_cache(maxsize=1)
 def v_fields() -> tuple[SymmetryField, SymmetryField, SymmetryField]:
     """The isotropy generators v1, v2, v3 (they vanish at the origin)."""
+    from .fields import SQRT3, VectorFieldSym, coords
     x, l1, l2, l3, y1, y2, y3 = coords(ADAPTED)
     P = SQRT3 * x**2 / 4 - x + y3
     Q = x - y2
@@ -63,6 +78,7 @@ def v_fields() -> tuple[SymmetryField, SymmetryField, SymmetryField]:
 @functools.lru_cache(maxsize=1)
 def w_fields() -> dict[str, SymmetryField]:
     """The transitive nilpotent algebra w1..w4, w12, w13, w14."""
+    from .fields import SQRT3, VectorFieldSym, coordinate_field, coords
     x, l1, l2, l3, y1, y2, y3 = coords(ADAPTED)
     w = {
         "w1": VectorFieldSym(ADAPTED, (-1, -SQRT3 / 2, 0, 0, 0, 0, SQRT3 * x / 2)),
@@ -77,40 +93,41 @@ def w_fields() -> dict[str, SymmetryField]:
 
 
 def so3_combination(a1: float, a2: float, a3: float) -> SymmetryField:
-    """The combination a1*v1 + a2*v2 + a3*v3."""
-    v1, v2, v3 = v_fields()
-    f = sp.nsimplify(a1) * v1.field + sp.nsimplify(a2) * v2.field + sp.nsimplify(a3) * v3.field
-    return SymmetryField(f"{a1}*v1+{a2}*v2+{a3}*v3", f, (float(a1), float(a2), float(a3)))
+    """The combination a1*v1 + a2*v2 + a3*v3, defined by its finite axis."""
+    axis = (float(a1), float(a2), float(a3))
+    if not all(map(math.isfinite, axis)):
+        raise ValueError(f"the axis must be finite, got {axis}")
+    return SymmetryField(f"{a1}*v1+{a2}*v2+{a3}*v3", axis=axis)
 
 
-def _coefficients_in_basis(b: VectorFieldSym, basis: list[VectorFieldSym],
-                           seed: int = 0) -> tuple[float, ...]:
-    """Constant coefficients of b in a pointwise-independent field basis,
-    fit numerically and then verified exactly."""
-    rng = np.random.default_rng(seed)
-    pts = fields.random_points(ADAPTED, 4, rng) * 1.5
-    rows, rhs = [], []
-    for p in pts:
-        cols = np.stack([f(p) for f in basis], axis=1)  # 7 x n
-        rows.append(cols)
-        rhs.append(b(p))
-    Amat = np.vstack(rows)
-    bvec = np.concatenate(rhs)
-    sol, *_ = np.linalg.lstsq(Amat, bvec, rcond=None)
-    rounded = [sp.nsimplify(round(c * 12) / 12, rational=True) for c in sol]
-    residual = b - fields.linear_combination(basis, rounded)
-    if not residual.is_zero():
-        raise NotASymmetry("field is not a constant combination of the basis",
-                           residual=residual)
-    return tuple(float(c) for c in rounded)
+def _coefficients_in_basis(b: VectorFieldSym, basis: list[VectorFieldSym]) -> tuple[float, ...]:
+    """The constant coefficients c of b = sum_i c_i f_i, solved exactly.
+
+    Each component of b - sum_i c_i f_i is a polynomial in the coordinates
+    whose coefficients must vanish; those linear equations in c go to
+    ``sp.linsolve``.  Raises NotASymmetry when they have no solution.
+    """
+    import sympy as sp
+
+    from .fields import coords
+    cs = sp.symbols(f"c0:{len(basis)}", cls=sp.Dummy)
+    eqs = []
+    for bk, *fk in zip(b.components, *(f.components for f in basis)):
+        eqs += sp.Poly(bk - sum(c * f for c, f in zip(cs, fk)), *coords(ADAPTED)).coeffs()
+    solutions = sp.linsolve(eqs, cs)
+    if not solutions:
+        raise NotASymmetry("field is not a constant combination of the basis", residual=b)
+    (sol,) = solutions
+    return tuple(float(c) for c in sol)
 
 
 def so3_structure() -> dict[tuple[int, int], tuple[float, float, float]]:
     """Structure constants of (v1, v2, v3): [v_i, v_j] = sum_k c_k v_k.
 
-    Coefficients are fit numerically and verified by exact symbolic
-    cancellation, so the returned table is certified.
+    The coefficients are solved exactly from the brackets' polynomial
+    coefficients, so the returned table is certified.
     """
+    from .fields import lie_bracket
     vs = [v.field for v in v_fields()]
     table = {}
     for i, j in ((1, 2), (1, 3), (2, 3)):
@@ -137,6 +154,7 @@ def check_symmetry_conditions(v: SymmetryField) -> SymmetryReport:
     the control metric.  Raises NotASymmetry with the offending residual
     field when a condition fails.
     """
+    from .fields import is_zero_expr, lie_bracket, simplify_expr
     n1, n2, n3, n4 = nilpotent_frame()
     b1 = lie_bracket(v.field, n1)
     if not b1.is_zero():
@@ -147,31 +165,18 @@ def check_symmetry_conditions(v: SymmetryField) -> SymmetryReport:
     for j, nj in enumerate(legs, start=2):
         bj = lie_bracket(v.field, nj)
         # must be vertical with constant coefficients
-        for idx in (0, 4, 5, 6):
-            if not is_zero_expr(bj.components[idx]):
-                raise NotASymmetry(f"[{v.name}, N{j}] leaves the vertical bundle",
-                                   residual=bj)
-        row = []
-        for k in (1, 2, 3):
-            c = sp.simplify(bj.components[k])
-            if c.free_symbols:
-                raise NotASymmetry(f"[{v.name}, N{j}] has non-constant coefficients",
-                                   residual=bj)
-            row.append(float(c))
-        A.append(tuple(row))
+        if not all(is_zero_expr(bj.components[idx]) for idx in (0, 4, 5, 6)):
+            raise NotASymmetry(f"[{v.name}, N{j}] leaves the vertical bundle", residual=bj)
+        row = [simplify_expr(bj.components[k]) for k in (1, 2, 3)]
+        if any(c.free_symbols for c in row):
+            raise NotASymmetry(f"[{v.name}, N{j}] has non-constant coefficients", residual=bj)
+        A.append(tuple(float(c) for c in row))
 
-    mat = np.array(A)
-    antisym = bool(np.max(np.abs(mat + mat.T)) == 0.0)
-    if not antisym:
+    if not np.array_equal(np.array(A), -np.array(A).T):
         raise NotASymmetry(f"induced matrix of {v.name} on the vertical frame "
                            f"is not antisymmetric", residual=None)
-    return SymmetryReport(
-        name=v.name,
-        commutes_with_n1=True,
-        vertical_matrix=tuple(tuple(r) for r in A),
-        matrix_antisymmetric=antisym,
-        metric_preserved=antisym,
-    )
+    return SymmetryReport(name=v.name, commutes_with_n1=True, vertical_matrix=tuple(A),
+                          matrix_antisymmetric=True, metric_preserved=True)
 
 
 def fixed_point_set(a: tuple[float, float, float], x: float, k: float) -> AdaptedPoint:
@@ -182,6 +187,8 @@ def fixed_point_set(a: tuple[float, float, float], x: float, k: float) -> Adapte
     curve c(x) of ``nilpotent.centre``.
     """
     a1, a2, a3 = (float(v) for v in a)
+    if not all(map(math.isfinite, (a1, a2, a3, x, k))):
+        raise ValueError("the axis, x and k must be finite")
     if a1 == 0.0 and a2 == 0.0 and a3 == 0.0:
         raise ZeroCombination("(a1, a2, a3) must be nonzero")
     legs = k * np.array([a1, a2, a3])
@@ -190,8 +197,8 @@ def fixed_point_set(a: tuple[float, float, float], x: float, k: float) -> Adapte
 
 def _rotation(v: SymmetryField, t: float, dt: float) -> np.ndarray:
     """R = exp(t hat(a)) for the axis a of v, by Rodrigues' formula."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0.0 and math.isfinite(t)):
+        raise ValueError("the flow time must be finite and dt positive")
     if v.axis is None:
         raise NotASymmetry(f"{v.name} is not a combination of v1, v2, v3; it has no flow")
     a = np.asarray(v.axis, dtype=float)
@@ -239,33 +246,23 @@ def w_structure_report() -> dict:
     [w1, w_j] for j = 2,3,4 land in span(w12, w13, w14) with constant
     coefficients; every other pair commutes.
     """
-    w = w_fields()
-    gens = ["w1", "w2", "w3", "w4"]
-    centre = [w["w12"].field, w["w13"].field, w["w14"].field]
-    nontrivial = {}
-    for j in (2, 3, 4):
-        b = lie_bracket(w["w1"].field, w[f"w{j}"].field)
-        nontrivial[("w1", f"w{j}")] = _coefficients_in_basis(b, centre)
-    trivial_ok = True
-    names = gens + ["w12", "w13", "w14"]
-    for i, ni in enumerate(names):
-        for nj in names[i + 1:]:
-            if ni == "w1" and nj in ("w2", "w3", "w4"):
-                continue
-            if not lie_bracket(w[ni].field, w[nj].field).is_zero():
-                trivial_ok = False
+    from .fields import lie_bracket
+    w = {name: s.field for name, s in w_fields().items()}
+    central = [w["w12"], w["w13"], w["w14"]]
+    nontrivial = {("w1", w_j): _coefficients_in_basis(lie_bracket(w["w1"], w[w_j]), central)
+                  for w_j in ("w2", "w3", "w4")}
+    names = list(w)
+    trivial_ok = all(lie_bracket(w[a], w[b]).is_zero() for i, a in enumerate(names)
+                     for b in names[i + 1:] if (a, b) not in nontrivial)
     return {"nontrivial": nontrivial, "others_vanish": trivial_ok}
 
 
 def transitivity_rank(samples: int = 20, seed: int = 0) -> int:
     """Minimum rank of the 7x7 matrix of w-field values at random points."""
-    rng = np.random.default_rng(seed)
-    w = w_fields()
-    order = ["w1", "w2", "w3", "w4", "w12", "w13", "w14"]
-    worst = 7
-    for p in fields.random_points(ADAPTED, samples, rng) * 2.0:
-        worst = min(worst, _rank(np.stack([w[name].field(p) for name in order]), RANK_TOL))
-    return worst
+    from . import fields
+    ws = [w.field for w in w_fields().values()]  # w1..w4, w12, w13, w14
+    points = fields.random_points(ADAPTED, samples, np.random.default_rng(seed)) * 2.0
+    return min((_rank(np.stack([w(p) for w in ws]), RANK_TOL) for p in points), default=7)
 
 
 @dataclass(frozen=True)
@@ -279,33 +276,29 @@ def flow_invariance_report(v: SymmetryField, states: np.ndarray, times: np.ndarr
                            dt: float = 1e-3) -> FlowInvarianceReport:
     """Push a horizontal curve through Fl^s_v and measure what it preserves.
 
-    Tangents are transported by the exact differential of the flow map and
-    re-expressed in the frame N1..N4; dt is only checked (see
-    ``symmetry_flow``), so both figures measure round-off.  The report
-    carries the worst distance from the horizontal bundle relative to speed
-    and the relative change of sub-Riemannian arc length.
+    Tangents go through the exact differential of ``flow_with_jacobian``,
+    on whole arrays; their N1..N4 coefficients are (x-dot, l-dot) and their
+    distance from the horizontal bundle is |y-dot - x-dot N1_y| at the
+    flowed point.  dt is only checked, so both figures measure round-off:
+    the worst horizontal distance relative to speed and the relative change
+    of sub-Riemannian arc length.
     """
-    worst = 0.0
-    speeds_before = np.empty(len(states))
-    speeds_after = np.empty(len(states))
-    for i, (q, qdot) in enumerate(zip(states, tangents)):
-        u0, _ = _frame_split(qdot, nilpotent_frame_matrix(q))
-        speeds_before[i] = np.linalg.norm(u0)
-        P, J = flow_with_jacobian(v, AdaptedPoint.from_array(q), s, dt)
-        w = J @ qdot
-        u1, res = _frame_split(w, nilpotent_frame_matrix(P.array))
-        speeds_after[i] = np.linalg.norm(u1)
-        worst = max(worst, res / max(speeds_after[i], 1e-300))
+    states, times, tangents = (np.asarray(a, dtype=float) for a in (states, times, tangents))
+    if not all(np.isfinite(a).all() for a in (states, times, tangents)):
+        raise ValueError("states, times and tangents must be finite")
+    R = _rotation(v, s, dt)
+    x, xdot, zero = states[:, 0], tangents[:, :1], np.zeros(len(states))
+    legs_dot = tangents[:, 1:4] @ R.T
+    c_prime = np.stack(n1_vertical(x, zero, zero, zero), axis=1)
+    ydot = xdot * (c_prime @ (np.eye(3) - R).T) + tangents[:, 4:7] @ R.T
+    n1_y = np.stack(n1_vertical(x, *(states[:, 1:4] @ R.T).T), axis=1)
+    speeds_before = np.linalg.norm(tangents[:, :4], axis=1)
+    speeds_after = np.linalg.norm(np.hstack([xdot, legs_dot]), axis=1)
+    residuals = np.linalg.norm(ydot - xdot * n1_y, axis=1)
     len_before = float(np.trapezoid(speeds_before, times))
     len_after = float(np.trapezoid(speeds_after, times))
     return FlowInvarianceReport(
-        horizontality_residual=worst,
+        horizontality_residual=float(np.max(residuals / np.maximum(speeds_after, 1e-300),
+                                            initial=0.0)),
         relative_length_change=abs(len_after - len_before) / max(len_before, 1e-300),
     )
-
-
-def _frame_split(w: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coefficients of w in N1..N4 plus the off-distribution residual norm."""
-    u = np.array([w[0], w[1], w[2], w[3]])
-    res = float(np.linalg.norm(w[4:7] - w[0] * F[0, 4:7]))
-    return u, res

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,22 @@ def test_geodesic_overflow_exits_2_without_artifacts(tmp_path, capsys, example2_
     err = capsys.readouterr().err
     assert "overflowed" in err and "Traceback" not in err
     assert not out.exists() and not (tmp_path / "x.csv.diagnostics.json").exists()
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["--A", "1e300"], "overflowed"),
+    (["--A", "1e160", "--omega", "0.5"], "overflowed"),
+    # nothing overflows here (the nilpotent gait peaks near 3e300); l1 = 1 + A sin(wt)
+    # takes the original gait through L = 0 at t = pi/w, and the message says so
+    (["--A", "1e150", "--omega", "0.5"], "L = l1 + l3 + 2 crossed zero"),
+])
+def test_bracket_motion_overflow_exits_2_without_artifacts(tmp_path, capsys, argv, cause):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning from the RK4 loop fails the test
+        assert main(["bracket-motion", *argv, "--out", str(tmp_path / "g")]) == 2
+    err = capsys.readouterr().err
+    assert cause in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -674,3 +675,11 @@ def test_integrate_extremal_refuses_an_overflowing_path(T, dt):
     c = example_constants(2)
     with pytest.raises(ValueError, match="overflowed"):
         integrate_extremal(c.initial_fibre_state(), group_identity(), T, dt)
+
+
+def test_integrate_extremal_batch_refuses_an_overflowing_path():
+    h0 = example_constants(2).initial_fibre_state().array
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflowed"):
+            pmp.integrate_extremal_batch(h0, np.zeros(7), 1e300, 1e300)

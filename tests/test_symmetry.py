@@ -1,14 +1,19 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import sympy as sp
 
+import trident47
 from trident47 import nilpotent, pmp
 from trident47.errors import NotASymmetry, ZeroCombination
 from trident47.fields import ADAPTED, SQRT3, coordinate_field, coords, lie_bracket
-from trident47.nilpotent import AdaptedPoint
-from trident47.symmetry import (SymmetryField, check_symmetry_conditions,
+from trident47.nilpotent import AdaptedPoint, nilpotent_frame_matrix
+from trident47.symmetry import (SymmetryField, _coefficients_in_basis, check_symmetry_conditions,
                                 fixed_point_set, flow_invariance_report,
                                 flow_with_jacobian, so3_combination, so3_structure,
                                 symmetry_flow, transitivity_rank, v_fields, w_fields,
@@ -24,6 +29,14 @@ def test_so3_bracket_table():
     assert table[(1, 2)] == (0.0, 0.0, -1.0)   # [v1,v2] = -v3
     assert table[(1, 3)] == (0.0, 1.0, 0.0)    # [v1,v3] = v2
     assert table[(2, 3)] == (-1.0, 0.0, 0.0)   # [v2,v3] = -v1
+
+
+def test_coefficients_in_basis_are_solved_exactly():
+    vs = [v.field for v in v_fields()]
+    b = sp.Rational(1, 7) * vs[0] + SQRT3 * vs[1]
+    assert _coefficients_in_basis(b, vs) == (1.0 / 7.0, math.sqrt(3.0), 0.0)
+    with pytest.raises(NotASymmetry):
+        _coefficients_in_basis(w_fields()["w2"].field, vs)
 
 
 def test_bracket_with_self_is_zero():
@@ -159,6 +172,87 @@ def test_so3_combination_is_a_rotation_of_legs_and_centre_offset():
     assert so3_combination(0.5, -1.0, 2.0).axis == (0.5, -1.0, 2.0)
 
 
+def test_so3_combination_field_is_its_axis_exactly():
+    # the l-block of a.(v1, v2, v3) is hat(a) l: each coefficient is the float a_i itself
+    x, l1, l2, l3, *_ = coords(ADAPTED)
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        a = rng.uniform(-2.0, 2.0, 3)
+        comps = so3_combination(*a).field.components
+        for comp, leg, i, sign in ((1, l3, 1, 1), (1, l2, 2, -1), (2, l3, 0, -1),
+                                   (2, l1, 2, 1), (3, l2, 0, 1), (3, l1, 1, -1)):
+            c = comps[comp].coeff(leg)
+            assert c == sign * sp.Rational(a[i])
+            assert float(c) == sign * a[i]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_symmetry_inputs_are_rejected(bad):
+    for axis in ((bad, 0.0, 1.0), (1.0, bad, 0.0), (0.0, 1.0, bad)):
+        with pytest.raises(ValueError):
+            so3_combination(*axis)
+        with pytest.raises(ValueError):
+            fixed_point_set(axis, x=0.5, k=1.0)
+    for x, k in ((bad, 1.0), (0.5, bad)):
+        with pytest.raises(ValueError):
+            fixed_point_set((1.0, 1.0, 1.0), x=x, k=k)
+    v = so3_combination(0.6, -0.8, 0.4)
+    for flow in (symmetry_flow, flow_with_jacobian):
+        with pytest.raises(ValueError):
+            flow(v, AdaptedPoint(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7), bad)
+    states = np.random.default_rng(1).uniform(-1.0, 1.0, (5, 7))
+    times, tangents = np.linspace(0.0, 1.0, 5), states[::-1].copy()
+    with pytest.raises(ValueError):
+        flow_invariance_report(v, states, times, tangents, s=bad)
+    for which in range(3):
+        args = [states.copy(), times.copy(), tangents.copy()]
+        args[which].flat[3] = bad
+        with pytest.raises(ValueError):
+            flow_invariance_report(v, *args, s=0.5)
+
+
+def _run_orbit_script(*argv):
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trident47.__file__)))
+    return subprocess.run([sys.executable, "-X", "importtime",
+                           str(repo / "scripts" / "symmetry_orbit.py"), *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [["--axis", "1", "nan", "0"], ["--axis", "inf", "0", "0"],
+                                  ["--axis", "0", "0", "-inf"], ["--flow-values", "0.5", "nan"],
+                                  ["--T", "inf"], ["--dt", "0"]])
+def test_orbit_script_rejects_non_finite_inputs(tmp_path, argv):
+    proc = _run_orbit_script(*argv, "--outdir", str(tmp_path))
+    assert proc.returncode == 2 and argv[0] in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "orbit_report.json").exists()
+
+
+def test_numeric_symmetry_path_does_not_import_sympy(tmp_path):
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from trident47 import symmetry\n"
+            "v = symmetry.so3_combination(0.3184848170829566, -0.9045200484068716, 1.7)\n"
+            "p = symmetry.fixed_point_set((1.0, -2.0, 0.5), x=0.3, k=0.7)\n"
+            "symmetry.symmetry_flow(v, p, 0.8)\n"
+            "symmetry.flow_with_jacobian(v, p, 0.8)\n"
+            "q = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 7))\n"
+            "symmetry.flow_invariance_report(v, q, np.linspace(0.0, 1.0, 5), q[::-1], 0.8)\n"
+            "numeric = 'sympy' in sys.modules\n"
+            "v.field\n"
+            "sys.exit(10 * numeric + ('sympy' not in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trident47.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    proc = _run_orbit_script("--T", "0.5", "--flow-values", "0.5", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported and not [m for m in imported if m.split(".")[0] == "sympy"]
+
+
 def _rk4_flow(field, p, t, dt):
     """Fixed-step RK4 of the field and of its variational equation.
 
@@ -246,3 +340,49 @@ def test_flow_preserves_horizontality_and_length():
     rep = flow_invariance_report(v, states, times, tangents, s=0.7, dt=1e-2)
     assert rep.horizontality_residual < 1e-6
     assert rep.relative_length_change < 1e-6
+
+
+def _frame_split(w, F):
+    """Coefficients of w in N1..N4 plus the off-distribution residual norm."""
+    u = np.array([w[0], w[1], w[2], w[3]])
+    res = float(np.linalg.norm(w[4:7] - w[0] * F[0, 4:7]))
+    return u, res
+
+
+def _reference_invariance(v, states, times, tangents, s, dt):
+    """The per-point transport through ``flow_with_jacobian`` and the numeric
+    frame that the array pass replaced, kept as its reference."""
+    worst = 0.0
+    speeds_before = np.empty(len(states))
+    speeds_after = np.empty(len(states))
+    for i, (q, qdot) in enumerate(zip(states, tangents)):
+        u0, _ = _frame_split(qdot, nilpotent_frame_matrix(q))
+        speeds_before[i] = np.linalg.norm(u0)
+        P, J = flow_with_jacobian(v, AdaptedPoint.from_array(q), s, dt)
+        w = J @ qdot
+        u1, res = _frame_split(w, nilpotent_frame_matrix(P.array))
+        speeds_after[i] = np.linalg.norm(u1)
+        worst = max(worst, res / max(speeds_after[i], 1e-300))
+    len_before = float(np.trapezoid(speeds_before, times))
+    len_after = float(np.trapezoid(speeds_after, times))
+    return worst, abs(len_after - len_before) / max(len_before, 1e-300)
+
+
+def test_invariance_report_matches_the_per_point_reference():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        c = pmp.example_constants(n)
+        traj = pmp.integrate_extremal(c.initial_fibre_state(), nilpotent.group_identity(),
+                                      T=1.5, dt=1e-2)
+        tangents = np.stack([pmp.base_rhs(q, h) for q, h in zip(traj.states, traj.momenta)])
+        # a generic curve (not horizontal) as well, so the residual is not only round-off
+        curves = ((traj.states, tangents), (traj.states, rng.uniform(-1.0, 1.0, tangents.shape)))
+        for _ in range(3):
+            v = so3_combination(*rng.uniform(-2.0, 2.0, 3))
+            for s in (-1.3, 0.4, 2.5):
+                for states, qdot in curves:
+                    rep = flow_invariance_report(v, states, traj.times, qdot, s, dt=1e-2)
+                    worst, change = _reference_invariance(v, states, traj.times, qdot, s, 1e-2)
+                    # 1e-15 absolute, in ulps of the figure on the generic curve
+                    assert abs(rep.horizontality_residual - worst) <= 1e-15 * max(1.0, worst)
+                    assert abs(rep.relative_length_change - change) <= 1e-15
