@@ -16,26 +16,30 @@ import pathlib
 import numpy as np
 
 from trident47 import pmp
+from trident47.cli import _positive_finite
+from trident47.errors import TridentError
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--amplitudes", type=float, nargs="+",
+    ap.add_argument("--amplitudes", type=_positive_finite, nargs="+",
                     default=[0.4, 0.2, 0.1, 0.05])
     ap.add_argument("--partner", type=int, default=2, choices=(2, 3, 4))
-    ap.add_argument("--omega", type=float, default=2.0 * math.pi / 50.0)
+    ap.add_argument("--omega", type=_positive_finite, default=2.0 * math.pi / 50.0)
     ap.add_argument("--outdir", default="out")
     args = ap.parse_args()
-
-    outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    if len(set(args.amplitudes)) < len(args.amplitudes):
+        ap.error("argument --amplitudes: the amplitudes must be distinct")
 
     rows = []
     for A in args.amplitudes:
-        params = pmp.BracketMotionParams(amplitude=A, omega=args.omega,
-                                         partner=args.partner)
-        d_nil = pmp.bracket_displacement(pmp.bracket_motion(params, "nilpotent"))
-        d_orig = pmp.bracket_displacement(pmp.bracket_motion(params, "original"))
+        try:
+            params = pmp.BracketMotionParams(amplitude=A, omega=args.omega,
+                                             partner=args.partner)
+            d_nil = pmp.bracket_displacement(pmp.bracket_motion(params, "nilpotent"))
+            d_orig = pmp.bracket_displacement(pmp.bracket_motion(params, "original"))
+        except (ValueError, TridentError) as exc:
+            ap.error(f"amplitude {A:g}: {exc}")
         diff = float(np.linalg.norm(d_nil - d_orig))
         area = math.pi * A * A
         dy = float(d_nil[2 + args.partner])  # y-slot driven by the chosen pair
@@ -48,6 +52,8 @@ def main() -> None:
         orders.append(math.log(d1 / d2) / math.log(a1 / a2))
     print("observed convergence orders:", [f"{o:.2f}" for o in orders])
 
+    outdir = pathlib.Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "sweep.csv", "w") as fh:
         fh.write("A,area_rule,nilpotent_dy,difference_norm\n")
         for row in rows:

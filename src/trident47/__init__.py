@@ -24,7 +24,7 @@ _EXPORTS = {
                   "group_inverse", "group_mul", "nilpotent_frame", "to_adapted"),
     "pmp": ("BracketMotionParams", "FibreState", "SolutionConstants", "Trajectory",
             "base_rhs", "bracket_motion", "closed_form_base", "closed_form_fibre",
-            "example_momenta", "example_solution", "fibre_rhs", "hamiltonian",
+            "exp_map", "example_momenta", "example_solution", "fibre_rhs", "hamiltonian",
             "integrate_extremal", "normalize_arclength", "read_trajectory_csv",
             "write_trajectory_csv"),
     "symmetry": ("SymmetryField", "check_symmetry_conditions", "fixed_point_set",

@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -114,10 +114,6 @@ def _write_json(path, obj) -> None:
             fh.write(text + "\n")
 
 
-def _default_point() -> tuple[float, ...]:
-    return mechanism.reference_configuration().values
-
-
 def cmd_controllability(args) -> int:
     spec = RunSpec(command="controllability", point=args.point, chart=args.chart,
                    out=args.out, tol_rank=args.tol_rank, seed=args.seed)
@@ -128,7 +124,7 @@ def cmd_controllability(args) -> int:
     try:
         res = mechanism.controllability(q, rank_tol=args.tol_rank)
         sig = mechanism.pfaffian_signature(q, eig_tol=args.tol_rank)
-        pairs = {f"f={f:g}": list(_pair_tuple(mechanism.check_dynamic_pair(q, f)))
+        pairs = {f"f={f:g}": list(astuple(mechanism.check_dynamic_pair(q, f)))
                  for f in args.dynamic_f}
     except (SingularConfiguration, DegenerateGrowth) as exc:
         _write_json(args.out, {"error": str(exc), "spec": spec.to_json()})
@@ -163,10 +159,6 @@ def cmd_controllability(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _pair_tuple(res: mechanism.DynamicPairResult):
-    return (res.rank_v0, res.rank_v1, res.transversal)
-
-
 def cmd_geodesic(args) -> int:
     from . import nilpotent, pmp
     spec = RunSpec(command="geodesic", point=args.point, chart=args.chart,
@@ -181,7 +173,7 @@ def cmd_geodesic(args) -> int:
 
     # cross-check the closed form on a decimated grid
     idx = np.arange(0, len(traj), max(1, len(traj) // 200))
-    ref = pmp._closed_form_states(constants, traj.times[idx])
+    ref = pmp.exp_map(h0.array, traj.times[idx])[:, :7]
     worst = float(np.max(np.abs(ref - traj.states[idx])))
 
     if args.point is not None:
@@ -321,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("controllability", help="rank/signature/dynamic-pair analysis")
-    c.add_argument("--point", type=_parse_point, default=_default_point())
+    c.add_argument("--point", type=_parse_point,
+                   default=mechanism.reference_configuration().values)
     c.add_argument("--chart", choices=(ORIGINAL, ADAPTED), default=ORIGINAL)
     c.add_argument("--tol-rank", type=_positive_finite, default=mechanism.RANK_TOL)
     c.add_argument("--dynamic-f", type=_parse_floats, default=(1.0, 2.0, -0.5))

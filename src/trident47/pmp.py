@@ -9,9 +9,11 @@ fibre system (position-independent)
     h4' = h7 h1,                    h5' = h6' = h7' = 0,
 
 and the state follows the base system q' = h1 N1(q) + h2 N2 + h3 N3 + h4 N4.
-With K = sqrt(C5^2 + C6^2 + C7^2) > 0, h1 is a pure oscillation of
-frequency K and the whole state, y1..y3 included, integrates in closed form.
-K = 0 gives straight lines.  Three worked example solutions are built in,
+Every solution from the origin is one entire function of its initial
+covector h0, ``exp_map``: x'' = r - K^2 x with K^2 = h5^2 + h6^2 + h7^2, so
+the whole state, y1..y3 included, is written in Stumpff functions of
+K^2 t^2, exact for every K, 0 included, and real or complex (complex-step
+derivatives pass through).  Three worked example solutions are built in,
 including their original-chart formulas.
 
 What stays numeric runs on one fixed-step RK4 loop, ``_rk4``: the extremals
@@ -95,10 +97,7 @@ def _hamiltonian_rhs(y: np.ndarray) -> np.ndarray:
     c = np.moveaxis(y, -1, 0)  # for one state c[k] is a scalar, not a slower 0-d array
     h1, h2, h3, h4, h5, h6, h7 = c[7:]
     v1, v2, v3 = n1_vertical(*c[:4])
-    out[..., 0] = h1
-    out[..., 1] = h2
-    out[..., 2] = h3
-    out[..., 3] = h4
+    out[..., :4] = y[..., 7:11]
     out[..., 4] = v1 * h1
     out[..., 5] = v2 * h1
     out[..., 6] = v3 * h1
@@ -129,12 +128,13 @@ def base_rhs(q, h) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolutionConstants:
-    """Integration constants of the closed-form extremals.
+    """Integration constants of an extremal: a parameterization of its covector h0.
 
-    C5, C6, C7 are the (constant) bracket momenta; C11, C12 the oscillation
-    amplitudes of h1; C13, C14, C15 the affine constants of h2, h3, h4.
-    Exact solutions require C5*C13 + C6*C14 + C7*C15 = 0 when K > 0; see
-    ``consistency_residual``.
+    C5, C6, C7 are the bracket momenta; C11, C12 the oscillation amplitudes
+    of h1 = C11 cos Kt + C12 sin Kt; C13, C14, C15 the affine constants of
+    h2, h3, h4.  That form needs C5*C13 + C6*C14 + C7*C15 = 0
+    (``consistency_residual``); any constants name the extremal of
+    ``initial_fibre_state``, the one the closed forms and RK4 follow.
     """
 
     C5: float = 0.0
@@ -154,7 +154,16 @@ class SolutionConstants:
         return self.C5 * self.C13 + self.C6 * self.C14 + self.C7 * self.C15
 
     def initial_fibre_state(self) -> FibreState:
-        return closed_form_fibre(self, 0.0)
+        """h0 = (C11, C13..15 - C5..7 C12 / K, C5..7): the one C -> h0 conversion.
+
+        At K = 0, where C12/K is undefined, h1 is constant and C12 plays no part.
+        """
+        K = self.K
+        if K == 0.0:
+            return FibreState(self.C11, self.C13, self.C14, self.C15)
+        return FibreState(self.C11, self.C13 - self.C5 / K * self.C12,
+                          self.C14 - self.C6 / K * self.C12, self.C15 - self.C7 / K * self.C12,
+                          self.C5, self.C6, self.C7)
 
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in ("C5", "C6", "C7", "C11", "C12", "C13", "C14", "C15")}
@@ -184,68 +193,83 @@ def random_solution_constants(rng, k_min: float = 0.1, k_max: float = 3.0) -> So
     c11, c12 = rng.uniform(-1.0, 1.0, size=2)
     raw = rng.uniform(-1.0, 1.0, size=3)
     raw -= (raw @ direction) * direction  # project onto the admissible plane
-    return SolutionConstants(C5=c567[0], C6=c567[1], C7=c567[2],
-                             C11=c11, C12=c12,
-                             C13=raw[0], C14=raw[1], C15=raw[2])
+    return SolutionConstants(*c567, c11, c12, *raw)
 
 
-def closed_form_fibre(c: SolutionConstants, t: float) -> FibreState:
-    """Exact momenta at time t.
+#: |z| below which the Stumpff functions are summed as series, not closed forms
+STUMPFF_SERIES_CUTOFF = 4.0
 
-    For K > 0: h1 = C11 cos(Kt) + C12 sin(Kt) and each of h2, h3, h4 is
-    (C_j/K)(C11 sin(Kt) - C12 cos(Kt)) plus its affine constant; for K = 0
-    all momenta are constant.
+# Horner coefficients 1/(4+2n)!, 1/(5+2n)! of c4, c5 for n = 9..0: < 0.3 ulp left out
+_SERIES = [(1 / math.factorial(4 + 2 * n), 1 / math.factorial(5 + 2 * n)) for n in range(9, -1, -1)]
+
+
+def _stumpff(z):
+    """Stumpff functions c_k(z) = sum_n (-z)^n / (k + 2n)!, k = 0..5, of real or complex z.
+
+    Below the cutoff c4, c5 are series and c3..c0 follow from c_k = 1/k! - z c_{k+2};
+    above it each is its closed form in sqrt z, c0 = cos sqrt z (Battin, section 4.5).
     """
-    K = c.K
-    if K == 0.0:
-        return FibreState(c.C11, c.C13, c.C14, c.C15, 0.0, 0.0, 0.0)
-    osc = c.C11 * math.sin(K * t) - c.C12 * math.cos(K * t)
-    return FibreState(
-        h1=c.C11 * math.cos(K * t) + c.C12 * math.sin(K * t),
-        h2=c.C5 / K * osc + c.C13,
-        h3=c.C6 / K * osc + c.C14,
-        h4=c.C7 / K * osc + c.C15,
-        h5=c.C5, h6=c.C6, h7=c.C7,
-    )
+    small = np.abs(z) < STUMPFF_SERIES_CUTOFF
+    zs = np.where(small, z, 0.0)
+    c4, c5 = 0.0, 0.0
+    for k4, k5 in _SERIES:
+        c4, c5 = k4 - zs * c4, k5 - zs * c5
+    c3, c2 = 1.0 / 6.0 - zs * c5, 0.5 - zs * c4
+    series = (1.0 - zs * c2, 1.0 - zs * c3, c2, c3, c4, c5)
+    zc = np.where(small, STUMPFF_SERIES_CUTOFF, z)
+    s = np.sqrt(zc)
+    # numpy divides complex a / b as a * (1/b); so does this, so real and complex round alike
+    cos, sin, iz, i_s = np.cos(s), np.sin(s), 1.0 / zc, 1.0 / s
+    closed = (cos, sin * i_s, (1.0 - cos) * iz, (s - sin) * iz * i_s,
+              (0.5 * zc - 1.0 + cos) * iz * iz, (zc * s * (1.0 / 6.0) - s + sin) * iz * iz * i_s)
+    return tuple(np.where(small, a, b) for a, b in zip(series, closed))
 
 
-def _closed_form_states(c: SolutionConstants, t) -> np.ndarray:
-    """(x, l1, l2, l3, y1, y2, y3) at time(s) t, starting from the adapted origin.
+def exp_map(h0, t) -> np.ndarray:
+    """The extremal (x, l1..l3, y1..y3, h1..h7) from the origin with covector h0 at time t.
 
-    t is a float or an array; the last axis holds the coordinates.  Since
-    x' = h1, y_k = c_k(x) - int_0^t l_k h1 ds with the centre curve
-    c(x) = (x + sqrt(3)x^2/4, x, x - sqrt(3)x^2/4), and the integral is a
-    polynomial in t, sin Kt and cos Kt.
+    The one closed form.  h0 is (..., 7), real or complex, t a float or an
+    array; the result is broadcast(h0[..., 0], t) + (14,).  With p = h1(0),
+    a = h2..4(0), b = h5..7, r = -b.a, w = (b.b) t^2 and S1, C2, S3, S5 =
+    t c1(w), t^2 c2(w), t^3 c3(w), t^5 c5(w) (S_k(2t) read from c_k(4w)):
+    h1 = p c0(w) + r S1, x = p S1 + r C2, X2 = int x = p C2 + r S3,
+    h2..4 = a + b x, l = a t + b X2, y = c(x) - a (t x - X2) - b (X2 x - int x^2),
+    int x^2 = p^2 S3(2t)/4 + p r C2^2 + r^2 (S5(2t)/4 - 2 S5(t)).  It is
+    entire in h0 (b.b, never |b|), so Im exp_map(h0 + i e e_j, t) / e is its
+    exact derivative along e_j.
     """
     t = np.asarray(t, dtype=float)
-    K = c.K
-    bracket = np.array([c.C5, c.C6, c.C7])
-    affine = np.array([c.C13, c.C14, c.C15])
-    if K == 0.0:
-        x = c.C11 * t
-        legs = affine * t[..., None]
-        leg_work = affine * (c.C11 * t * t / 2.0)[..., None]
-    else:
-        s, co = np.sin(K * t), np.cos(K * t)
-        x = c.C11 / K * s - c.C12 / K * co + c.C12 / K
-        hump = c.C11 - c.C11 * co - c.C12 * s
-        legs = bracket / K**2 * hump[..., None] + affine * t[..., None]
-        # int_0^t h1^2 and int_0^t x, with sin 2Kt = 2 s co and 1 - cos 2Kt = 2 s^2
-        h1_sq = ((c.C11**2 + c.C12**2) * t / 2.0 + (c.C11**2 - c.C12**2) * s * co / (2.0 * K)
-                 + c.C11 * c.C12 * s * s / K)
-        x_int = (c.C11 * (1.0 - co) - c.C12 * s) / K**2 + c.C12 * t / K
-        leg_work = (bracket / K**2 * (c.C11 * x - h1_sq)[..., None]
-                    + affine * (t * x - x_int)[..., None])
-    return np.concatenate([x[..., None], legs, np.stack(centre(x), axis=-1) - leg_work], axis=-1)
+    p, a1, a2, a3, b1, b2, b3 = np.moveaxis(np.asarray(h0), -1, 0)
+    r = -(b1 * a1 + b2 * a2 + b3 * a3)
+    tt = t * t
+    w = (b1 * b1 + b2 * b2 + b3 * b3) * tt
+    c0, c1, c2, c3, _, c5 = _stumpff(np.stack([w, 4.0 * w]))
+    s1, c2t, s3 = t * c1[0], tt * c2[0], tt * t * c3[0]
+    x = p * s1 + r * c2t
+    x_int = p * c2t + r * s3
+    x_sq_int = (2.0 * p * p * tt * t * c3[1] + p * r * c2t * c2t
+                + r * r * tt * tt * t * (8.0 * c5[1] - 2.0 * c5[0]))
+    a, b = (a1, a2, a3), (b1, b2, b3)
+    legs = [ak * t + bk * x_int for ak, bk in zip(a, b)]
+    ys = [ck - ak * (t * x - x_int) - bk * (x_int * x - x_sq_int)
+          for ck, ak, bk in zip(centre(x), a, b)]
+    hs = [ak + bk * x for ak, bk in zip(a, b)]
+    return np.stack(np.broadcast_arrays(x, *legs, *ys, p * c0[0] + r * s1, *hs, *b), axis=-1)
 
 
-def closed_form_base(c: SolutionConstants, t: float) -> AdaptedPoint:
-    """Exact state at time t of the extremal from the origin, y1..y3 included.
+def _covector(c) -> np.ndarray:
+    """h0 of an extremal given by its SolutionConstants or its FibreState h0."""
+    return (c if isinstance(c, FibreState) else c.initial_fibre_state()).array
 
-    Other starting points are reached by left-translating the result with
-    the group product.
-    """
-    return AdaptedPoint.from_array(_closed_form_states(c, t))
+
+def closed_form_fibre(c, t: float) -> FibreState:
+    """Exact momenta at time t of the extremal of c (constants or h0)."""
+    return FibreState.from_array(exp_map(_covector(c), t)[7:])
+
+
+def closed_form_base(c, t: float) -> AdaptedPoint:
+    """Exact state at time t of the extremal of c (constants or h0) from the origin."""
+    return AdaptedPoint.from_array(exp_map(_covector(c), t)[:7])
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +324,13 @@ class Trajectory:
             if a is None or b is None:
                 return a is None and b is None
             return a.shape == b.shape and bool(np.all(a == b))
-        return (self.chart == other.chart and same(self.times, other.times)
-                and same(self.states, other.states) and same(self.momenta, other.momenta)
-                and same(self.controls, other.controls))
+        return self.chart == other.chart and all(
+            same(getattr(self, k), getattr(other, k))
+            for k in ("times", "states", "momenta", "controls"))
 
 
-def _grid(T: float, dt: float) -> tuple[int, float]:
-    """Step count and step of a uniform grid on [0, T], at most MAX_STEPS steps."""
+def _grid(T: float, dt: float) -> tuple[np.ndarray, float]:
+    """Times and step of a uniform grid on [0, T], at most MAX_STEPS steps."""
     if not (math.isfinite(T) and math.isfinite(dt)):
         raise ValueError("T and dt must be finite")
     if dt <= 0.0 or T <= 0.0:
@@ -314,7 +338,7 @@ def _grid(T: float, dt: float) -> tuple[int, float]:
     if T / dt > MAX_STEPS:
         raise ValueError(f"T/dt = {T / dt:.6g} exceeds the step cap of {MAX_STEPS}")
     n = max(1, int(round(T / dt)))
-    return n, T / n
+    return np.linspace(0.0, T, n + 1), T / n
 
 
 def _rk4(rhs, y0: np.ndarray, times: np.ndarray, h: float) -> np.ndarray:
@@ -351,18 +375,15 @@ def integrate_extremal(h0: FibreState, q0: AdaptedPoint, T: float, dt: float = 1
     diagnostics when Hamiltonian drift per unit time exceeds 1e-6.  A path
     that overflows (T or dt far too large) is a ValueError.
     """
-    n, h = _grid(T, dt)
-    times = np.linspace(0.0, T, n + 1)
+    times, h = _grid(T, dt)
     path = _rk4(lambda t, y: _hamiltonian_rhs(y), np.concatenate([q0.array, h0.array]), times, h)
-    states = path[:, :7]
-    momenta = path[:, 7:]
+    states, momenta = path[:, :7], path[:, 7:]
     energies = 0.5 * np.sum(momenta[:, :4] ** 2, axis=1)
     h_drift = float(np.max(np.abs(energies - energies[0])))
     casimir = float(np.max(np.abs(momenta[:, 4:] - momenta[0, 4:])))
     rate = h_drift / T
     diag = IntegrationDiagnostics(dt=h, h_drift_max=h_drift, h_drift_rate=rate,
-                                  casimir_drift=casimir,
-                                  step_too_large=rate > H_DRIFT_LIMIT)
+                                  casimir_drift=casimir, step_too_large=rate > H_DRIFT_LIMIT)
     return Trajectory(ADAPTED, times, states, momenta, momenta[:, :4], diag)
 
 
@@ -373,24 +394,19 @@ def integrate_extremal_batch(h0s: np.ndarray, q0s: np.ndarray, T: float,
     Returns (times, states, momenta) with shapes (n+1,), (B, n+1, 7),
     (B, n+1, 7).  An overflowing path is a ValueError.
     """
-    h0s = np.atleast_2d(np.asarray(h0s, dtype=float))
-    q0s = np.atleast_2d(np.asarray(q0s, dtype=float))
-    if q0s.shape[0] == 1 and h0s.shape[0] > 1:
-        q0s = np.repeat(q0s, h0s.shape[0], axis=0)
-    n, h = _grid(T, dt)
-    times = np.linspace(0.0, T, n + 1)
-    path = _rk4(lambda t, y: _hamiltonian_rhs(y), np.concatenate([q0s, h0s], axis=1), times, h)
+    h0s, q0s = np.broadcast_arrays(np.atleast_2d(h0s), np.atleast_2d(q0s))
+    times, h = _grid(T, dt)
+    y0 = np.concatenate([q0s, h0s], axis=1, dtype=float)
+    path = _rk4(lambda t, y: _hamiltonian_rhs(y), y0, times, h)
     path = np.swapaxes(path, 0, 1)
     return times, path[:, :, :7], path[:, :, 7:]
 
 
-def closed_form_trajectory(c: SolutionConstants, T: float, dt: float = 1e-3) -> Trajectory:
-    """Closed-form solution sampled on a uniform grid."""
-    n, _ = _grid(T, dt)
-    times = np.linspace(0.0, T, n + 1)
-    momenta = np.stack([closed_form_fibre(c, t).array for t in times])
-    return Trajectory(ADAPTED, times, _closed_form_states(c, times), momenta,
-                      momenta[:, :4], None)
+def closed_form_trajectory(c, T: float, dt: float = 1e-3) -> Trajectory:
+    """Closed-form extremal of c (constants or h0) sampled on a uniform grid."""
+    times, _ = _grid(T, dt)
+    path = exp_map(_covector(c), times)
+    return Trajectory(ADAPTED, times, path[:, :7], path[:, 7:], path[:, 7:11], None)
 
 
 # ---------------------------------------------------------------------------
@@ -596,21 +612,12 @@ def read_trajectory_csv(path) -> Trajectory:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
+        data = np.array([[float(v) for v in row] for row in reader])
     if tuple(header[:8]) != _BASE_COLUMNS:
         raise ValueError(f"unexpected trajectory header {header[:8]}")
-    data = np.array(rows)
-    times = data[:, 0]
-    states = data[:, 1:8]
-    col = 8
-    momenta = None
-    controls = None
-    if len(header) > col and header[col] == "h1":
-        momenta = data[:, col:col + 7]
-        col += 7
-    if len(header) > col and header[col] == "u1":
-        controls = data[:, col:col + 4]
-    return Trajectory(ORIGINAL, times, states, momenta, controls, None)
+    blocks = [data[:, header.index(names[0]):header.index(names[0]) + len(names)]
+              if names[0] in header else None for names in (_MOMENTA_COLUMNS, _CONTROL_COLUMNS)]
+    return Trajectory(ORIGINAL, data[:, 0], data[:, 1:8], *blocks, None)
 
 
 def load_solution_constants(path) -> SolutionConstants:

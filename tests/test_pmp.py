@@ -1,13 +1,18 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import trident47
 from trident47 import pmp
 from trident47.errors import ZeroHorizontalMomentum
-from trident47.nilpotent import (AdaptedPoint, from_adapted, group_identity,
+from trident47.nilpotent import (AdaptedPoint, centre, from_adapted, group_identity,
                                  nilpotent_frame_matrix)
 from trident47.pmp import (BracketMotionParams, FibreState, SolutionConstants,
                            base_rhs, bracket_displacement, bracket_motion,
@@ -215,14 +220,22 @@ def test_closed_form_fibre_satisfies_ode(rng):
 
 
 def test_closed_form_requires_consistency():
-    # breaking C5*C13 + C6*C14 + C7*C15 = 0 breaks the h1 equation
+    # inconsistent constants (C5*C13 + C6*C14 + C7*C15 != 0) still name one
+    # extremal, that of initial_fibre_state(): the closed form solves the ODE
+    # and follows RK4, but its h1 is not the C-form C11 cos Kt + C12 sin Kt
     c = SolutionConstants(C5=1.0, C11=0.5, C12=0.5, C13=0.3, C14=0.0, C15=0.0)
     assert c.consistency_residual() != 0.0
     eps = 1e-6
     t = 0.9
     fd = (closed_form_fibre(c, t + eps).array - closed_form_fibre(c, t - eps).array) / (2 * eps)
     rhs = fibre_rhs(closed_form_fibre(c, t))
-    assert np.abs(fd - rhs).max() > 1e-3
+    assert np.abs(fd - rhs).max() < 1e-7
+    ode = integrate_extremal(c.initial_fibre_state(), group_identity(), T=2.0, dt=1e-3)
+    closed = pmp.closed_form_trajectory(c, T=2.0, dt=1e-3)
+    assert np.abs(closed.states - ode.states).max() < 1e-12
+    assert np.abs(closed.momenta - ode.momenta).max() < 1e-12
+    c_form = c.C11 * np.cos(c.K * ode.times) + c.C12 * np.sin(c.K * ode.times)
+    assert np.abs(closed.momenta[:, 0] - c_form).max() > 1e-3
 
 
 def test_closed_form_base_examples():
@@ -313,6 +326,153 @@ def test_closed_form_base_reproduces_printed_examples(n):
     for t in np.linspace(0.0, 2.0 * math.pi, 41):
         got = from_adapted(closed_form_base(c, float(t))).array
         assert np.abs(got - example_solution(n, float(t)).array).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the exponential map: one entire formula of the covector
+
+
+_DIRECTION = np.array([0.48, -0.6, 0.64])  # a unit vector, exactly in decimals
+
+
+def test_stumpff_functions_match_a_60_digit_series():
+    # c_k(z) = sum_n (-z)^n / (k + 2n)!, summed in mpmath; the error is scaled by c_k(0) = 1/k!
+    import mpmath
+
+    z = np.concatenate([[0.0], np.logspace(-12, 3, 300), np.linspace(3.0, 5.0, 41)])
+    got = pmp._stumpff(z)
+    for k in range(6):
+        want = []
+        with mpmath.workdps(60):
+            for zv in z:
+                total, term, n = mpmath.mpf(0), 1 / mpmath.factorial(k), 0
+                while abs(term) > mpmath.mpf(10) ** -70 or n < 6:
+                    total, n = total + term, n + 1
+                    term *= -mpmath.mpf(zv) / ((k + 2 * n - 1) * (k + 2 * n))
+                want.append(float(total))
+        assert np.abs(got[k] - np.array(want)).max() * math.factorial(k) <= 4e-15
+
+
+@pytest.mark.parametrize("K", [1e-2, 1e-4, 1e-6, 1e-8, 0.0])
+def test_closed_form_matches_rk4_as_k_goes_to_zero(K):
+    # the K > 0 formula in C divided by K^2: 3.4e-9 at K = 1e-4, 0.25 at 1e-8
+    c = SolutionConstants(*(K * _DIRECTION), C11=0.6, C12=0.3, C13=0.8, C14=0.64, C15=0.0)
+    ode = integrate_extremal(c.initial_fibre_state(), group_identity(), T=2.0, dt=1e-3)
+    closed = pmp.closed_form_trajectory(c, T=2.0, dt=1e-3)
+    assert np.array_equal(closed.times, ode.times)
+    assert np.abs(closed.states - ode.states).max() <= 1e-12
+    assert np.abs(closed.momenta - ode.momenta).max() <= 1e-12
+    path = pmp.exp_map(c.initial_fibre_state().array, ode.times)
+    assert np.array_equal(path, np.hstack([closed.states, closed.momenta]))
+    by_covector = pmp.closed_form_trajectory(c.initial_fibre_state(), T=2.0, dt=1e-3)
+    assert by_covector == closed
+
+
+def test_exp_map_is_continuous_into_k_zero():
+    # along a fixed direction of b the extremal tends to the K = 0 one, linearly in K
+    h0 = np.array([0.6, 0.3, -0.5, 0.2, 0.0, 0.0, 0.0])
+    t = np.linspace(0.0, 3.0, 31)
+    straight = pmp.exp_map(h0, t)
+    x = 0.6 * t
+    legs = np.outer(t, h0[1:4])
+    ys = np.stack(centre(x), axis=-1) - np.outer(0.6 * t * t / 2.0, h0[1:4])
+    assert np.abs(straight[:, :7] - np.column_stack([x, legs, ys])).max() < 1e-15
+    assert np.array_equal(straight[:, 7:], np.tile(h0, (31, 1)))
+    for K in 10.0 ** -np.arange(1, 16):
+        bent = pmp.exp_map(np.concatenate([h0[:4], K * _DIRECTION]), t)
+        assert np.abs(bent - straight).max() <= 10.0 * K
+
+
+def _reference_closed_form_states(c, t):
+    """The constants' closed form on K > 0, kept from before ``exp_map`` (x, l, y at t)."""
+    K = c.K
+    bracket = np.array([c.C5, c.C6, c.C7])
+    affine = np.array([c.C13, c.C14, c.C15])
+    s, co = np.sin(K * t), np.cos(K * t)
+    x = c.C11 / K * s - c.C12 / K * co + c.C12 / K
+    hump = c.C11 - c.C11 * co - c.C12 * s
+    legs = bracket / K**2 * hump[..., None] + affine * t[..., None]
+    h1_sq = ((c.C11**2 + c.C12**2) * t / 2.0 + (c.C11**2 - c.C12**2) * s * co / (2.0 * K)
+             + c.C11 * c.C12 * s * s / K)
+    x_int = (c.C11 * (1.0 - co) - c.C12 * s) / K**2 + c.C12 * t / K
+    leg_work = (bracket / K**2 * (c.C11 * x - h1_sq)[..., None]
+                + affine * (t * x - x_int)[..., None])
+    return np.concatenate([x[..., None], legs, np.stack(centre(x), axis=-1) - leg_work], axis=-1)
+
+
+def test_exp_map_matches_the_constants_closed_form(rng):
+    t = np.linspace(0.0, 2.0 * math.pi, 41)
+    worst = 0.0
+    for _ in range(100):
+        c = random_solution_constants(rng, 0.05, 3.0)
+        got = pmp.exp_map(c.initial_fibre_state().array, t)
+        osc = c.C11 * np.sin(c.K * t) - c.C12 * np.cos(c.K * t)
+        momenta = np.column_stack([c.C11 * np.cos(c.K * t) + c.C12 * np.sin(c.K * t),
+                                   *(ck / c.K * osc + ak for ck, ak in
+                                     ((c.C5, c.C13), (c.C6, c.C14), (c.C7, c.C15))),
+                                   *np.broadcast_arrays(c.C5, c.C6, c.C7, t)[:3]])
+        worst = max(worst, np.abs(got[:, :7] - _reference_closed_form_states(c, t)).max(),
+                    np.abs(got[:, 7:] - momenta).max())
+    assert worst <= 1e-12
+
+
+def _hamiltonian_jacobian(y):
+    """d(_reference_hamiltonian_rhs)/dy, a 14x14 matrix written out by hand."""
+    x, l1, l2, l3 = y[:4]
+    h1, h2, h3, h4, h5, h6, h7 = y[7:]
+    D = np.zeros((14, 14))
+    D[0, 7] = D[1, 8] = D[2, 9] = D[3, 10] = 1.0
+    D[4, [0, 1, 7]] = (S3 / 2.0 * h1, -h1, 1.0 + S3 / 2.0 * x - l1)
+    D[5, [2, 7]] = (-h1, 1.0 - l2)
+    D[6, [0, 3, 7]] = (-S3 / 2.0 * h1, -h1, 1.0 - S3 / 2.0 * x - l3)
+    D[7, 8:] = (-h5, -h6, -h7, -h2, -h3, -h4)
+    D[8, [7, 11]] = (h5, h1)
+    D[9, [7, 12]] = (h6, h1)
+    D[10, [7, 13]] = (h7, h1)
+    return D
+
+
+def _variational_rk4(h0, T, n):
+    """RK4 of the extremal from the origin and of its variational equation J' = D J."""
+    y = np.concatenate([np.zeros(7), h0])
+    J = np.vstack([np.zeros((7, 7)), np.eye(7)])
+    h = T / n
+
+    def rhs(v, M):
+        return _reference_hamiltonian_rhs(v), _hamiltonian_jacobian(v) @ M
+
+    for _ in range(n):
+        k1 = rhs(y, J)
+        k2 = rhs(y + 0.5 * h * k1[0], J + 0.5 * h * k1[1])
+        k3 = rhs(y + 0.5 * h * k2[0], J + 0.5 * h * k2[1])
+        k4 = rhs(y + h * k3[0], J + h * k3[1])
+        y = y + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        J = J + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    return y, J
+
+
+@pytest.mark.parametrize("kind", ["generic", "small K", "K = 0"])
+def test_complex_step_jacobian_matches_the_variational_equation(kind):
+    rng = np.random.default_rng(7)
+    h0 = rng.uniform(-1.0, 1.0, 7)
+    h0[4:] *= {"generic": 1.5, "small K": 1e-7, "K = 0": 0.0}[kind]
+    T = 1.5
+    step = 1e-30
+    J = pmp.exp_map(h0 + step * 1j * np.eye(7), T).imag.T / step
+    y, J_ode = _variational_rk4(h0, T, 1500)
+    assert np.abs(pmp.exp_map(h0, T) - y).max() < 1e-12
+    assert np.abs(J - J_ode).max() <= 1e-8
+
+
+def test_exp_map_complex_input_gives_the_real_floats(rng):
+    h0s = rng.uniform(-1.0, 1.0, (24, 7))
+    h0s[8:16, 4:] *= 1e-5
+    h0s[16:, 4:] = 0.0
+    t = np.linspace(0.0, 4.0, 9)[:, None]
+    real = pmp.exp_map(h0s, t)
+    assert real.shape == (9, 24, 14) and real.dtype == np.float64
+    cplx = pmp.exp_map(h0s.astype(complex), t)
+    assert np.array_equal(cplx.real, real) and np.all(cplx.imag == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -683,3 +843,47 @@ def test_integrate_extremal_batch_refuses_an_overflowing_path():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflowed"):
             pmp.integrate_extremal_batch(h0, np.zeros(7), 1e300, 1e300)
+
+
+# ---------------------------------------------------------------------------
+# experiment scripts
+
+
+def _run_script(name, *argv):
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trident47.__file__)))
+    return subprocess.run([sys.executable, str(repo / "scripts" / name), *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_shooting_reaches_the_target_at_its_defaults(tmp_path):
+    proc = _run_script("shooting.py", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "shooting_report.json").read_text())
+    assert report["residual_norm"] < 1e-12
+    assert report["residual_history"][-1] == report["residual_norm"]
+    assert report["iterations"] == len(report["residual_history"]) - 1 <= 25
+    endpoint = pmp.exp_map(np.array(report["momenta"]), 1.0)[:7]
+    assert np.abs(endpoint - report["target"]).max() < 1e-12
+    assert np.abs(np.array(report["endpoint"]) - endpoint).max() < 1e-14
+    traj = read_trajectory_csv(tmp_path / "shooting_trajectory.csv")
+    assert len(traj) == 501 and traj.times[-1] == 1.0
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("shooting.py", ["--max-iter", "0"]), ("shooting.py", ["--target", "nan", *"000000"]),
+    ("shooting.py", ["--T", "inf"]), ("shooting.py", ["--dt", "0"]),
+    ("shooting.py", ["--tol", "nan"]), ("shooting.py", ["--T", "1e300"]),
+    ("shooting.py", ["--T", "1e4", "--dt", "1e-3"]),
+    ("amplitude_sweep.py", ["--amplitudes", "nan"]),
+    ("amplitude_sweep.py", ["--amplitudes", "0.1", "-0.2"]),
+    ("amplitude_sweep.py", ["--amplitudes", "0.1", "0.1"]),
+    ("amplitude_sweep.py", ["--omega", "inf"]), ("amplitude_sweep.py", ["--omega", "1e-310"]),
+    ("amplitude_sweep.py", ["--amplitudes", "1e300"]),
+])
+def test_scripts_reject_invalid_inputs(tmp_path, script, argv):
+    out = tmp_path / "out"
+    proc = _run_script(script, *argv, "--outdir", str(out))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert "error:" in proc.stderr and not out.exists()
