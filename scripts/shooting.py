@@ -35,6 +35,10 @@ def main() -> None:
     args = ap.parse_args()
 
     target = np.array(args.target)
+    try:
+        pmp.time_grid(args.T, args.dt)  # refuse the output grid before any solver work
+    except ValueError as exc:
+        ap.error(str(exc))
 
     def residual(h):
         return pmp.exp_map(h, args.T)[:7] - target
@@ -70,10 +74,7 @@ def main() -> None:
             print("no descent direction found; stopping")
             break
 
-    try:
-        traj = pmp.closed_form_trajectory(FibreState.from_array(h), args.T, args.dt)
-    except ValueError as exc:
-        ap.error(str(exc))
+    traj = pmp.closed_form_trajectory(FibreState.from_array(h), args.T, args.dt)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     pmp.write_trajectory_csv(traj, outdir / "shooting_trajectory.csv")

@@ -11,10 +11,10 @@ Configurations live in R^7 with original-chart coordinates
 Pfaffian constraint one-forms whose common kernel is the rank-4 horizontal
 distribution spanned by the frame X1..X4 built here.
 
-The numeric analyses run on one closed-form matrix (``closed_form_gbar``)
-and never import sympy; only the printed symbolic slice frame and its
-brackets (``horizontal_frame_slice``, ``slice_bracket_fields``) load the
-field library.
+The numeric analyses run on one closed-form matrix (``closed_form_gbar``),
+whose first row is X1's one formula (``frame_x1``, also the original gait's
+field); they never import sympy.  Only the printed symbolic slice frame and
+its brackets (``horizontal_frame_slice``, ``slice_bracket_fields``) do.
 """
 from __future__ import annotations
 
@@ -162,25 +162,37 @@ def pfaff_matrix(q: Configuration) -> np.ndarray:
     return m
 
 
-def _check_regular(q: Configuration) -> None:
-    _, l2, _ = q.legs()
+def _check_regular(l1: float, l2: float, l3: float) -> None:
     if abs(l2) < SINGULAR_EPS:
         raise SingularConfiguration(f"l2 = {l2} is numerically zero")
-    L = leg_span(q)
+    L = l1 + l3 + 2.0
     if abs(L) < SINGULAR_EPS:
         raise SingularConfiguration(f"L = l1 + l3 + 2 = {L} is numerically zero")
+
+
+def frame_x1(theta: float, phi: float, l1: float, l2: float, l3: float):
+    """The components (dx, dy, dtheta, dphi) of X1, a tuple of floats; the rest are zero.
+
+    X1 is the slice frame field (x = y = 0, theta = pi/2, unit
+    dx-coefficient) with its (x, y) part rotated by delta = theta - pi/2:
+    the constraints are SE(2)-equivariant, so X1 depends on the heading and
+    the shape only.  The only denominators are l2 and L = l1 + l3 + 2,
+    which ``_check_regular`` keeps away from zero.
+    """
+    delta = theta - math.pi / 2.0
+    c, s = math.cos(delta), math.sin(delta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    L = l1 + l3 + 2.0
+    a = _SQRT3 * (l1 - l3) / (3.0 * L)                # dy-coefficient of X1 on the slice
+    return c - a * s, s + a * c, -1.0 / L, (a * sp + cp) / l2 + (cp + l2) / (l2 * L)
 
 
 def closed_form_gbar(theta: float, phi: float, l1: float, l2: float, l3: float) -> np.ndarray:
     """Gbar = (X1, X2, X3, X4, [X1,X2], [X1,X3], [X1,X4]) as the rows of a 7x7 array.
 
-    X2..X4 are the leg coordinate fields d/dl1, d/dl2, d/dl3.  X1 is the
-    slice frame field (x = y = 0, theta = pi/2, unit dx-coefficient) with
-    its (x, y) part rotated by delta = theta - pi/2: the constraints are
-    SE(2)-equivariant, so X1 depends on the heading and the shape only.
-    The leg fields are constant, so [X1, d/dl_k] = -dX1/dl_k.  The only
-    denominators are l2 and L = l1 + l3 + 2, which ``_check_regular``
-    keeps away from zero.
+    Row 0 is ``frame_x1``; X2..X4 are the leg coordinate fields d/dl1,
+    d/dl2, d/dl3.  The leg fields are constant, so [X1, d/dl_k] = -dX1/dl_k,
+    differentiated here from the terms of ``frame_x1``.
     """
     delta = theta - math.pi / 2.0
     c, s = math.cos(delta), math.sin(delta)
@@ -191,7 +203,7 @@ def closed_form_gbar(theta: float, phi: float, l1: float, l2: float, l3: float) 
     a3 = -2.0 * _SQRT3 * (l1 + 1.0) / (3.0 * L * L)   # da/dl3
     leg_term = (cp + l2) / (l2 * L * L)               # -d/dl1 = -d/dl3 of (cos phi + l2)/(l2 L)
     g = np.zeros((7, 7))
-    g[0, :4] = (c - a * s, s + a * c, -1.0 / L, (a * sp + cp) / l2 + (cp + l2) / (l2 * L))
+    g[0, :4] = frame_x1(theta, phi, l1, l2, l3)
     g[1, 4] = g[2, 5] = g[3, 6] = 1.0
     g[4, :4] = (a1 * s, -a1 * c, -1.0 / (L * L), leg_term - a1 * sp / l2)
     g[5, 3] = ((a * sp + cp) + cp / L) / (l2 * l2)
@@ -201,7 +213,7 @@ def closed_form_gbar(theta: float, phi: float, l1: float, l2: float, l3: float) 
 
 
 def _gbar(q: Configuration) -> np.ndarray:
-    _check_regular(q)
+    _check_regular(*q.legs())
     return closed_form_gbar(*q.values[2:])
 
 

@@ -16,13 +16,13 @@ K^2 t^2, exact for every K, 0 included, and real or complex (complex-step
 derivatives pass through).  Three worked example solutions are built in,
 including their original-chart formulas.
 
-What stays numeric runs on one fixed-step RK4 loop, ``_rk4``: the extremals
-of ``_hamiltonian_rhs`` (the only place the equations above are written;
-``fibre_rhs`` and ``base_rhs`` are its halves) and the bracket gaits on the
-nilpotent and the original system.  Every time grid has at most
-``MAX_STEPS`` steps, and a path that overflows is refused there, once.
-CSV rows go through one writer, ``write_csv_rows``, fed whole columns (the
-chart change included); the module loads no sympy.
+What stays numeric runs on one fixed-step RK4 loop, ``_rk4``, over tuples of
+columns: the extremals of ``_hamiltonian_rhs`` (the only place the equations
+above are written; ``fibre_rhs`` and ``base_rhs`` are its halves, and the
+nilpotent gait is its base system) and the original gait on X1
+(``mechanism.frame_x1``).  Every ``time_grid`` has at most ``MAX_STEPS``
+steps, and a path that overflows is refused once.  CSV rows go through one
+writer, ``write_csv_rows``, fed whole columns; the module loads no sympy.
 """
 from __future__ import annotations
 
@@ -35,9 +35,8 @@ import numpy as np
 
 from .errors import ChartMismatch, SingularConfiguration, ZeroHorizontalMomentum
 from .charts import ADAPTED, ORIGINAL
-from .mechanism import Configuration, horizontal_frame, leg_span, reference_configuration
-from .nilpotent import (AdaptedPoint, adapted_to_original, centre, n1_vertical,
-                        nilpotent_frame_matrix, to_adapted)
+from .mechanism import Configuration, _check_regular, frame_x1, leg_span, reference_configuration
+from .nilpotent import AdaptedPoint, adapted_to_original, centre, n1_vertical, to_adapted
 
 _S3 = math.sqrt(3.0)
 
@@ -86,40 +85,31 @@ def normalize_arclength(h0: FibreState) -> FibreState:
     return FibreState(h0.h1 / n, h0.h2 / n, h0.h3 / n, h0.h4 / n, h0.h5, h0.h6, h0.h7)
 
 
-def _hamiltonian_rhs(y: np.ndarray) -> np.ndarray:
-    """The coupled system on (state, momenta) = y[..., :7], y[..., 7:]; works on (..., 14).
+def _hamiltonian_rhs(y):
+    """The coupled system on the 14 columns (x, l1..l3, y1..y3, h1..h7) of y, as a tuple.
 
-    The state follows q' = h1 N1(q) + h2 N2 + h3 N3 + h4 N4 and the momenta
-    the fibre system of the module docstring.  This is the one place the
-    equations are written; ``base_rhs`` and ``fibre_rhs`` are its halves.
+    The columns are floats or equal-shape arrays.  The state follows
+    q' = h1 N1(q) + h2 N2 + h3 N3 + h4 N4 and the momenta the fibre system
+    of the module docstring.  This is the one place the equations are
+    written; ``base_rhs`` and ``fibre_rhs`` are its halves.
     """
-    out = np.empty_like(y)
-    c = np.moveaxis(y, -1, 0)  # for one state c[k] is a scalar, not a slower 0-d array
-    h1, h2, h3, h4, h5, h6, h7 = c[7:]
-    v1, v2, v3 = n1_vertical(*c[:4])
-    out[..., :4] = y[..., 7:11]
-    out[..., 4] = v1 * h1
-    out[..., 5] = v2 * h1
-    out[..., 6] = v3 * h1
-    out[..., 7] = -h5 * h2 - h6 * h3 - h7 * h4
-    out[..., 8] = h5 * h1
-    out[..., 9] = h6 * h1
-    out[..., 10] = h7 * h1
-    out[..., 11:] = 0.0
-    return out
+    x, l1, l2, l3, _, _, _, h1, h2, h3, h4, h5, h6, h7 = y
+    v1, v2, v3 = n1_vertical(x, l1, l2, l3)
+    return (h1, h2, h3, h4, v1 * h1, v2 * h1, v3 * h1,
+            -h5 * h2 - h6 * h3 - h7 * h4, h5 * h1, h6 * h1, h7 * h1, 0.0, 0.0, 0.0)
 
 
 def fibre_rhs(h) -> np.ndarray:
     """Right-hand side of the momentum system (it does not depend on the state)."""
     a = h.array if isinstance(h, FibreState) else np.asarray(h, dtype=float)
-    return _hamiltonian_rhs(np.concatenate([np.zeros(7), a]))[7:]
+    return np.array(_hamiltonian_rhs([0.0] * 7 + a.tolist())[7:])
 
 
 def base_rhs(q, h) -> np.ndarray:
     """Right-hand side of the state system q' = sum h_i N_i(q)."""
     qa = q.array if isinstance(q, AdaptedPoint) else np.asarray(q, dtype=float)
     ha = h.array if isinstance(h, FibreState) else np.asarray(h, dtype=float)
-    return _hamiltonian_rhs(np.concatenate([qa, ha]))[:7]
+    return np.array(_hamiltonian_rhs(qa.tolist() + ha.tolist())[:7])
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +138,7 @@ class SolutionConstants:
 
     @property
     def K(self) -> float:
-        return math.sqrt(self.C5**2 + self.C6**2 + self.C7**2)
+        return math.hypot(self.C5, self.C6, self.C7)  # squares would underflow below 1e-154
 
     def consistency_residual(self) -> float:
         return self.C5 * self.C13 + self.C6 * self.C14 + self.C7 * self.C15
@@ -329,7 +319,7 @@ class Trajectory:
             for k in ("times", "states", "momenta", "controls"))
 
 
-def _grid(T: float, dt: float) -> tuple[np.ndarray, float]:
+def time_grid(T: float, dt: float) -> tuple[np.ndarray, float]:
     """Times and step of a uniform grid on [0, T], at most MAX_STEPS steps."""
     if not (math.isfinite(T) and math.isfinite(dt)):
         raise ValueError("T and dt must be finite")
@@ -341,24 +331,27 @@ def _grid(T: float, dt: float) -> tuple[np.ndarray, float]:
     return np.linspace(0.0, T, n + 1), T / n
 
 
-def _rk4(rhs, y0: np.ndarray, times: np.ndarray, h: float) -> np.ndarray:
+def _rk4(rhs, y0, times: np.ndarray, h: float) -> np.ndarray:
     """Classical fixed-step RK4 of y' = rhs(t, y) over the grid ``times``, step h.
 
     The one integrator of the module: the extremals and both gaits run on
-    it.  Step k starts at times[k]; y0 may carry leading batch axes, and
-    every sample is kept, so the result has shape (len(times),) + y0.shape.
-    A path that overflows (a step or inputs far too large) is a ValueError.
+    it.  y is a tuple of columns, floats for one state or (B,) arrays for a
+    batch, as is rhs's result.  Step k starts at times[k]; the samples fill
+    one array of shape (len(times), len(y0)) + the column shape.  A path
+    that overflows (a step or inputs far too large) is a ValueError.
     """
-    path = np.empty((len(times),) + y0.shape)
+    path = np.empty((len(times), len(y0)) + np.shape(y0[0]))
     path[0] = y = y0
+    half, sixth = 0.5 * h, h / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(times) - 1):
-            t = times[k]
+            t = times.item(k)
             k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = rhs(t + half, tuple(a + half * b for a, b in zip(y, k1)))
+            k3 = rhs(t + half, tuple(a + half * b for a, b in zip(y, k2)))
+            k4 = rhs(t + h, tuple(a + h * b for a, b in zip(y, k3)))
+            y = tuple(a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
             path[k + 1] = y
     finite = np.isfinite(path.reshape(len(times), -1)).all(axis=1)
     if not finite.all():
@@ -375,8 +368,9 @@ def integrate_extremal(h0: FibreState, q0: AdaptedPoint, T: float, dt: float = 1
     diagnostics when Hamiltonian drift per unit time exceeds 1e-6.  A path
     that overflows (T or dt far too large) is a ValueError.
     """
-    times, h = _grid(T, dt)
-    path = _rk4(lambda t, y: _hamiltonian_rhs(y), np.concatenate([q0.array, h0.array]), times, h)
+    times, h = time_grid(T, dt)
+    y0 = tuple(q0.array.tolist() + h0.array.tolist())
+    path = _rk4(lambda t, y: _hamiltonian_rhs(y), y0, times, h)
     states, momenta = path[:, :7], path[:, 7:]
     energies = 0.5 * np.sum(momenta[:, :4] ** 2, axis=1)
     h_drift = float(np.max(np.abs(energies - energies[0])))
@@ -395,16 +389,15 @@ def integrate_extremal_batch(h0s: np.ndarray, q0s: np.ndarray, T: float,
     (B, n+1, 7).  An overflowing path is a ValueError.
     """
     h0s, q0s = np.broadcast_arrays(np.atleast_2d(h0s), np.atleast_2d(q0s))
-    times, h = _grid(T, dt)
-    y0 = np.concatenate([q0s, h0s], axis=1, dtype=float)
-    path = _rk4(lambda t, y: _hamiltonian_rhs(y), y0, times, h)
-    path = np.swapaxes(path, 0, 1)
+    times, h = time_grid(T, dt)
+    y0 = tuple(np.concatenate([q0s, h0s], axis=1, dtype=float).T)
+    path = np.moveaxis(_rk4(lambda t, y: _hamiltonian_rhs(y), y0, times, h), -1, 0)
     return times, path[:, :, :7], path[:, :, 7:]
 
 
 def closed_form_trajectory(c, T: float, dt: float = 1e-3) -> Trajectory:
     """Closed-form extremal of c (constants or h0) sampled on a uniform grid."""
-    times, _ = _grid(T, dt)
+    times, _ = time_grid(T, dt)
     path = exp_map(_covector(c), times)
     return Trajectory(ADAPTED, times, path[:, :7], path[:, 7:], path[:, 7:11], None)
 
@@ -507,11 +500,11 @@ class BracketMotionParams:
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
 
-    def controls(self, t: float) -> np.ndarray:
-        u = np.zeros(4)
+    def controls(self, t: float) -> tuple[float, float, float, float]:
+        u = [0.0, 0.0, 0.0, 0.0]
         u[0] = -self.amplitude * self.omega * math.sin(self.omega * t)
         u[self.partner - 1] = self.amplitude * self.omega * math.cos(self.omega * t)
-        return u
+        return tuple(u)
 
 
 def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
@@ -527,8 +520,8 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
         if q_start is None:
             q_start = to_adapted(reference_configuration())
 
-        def rhs(t, q):
-            return params.controls(t) @ nilpotent_frame_matrix(q)
+        def rhs(t, q):  # the base system, with the gait's controls as h1..h4
+            return _hamiltonian_rhs((*q, *params.controls(t), 0.0, 0.0, 0.0))[:7]
 
         chart = ADAPTED
     elif system == "original":
@@ -536,7 +529,7 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
             q_start = reference_configuration()
         if q_start.chart != ORIGINAL:
             raise ChartMismatch("original-system gait needs an original-chart start")
-        l2_0, span0 = q_start.array[5], leg_span(q_start)
+        l2_0, span0 = q_start.values[5], leg_span(q_start)
 
         def check_regular(t, q):
             # l2 = 0 and L = l1 + l3 + 2 = 0 are the whole singular set; a
@@ -546,10 +539,13 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
                 name = "L = l1 + l3 + 2" if q[5] * l2_0 > 0.0 else "l2"
                 raise SingularConfiguration(
                     f"{name} crossed zero near t = {t:.6g} during the gait")
+            _check_regular(*q[4:])  # and q itself keeps SINGULAR_EPS away
 
         def rhs(t, q):
             check_regular(t, q)
-            return params.controls(t) @ horizontal_frame(Configuration(ORIGINAL, tuple(q)))
+            u1, u2, u3, u4 = params.controls(t)
+            dx, dy, dth, dph = frame_x1(*q[2:])
+            return u1 * dx, u1 * dy, u1 * dth, u1 * dph, u2, u3, u4
 
         chart = ORIGINAL
     else:
@@ -557,7 +553,7 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
 
     n = params.steps_per_cycle * params.cycles
     times = np.linspace(0.0, params.cycles * params.period, n + 1)
-    states = _rk4(rhs, q_start.array, times, params.period / params.steps_per_cycle)
+    states = _rk4(rhs, tuple(q_start.array.tolist()), times, params.period / params.steps_per_cycle)
     if chart == ORIGINAL:
         check_regular(times[-1], states[-1])  # every earlier sample was checked as a stage
     controls = np.array([params.controls(t) for t in times])

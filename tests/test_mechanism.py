@@ -100,6 +100,13 @@ def test_numeric_frame_matches_slice_closed_form(rng):
         assert np.allclose(horizontal_frame(q)[0], x1(q.values), atol=1e-10)
 
 
+def test_frame_x1_is_the_first_row_of_gbar(rng):
+    for on_slice in (True, False):
+        shape = random_valid(rng, on_slice).values[2:]
+        row = mechanism.closed_form_gbar(*shape)[0].tolist()
+        assert row == [*mechanism.frame_x1(*shape), 0.0, 0.0, 0.0]
+
+
 def test_singular_configurations_raise():
     with pytest.raises(SingularConfiguration):
         horizontal_frame(Configuration.original(0, 0, math.pi / 2, 0, 1, 1e-12, 1))

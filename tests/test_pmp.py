@@ -120,22 +120,30 @@ def _reference_nilpotent_frame(q):
     return F
 
 
+def _reference_controls(params, t):
+    u = np.zeros(4)
+    u[0] = -params.amplitude * params.omega * math.sin(params.omega * t)
+    u[params.partner - 1] = params.amplitude * params.omega * math.cos(params.omega * t)
+    return u
+
+
 def _reference_gait(params, system, q_start):
     from trident47.mechanism import Configuration, horizontal_frame
 
     if system == "nilpotent":
         def rhs(t, q):
-            return params.controls(t) @ _reference_nilpotent_frame(q)
+            return _reference_controls(params, t) @ _reference_nilpotent_frame(q)
     else:
         def rhs(t, q):
-            return params.controls(t) @ horizontal_frame(Configuration("original", tuple(q)))
+            return (_reference_controls(params, t)
+                    @ horizontal_frame(Configuration("original", tuple(q))))
     n = params.steps_per_cycle * params.cycles
     h = params.period / params.steps_per_cycle
     times = np.linspace(0.0, params.cycles * params.period, n + 1)
     states = np.empty((n + 1, 7))
     controls = np.empty((n + 1, 4))
     states[0] = q_start.array
-    controls[0] = params.controls(0.0)
+    controls[0] = _reference_controls(params, 0.0)
     y = q_start.array
     for k in range(n):
         t = times[k]
@@ -145,7 +153,7 @@ def _reference_gait(params, system, q_start):
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[k + 1] = y
-        controls[k + 1] = params.controls(times[k + 1])
+        controls[k + 1] = _reference_controls(params, times[k + 1])
     return times, states, controls
 
 
@@ -192,6 +200,12 @@ def test_bracket_motion_is_the_reference_gait_bit_for_bit(system, seed):
 
 # ---------------------------------------------------------------------------
 # closed forms
+
+
+def test_initial_fibre_state_keeps_tiny_bracket_momenta():
+    # K = |(C5, C6, C7)| must not underflow to 0, which would drop C12
+    h0 = SolutionConstants(C5=1e-200, C11=1.0, C12=1.0).initial_fibre_state()
+    assert h0 == FibreState(1.0, -1.0, 0.0, 0.0, 1e-200, 0.0, 0.0)
 
 
 def test_example3_constants_give_unit_frequency():
@@ -738,6 +752,17 @@ def test_bracket_motion_params_accept_the_step_cap():
     assert p.cycles * p.steps_per_cycle == pmp.MAX_STEPS
 
 
+def test_original_gait_checks_the_singular_distance_at_every_stage():
+    # partner 2 drives l1 only, so l2 = 5e-10 keeps its sign: only the
+    # SINGULAR_EPS distance test stops this gait
+    from trident47.errors import SingularConfiguration
+    from trident47.mechanism import Configuration
+
+    start = Configuration.original(0, 0, math.pi / 2, 0, 1.0, 5e-10, 1.0)
+    with pytest.raises(SingularConfiguration, match="l2 = 5e-10 is numerically zero"):
+        bracket_motion(BracketMotionParams(partner=2), "original", q_start=start)
+
+
 def test_original_gait_checks_its_last_sample():
     # one step whose stage inputs all equal the start: only the end point has L < 0
     from trident47.errors import SingularConfiguration
@@ -837,6 +862,20 @@ def test_integrate_extremal_refuses_an_overflowing_path(T, dt):
         integrate_extremal(c.initial_fibre_state(), group_identity(), T, dt)
 
 
+def test_integrate_extremal_holds_one_float_array_of_samples():
+    # the peak is about 1.6x the path at any n; a list of 14-float tuples is over 4x
+    import tracemalloc
+
+    n = 20_000
+    tracemalloc.start()
+    try:
+        integrate_extremal(example_momenta(2), group_identity(), T=20.0, dt=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (n + 1) * 14 * 8
+
+
 def test_integrate_extremal_batch_refuses_an_overflowing_path():
     h0 = example_constants(2).initial_fibre_state().array
     with warnings.catch_warnings():
@@ -881,9 +920,11 @@ def test_shooting_reaches_the_target_at_its_defaults(tmp_path):
     ("amplitude_sweep.py", ["--amplitudes", "0.1", "0.1"]),
     ("amplitude_sweep.py", ["--omega", "inf"]), ("amplitude_sweep.py", ["--omega", "1e-310"]),
     ("amplitude_sweep.py", ["--amplitudes", "1e300"]),
+    ("shooting.py", ["--T", "1e300", "--dt", "1e300"]),
 ])
 def test_scripts_reject_invalid_inputs(tmp_path, script, argv):
     out = tmp_path / "out"
     proc = _run_script(script, *argv, "--outdir", str(out))
     assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
     assert "error:" in proc.stderr and not out.exists()
+    assert "iter" not in proc.stdout  # refused before any Levenberg-Marquardt work
