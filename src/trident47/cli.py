@@ -82,20 +82,18 @@ def _positive_finite(text: str) -> float:
     return val
 
 
-def _non_negative_int(text: str) -> int:
-    """An integer >= 0 (the sweep size)."""
-    val = int(text)
-    if val < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return val
+def _bounded_int(low: int):
+    """Parser of an integer in [low, MAX_SAMPLES]: a sweep size, sample or iteration count."""
+    def bounded_int(text: str) -> int:
+        val = int(text)
+        if not low <= val <= mechanism.MAX_SAMPLES:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer in [{low}, {mechanism.MAX_SAMPLES}], got {text!r}")
+        return val
+    return bounded_int
 
 
-def _positive_int(text: str) -> int:
-    """An integer >= 1 (the left-invariance sample count)."""
-    val = int(text)
-    if val < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return val
+_positive_int = _bounded_int(1)
 
 
 def _parse_point(text: str) -> tuple[float, ...]:
@@ -293,13 +291,11 @@ def cmd_symmetry_check(args) -> int:
         ok &= r.field_ok
     report["left_invariance"] = inv
 
-    fixed = {}
-    for k in (0.0, 1.0, 2.0):
-        pt = symmetry.fixed_point_set((1.0, 1.0, 1.0), x=0.7, k=k)
-        val = symmetry.so3_combination(1.0, 1.0, 1.0).field(pt.array)
-        fixed[f"k={k:g}"] = float(np.max(np.abs(val)))
-        ok &= fixed[f"k={k:g}"] < 1e-12
-    report["fixed_point_residuals"] = fixed
+    ks = (0.0, 1.0, 2.0)
+    pts = np.array([symmetry.fixed_point_set((1.0, 1.0, 1.0), x=0.7, k=k).array for k in ks])
+    fixed = np.max(np.abs(symmetry.so3_combination(1.0, 1.0, 1.0).field(pts)), axis=1)
+    report["fixed_point_residuals"] = {f"k={k:g}": float(r) for k, r in zip(ks, fixed)}
+    ok &= bool(np.all(fixed < 1e-12))
 
     report["all_pass"] = bool(ok)
     _write_json(args.out, report)
@@ -318,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--chart", choices=(ORIGINAL, ADAPTED), default=ORIGINAL)
     c.add_argument("--tol-rank", type=_positive_finite, default=mechanism.RANK_TOL)
     c.add_argument("--dynamic-f", type=_parse_floats, default=(1.0, 2.0, -0.5))
-    c.add_argument("--sweep", type=_non_negative_int, default=0,
+    c.add_argument("--sweep", type=_bounded_int(0), default=0,
                    help="random valid-shape sweep size")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default=None, help="report path (stdout if omitted)")

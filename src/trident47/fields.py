@@ -16,6 +16,11 @@ tables close by structural equality; floats only appear at evaluation time.
 A vector field is a chart tag plus seven component expressions.  Mixing
 charts is a hard error everywhere (``ChartMismatch``), never an implicit
 conversion.
+
+Evaluation has one path: a field's seven components (or one expression)
+compile once, with their coordinate-dependent denominators, into one numpy
+function of an ``(n, 7)`` point array, so a sampled certificate makes one
+call per field.  Brackets have one normal form, ``sp.cancel``.
 """
 from __future__ import annotations
 
@@ -52,38 +57,58 @@ def coords(chart: str) -> tuple[sp.Symbol, ...]:
 
 
 @functools.lru_cache(maxsize=8192)
-def _compiled(e: Expr, chart: str):
-    return sp.lambdify(coords(chart), e, modules="math")
+def _compiled(exprs: tuple[Expr, ...], chart: str):
+    """One numpy function of an (n, 7) point array for a tuple of expressions.
 
-
-@functools.lru_cache(maxsize=8192)
-def _compiled_denominators(e: Expr, chart: str):
-    """Compiled denominators of every quotient node that involves coordinates."""
-    dens = []
-    seen = set()
-    for node in sp.preorder_traversal(e):
-        if node.is_Pow and node.exp.is_number and node.exp.is_negative:
-            den = node.base ** (-node.exp)
-            if den.free_symbols and den not in seen:
-                seen.add(den)
-                dens.append(sp.lambdify(coords(chart), den, modules="math"))
-    return tuple(dens)
-
-
-def evaluate(e: Expr, point, chart: str) -> float:
-    """Evaluate an expression at a 7-tuple of floats.
-
-    Raises DivisionByZero if any quotient denominator is below DENOM_EPS
-    in magnitude at the point.
+    It returns (values, ok): values[:, k] is exprs[k] at each point; ok marks
+    the points where no coordinate-dependent quotient denominator is below
+    DENOM_EPS in magnitude (the other rows are computed without a warning).
     """
-    e = sp.sympify(e)
-    pt = tuple(float(v) for v in point)
-    if len(pt) != 7:
+    dens = []
+    for e in exprs:
+        for node in sp.preorder_traversal(e):
+            if node.is_Pow and node.exp.is_number and node.exp.is_negative:
+                den = node.base ** (-node.exp)
+                if den.free_symbols and den not in dens:
+                    dens.append(den)
+    # the module itself as the namespace: "numpy" would star-import its submodules
+    fn = sp.lambdify(coords(chart), (*exprs, *dens), modules=np)
+
+    def run(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = fn(*points.T)
+        values = np.empty((len(points), len(exprs)))
+        for k, v in enumerate(out[:len(exprs)]):
+            values[:, k] = v
+        ok = np.ones(len(points), dtype=bool)
+        for d in out[len(exprs):]:
+            ok &= ~(np.abs(d) < DENOM_EPS)
+        return values, ok
+
+    return run
+
+
+def _evaluate_all(exprs: tuple[Expr, ...], point, chart: str) -> np.ndarray:
+    """exprs at one point, shape (len(exprs),), or at an (n, 7) array, shape (n, len(exprs))."""
+    pts = np.asarray(point, dtype=float)
+    if pts.shape[-1:] != (7,) or pts.ndim > 2:
         raise ValueError("points live in R^7")
-    for den in _compiled_denominators(e, chart):
-        if abs(den(*pt)) < DENOM_EPS:
-            raise DivisionByZero(f"denominator vanishes at {pt} in {e}")
-    return float(_compiled(e, chart)(*pt))
+    rows = pts.reshape(-1, 7)
+    values, ok = _compiled(exprs, chart)(rows)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise DivisionByZero(f"denominator vanishes at row {i}, "
+                             f"{tuple(rows[i].tolist())}, in {exprs}")
+    return values.reshape(*pts.shape[:-1], len(exprs))
+
+
+def evaluate(e: Expr, point, chart: str):
+    """An expression at one point (a float) or at an (n, 7) array ((n,) floats).
+
+    Raises DivisionByZero naming the first point with a denominator below DENOM_EPS.
+    """
+    values = _evaluate_all((sp.sympify(e),), point, chart)[..., 0]
+    return float(values) if values.ndim == 0 else values
 
 
 def differentiate(e: Expr, coord_index: int, chart: str = ORIGINAL) -> Expr:
@@ -95,21 +120,10 @@ def simplify_expr(e: Expr) -> Expr:
     return sp.simplify(sp.sympify(e))
 
 
-def _tidy(e: Expr) -> Expr:
-    # cheap normal form used inside brackets; full simplify() is opt-in
-    return sp.cancel(sp.together(sp.expand(e)))
-
-
 def is_zero_expr(e: Expr) -> bool:
-    """Structural zero test: expand/cancel first, sp.simplify as fallback."""
+    """Structural zero test: as given, then expanded, then sp.simplify'd."""
     e = sp.sympify(e)
-    if e.is_zero:
-        return True
-    e2 = sp.expand(e)
-    if e2.is_zero:
-        return True
-    e3 = sp.simplify(e2)
-    return bool(e3.is_zero)
+    return bool(e.is_zero or (d := sp.expand(e)).is_zero or sp.simplify(d).is_zero)
 
 
 @dataclass(frozen=True)
@@ -133,7 +147,8 @@ class VectorFieldSym:
         object.__setattr__(self, "components", comps)
 
     def __call__(self, point) -> np.ndarray:
-        return np.array([evaluate(c, point, self.chart) for c in self.components])
+        """The components at one point, shape (7,), or at an (n, 7) array, shape (n, 7)."""
+        return _evaluate_all(self.components, point, self.chart)
 
     def simplify(self) -> "VectorFieldSym":
         return VectorFieldSym(self.chart, tuple(simplify_expr(c) for c in self.components))
@@ -182,18 +197,16 @@ def linear_combination(fields_, coeffs) -> VectorFieldSym:
 
 
 def lie_bracket(X: VectorFieldSym, Y: VectorFieldSym) -> VectorFieldSym:
-    """[X,Y]^i = sum_j (X^j dY^i/dx_j - Y^j dX^i/dx_j), components tidied."""
+    """[X,Y]^i = sum_j (X^j dY^i/dx_j - Y^j dX^i/dx_j), in the one bracket normal form.
+
+    That form is sp.cancel of the sum; full simplify() is opt-in.
+    """
     if X.chart != Y.chart:
         raise ChartMismatch(f"bracket of fields in charts {X.chart!r} and {Y.chart!r}")
-    cs = coords(X.chart)
-    comps = []
-    for i in range(7):
-        term = sp.Integer(0)
-        for j in range(7):
-            term += X.components[j] * sp.diff(Y.components[i], cs[j])
-            term -= Y.components[j] * sp.diff(X.components[i], cs[j])
-        comps.append(_tidy(term))
-    return VectorFieldSym(X.chart, tuple(comps))
+    cs, x, y = coords(X.chart), X.components, Y.components
+    return VectorFieldSym(X.chart, tuple(
+        sp.cancel(sum(x[j] * sp.diff(y[i], cs[j]) - y[j] * sp.diff(x[i], cs[j]) for j in range(7)))
+        for i in range(7)))
 
 
 #: default sampling boxes for the numeric equality fallback; legs kept
@@ -217,27 +230,15 @@ def fields_equal(X: VectorFieldSym, Y: VectorFieldSym, samples: int = 50,
     fallback for components that do not reach a common normal form."""
     if X.chart != Y.chart:
         raise ChartMismatch("cannot compare fields from different charts")
-    pending = []
-    for a, b in zip(X.components, Y.components):
-        d = sp.expand(a - b)
-        if d.is_zero:
-            continue
-        if is_zero_expr(d):
-            continue
-        pending.append(d)
+    pending = [d for d in (sp.expand(a - b) for a, b in zip(X.components, Y.components))
+               if not is_zero_expr(d)]
     if not pending:
         return True
     pts = random_points(X.chart, samples, rng)
     for d in pending:
-        checked = 0
-        for p in pts:
-            try:
-                val = evaluate(d, p, X.chart)
-            except DivisionByZero:
-                continue
-            checked += 1
-            if abs(val) > tol:
-                return False
-        if checked == 0:
+        values, ok = _compiled((d,), X.chart)(pts)
+        if not ok.any():
             raise DivisionByZero(f"could not sample {d} anywhere in the box")
+        if np.any(np.abs(values[ok, 0]) > tol):
+            return False
     return True

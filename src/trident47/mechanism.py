@@ -37,6 +37,10 @@ SINGULAR_EPS = 1e-9
 #: default relative singular-value cutoff for rank decisions
 RANK_TOL = 1e-9
 
+#: most samples one run may draw: the CLI's --sweep and --samples, and
+#: nilpotent.check_left_invariance (whose samples are one array)
+MAX_SAMPLES = 100_000
+
 _SQRT3 = math.sqrt(3.0)
 
 
@@ -260,11 +264,11 @@ def slice_bracket_fields() -> tuple[VectorFieldSym, ...]:
     return (lie_bracket(x1, x2), lie_bracket(x1, x3), lie_bracket(x1, x4))
 
 
-def _rank(m: np.ndarray, tol: float) -> int:
+def _rank(m: np.ndarray, tol: float):
+    """Count of singular values above tol times the largest: an int, or an array for a stack."""
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    rank = np.sum(s > tol * s[..., :1], axis=-1)
+    return int(rank) if rank.ndim == 0 else rank
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .charts import ADAPTED, ORIGINAL
 from .errors import ChartMismatch
-from .mechanism import RANK_TOL, Configuration, _rank
+from .mechanism import MAX_SAMPLES, RANK_TOL, Configuration, _rank
 
 if TYPE_CHECKING:
     from .fields import VectorFieldSym
@@ -144,12 +144,11 @@ def n1_vertical(x, l1, l2, l3):
 
 
 def nilpotent_frame_matrix(arr) -> np.ndarray:
-    """Fast numeric frame evaluation: rows N1..N4 at adapted coordinates arr."""
-    x, l1, l2, l3 = float(arr[0]), float(arr[1]), float(arr[2]), float(arr[3])
-    F = np.zeros((4, 7))
-    F[0, 0] = 1.0
-    F[0, 4], F[0, 5], F[0, 6] = n1_vertical(x, l1, l2, l3)
-    F[1, 1] = F[2, 2] = F[3, 3] = 1.0
+    """Numeric frame: rows N1..N4 at adapted coordinates arr, (4, 7), or (n, 4, 7) for (n, 7)."""
+    arr = np.asarray(arr, dtype=float)
+    F = np.zeros((*arr.shape[:-1], 4, 7))
+    F[..., 0, 0] = F[..., 1, 1] = F[..., 2, 2] = F[..., 3, 3] = 1.0
+    F[..., 0, 4:] = np.stack(n1_vertical(*np.moveaxis(arr[..., :4], -1, 0)), axis=-1)
     return F
 
 
@@ -183,16 +182,6 @@ def group_inverse(p: AdaptedPoint) -> AdaptedPoint:
     )
 
 
-def left_translation_jacobian(g: AdaptedPoint) -> np.ndarray:
-    """d(L_g) -- exact, point-independent because the product is affine in
-    the right factor."""
-    J = np.eye(7)
-    J[4, 0] = _S3 / 2.0 * g.x - g.l1
-    J[5, 0] = -g.l2
-    J[6, 0] = -_S3 / 2.0 * g.x - g.l3
-    return J
-
-
 @dataclass(frozen=True)
 class LeftInvarianceReport:
     field_ok: bool
@@ -202,19 +191,25 @@ class LeftInvarianceReport:
 
 def check_left_invariance(X: VectorFieldSym, samples: int = 1000, seed: int = 0,
                           tol: float = 1e-9, box: float = 2.0) -> LeftInvarianceReport:
-    """Check dL_g(X(p)) = X(g*p) at random (g, p) pairs; samples must be >= 1."""
+    """Check dL_g(X(p)) = X(g*p) at random (g, p) pairs, in one array pass.
+
+    The pairs are one uniform (samples, 2, 7) draw from [-box, box]^7, with
+    samples in [1, mechanism.MAX_SAMPLES].  The product is affine in its right
+    factor, so dL_g is exact: the identity plus column 0's y rows
+    (sqrt(3)/2 gx - gl1, -gl2, -sqrt(3)/2 gx - gl3).
+    """
     if X.chart != ADAPTED:
         raise ChartMismatch("left invariance is defined on the adapted chart")
-    if samples < 1:
-        raise ValueError(f"left invariance needs at least one sample, got {samples}")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        g = AdaptedPoint.from_array(rng.uniform(-box, box, 7))
-        p = AdaptedPoint.from_array(rng.uniform(-box, box, 7))
-        lhs = left_translation_jacobian(g) @ X(p.array)
-        rhs = X(group_mul(g, p).array)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"left invariance needs at least one sample and at most "
+                         f"{MAX_SAMPLES}, got {samples}")
+    g, p = np.random.default_rng(seed).uniform(-box, box, (samples, 2, 7)).transpose(1, 0, 2)
+    gx, gl1, gl2, gl3 = g[:, :4].T
+    lhs = X(p)
+    lhs[:, 4:] += lhs[:, :1] * np.stack((_S3 / 2.0 * gx - gl1, -gl2, -_S3 / 2.0 * gx - gl3),
+                                        axis=1)
+    rhs = X(np.stack(group_law(g.T, p.T), axis=1))
+    worst = float(np.max(np.abs(lhs - rhs)))
     return LeftInvarianceReport(field_ok=worst < tol, max_residual=worst, samples=samples)
 
 
@@ -254,27 +249,23 @@ def check_path_geometry_conditions(samples: int = 25, seed: int = 0) -> PathGeom
     n = nilpotent_frame()
     cs = fields.coords(ADAPTED)
 
-    def affine_coeff():
-        c = rng.integers(-3, 4, size=8)
+    def affine_coeff():  # the integers (c0, c) of c0 + c . coords
+        return rng.integers(-3, 4, size=8)
+
+    def affine_expr(c):
         return sp.Integer(int(c[0])) + sum(int(ci) * s for ci, s in zip(c[1:], cs))
 
+    def vertical_section():
+        return fields.linear_combination(n[1:], [affine_expr(affine_coeff()) for _ in range(3)])
+
     pts = fields.random_points(ADAPTED, samples, rng) * 2.0
+    rank_ok = bool(np.all(_rank(nilpotent_frame_matrix(pts), RANK_TOL) == 4))
 
-    rank_ok = True
-    for p in pts:
-        F = nilpotent_frame_matrix(p)
-        if _rank(F, RANK_TOL) != 4:
-            rank_ok = False
-
+    # vertical fields close among themselves: x- and y-components vanish
     v_ok = True
     for _ in range(4):
-        nu = fields.linear_combination(n[1:], [affine_coeff() for _ in range(3)])
-        nu2 = fields.linear_combination(n[1:], [affine_coeff() for _ in range(3)])
-        b = fields.lie_bracket(nu, nu2)
-        # vertical fields close among themselves: x- and y-components vanish
-        for idx in (0, 4, 5, 6):
-            if not fields.is_zero_expr(b.components[idx]):
-                v_ok = False
+        b = fields.lie_bracket(vertical_section(), vertical_section())
+        v_ok &= all(fields.is_zero_expr(b.components[idx]) for idx in (0, 4, 5, 6))
 
     min_res = math.inf
     outside_ok = True
@@ -282,12 +273,12 @@ def check_path_geometry_conditions(samples: int = 25, seed: int = 0) -> PathGeom
         while True:
             f = affine_coeff()
             coeffs = [affine_coeff() for _ in range(3)]
-            avals = [fields.evaluate(c, p, ADAPTED) for c in coeffs]
-            fval = fields.evaluate(f, p, ADAPTED)
+            fval = f[0] + f[1:] @ p
+            avals = [c[0] + c[1:] @ p for c in coeffs]
             if abs(fval) > 0.1 and np.linalg.norm(avals) > 0.1:
                 break
-        xi = f * n[0]
-        nu = fields.linear_combination(n[1:], coeffs)
+        xi = affine_expr(f) * n[0]
+        nu = fields.linear_combination(n[1:], [affine_expr(c) for c in coeffs])
         w = fields.lie_bracket(xi, nu)(p)
         res = _in_span_residual(w, p)
         expected = abs(fval) * float(np.linalg.norm(avals, ord=np.inf))

@@ -514,11 +514,14 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
     One cycle of u1 = -A w sin(wt), u_i = A w cos(wt) produces a net
     displacement along the bracket of the driven pair; on the nilpotent
     system the flat coordinates return to their start exactly and the only
-    net motion is pi*A^2 along the corresponding y-direction.
+    net motion is pi*A^2 along the corresponding y-direction.  A q_start
+    in the other system's chart raises ChartMismatch.
     """
     if system == "nilpotent":
         if q_start is None:
             q_start = to_adapted(reference_configuration())
+        if getattr(q_start, "chart", ADAPTED) != ADAPTED:  # an AdaptedPoint has no tag
+            raise ChartMismatch("nilpotent-system gait needs an adapted-chart start")
 
         def rhs(t, q):  # the base system, with the gait's controls as h1..h4
             return _hamiltonian_rhs((*q, *params.controls(t), 0.0, 0.0, 0.0))[:7]

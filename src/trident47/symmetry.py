@@ -258,11 +258,14 @@ def w_structure_report() -> dict:
 
 
 def transitivity_rank(samples: int = 20, seed: int = 0) -> int:
-    """Minimum rank of the 7x7 matrix of w-field values at random points."""
+    """Minimum rank of the 7x7 matrices of w-field values at random points (7 for none).
+
+    One call evaluates each w-field at every point, and one ranks the stack.
+    """
     from . import fields
-    ws = [w.field for w in w_fields().values()]  # w1..w4, w12, w13, w14
     points = fields.random_points(ADAPTED, samples, np.random.default_rng(seed)) * 2.0
-    return min((_rank(np.stack([w(p) for w in ws]), RANK_TOL) for p in points), default=7)
+    stack = np.stack([w.field(points) for w in w_fields().values()], axis=1)
+    return int(_rank(stack, RANK_TOL).min(initial=7))
 
 
 @dataclass(frozen=True)

@@ -330,6 +330,20 @@ def test_sample_counts_must_be_valid(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["symmetry-check", "--samples"],
+                                  ["controllability", "--sweep"]])
+def test_sample_counts_above_the_cap_exit_2_at_parse_time(tmp_path, capsys, argv):
+    from trident47.mechanism import MAX_SAMPLES
+
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(argv + [str(MAX_SAMPLES + 1), "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert argv[1] in message and f"{MAX_SAMPLES}]" in message
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # property: any argv ends in exit 0, 1 or 2, never in an escaped exception
 

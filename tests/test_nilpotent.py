@@ -194,6 +194,8 @@ def test_path_geometry_conditions():
     assert rep.v_brackets_in_ev
     assert rep.mixed_brackets_outside
     assert rep.all_ok
+    # the value of the per-point evaluation of its symbolic coefficients
+    assert rep.min_mixed_residual == 14.083357406566883
 
 
 def test_constant_vertical_sections_commute():

@@ -752,6 +752,20 @@ def test_bracket_motion_params_accept_the_step_cap():
     assert p.cycles * p.steps_per_cycle == pmp.MAX_STEPS
 
 
+def test_nilpotent_gait_refuses_an_original_chart_start():
+    # the reference configuration's values are not adapted coordinates
+    from trident47.errors import ChartMismatch
+    from trident47.mechanism import Configuration, reference_configuration
+    from trident47.nilpotent import to_adapted
+
+    for start in (reference_configuration(), Configuration.original(0, 0, 0, 0, 1, 1, 1)):
+        with pytest.raises(ChartMismatch, match="adapted-chart start"):
+            bracket_motion(BracketMotionParams(partner=2), "nilpotent", q_start=start)
+    adapted = Configuration.adapted(*to_adapted(reference_configuration()).array)
+    traj = bracket_motion(BracketMotionParams(partner=2), "nilpotent", q_start=adapted)
+    assert traj.chart == "adapted" and np.array_equal(traj.states[0], adapted.array)
+
+
 def test_original_gait_checks_the_singular_distance_at_every_stage():
     # partner 2 drives l1 only, so l2 = 5e-10 keeps its sign: only the
     # SINGULAR_EPS distance test stops this gait
