@@ -196,6 +196,13 @@ def linear_combination(fields_, coeffs) -> VectorFieldSym:
     return out
 
 
+@functools.lru_cache(maxsize=1024)
+def _jacobian(X: VectorFieldSym) -> tuple[tuple[Expr, ...], ...]:
+    """dX^i/dx_j as [i][j]: each field is differentiated once, however many brackets take it."""
+    cs = coords(X.chart)
+    return tuple(tuple(sp.diff(c, x) for x in cs) for c in X.components)
+
+
 def lie_bracket(X: VectorFieldSym, Y: VectorFieldSym) -> VectorFieldSym:
     """[X,Y]^i = sum_j (X^j dY^i/dx_j - Y^j dX^i/dx_j), in the one bracket normal form.
 
@@ -203,10 +210,9 @@ def lie_bracket(X: VectorFieldSym, Y: VectorFieldSym) -> VectorFieldSym:
     """
     if X.chart != Y.chart:
         raise ChartMismatch(f"bracket of fields in charts {X.chart!r} and {Y.chart!r}")
-    cs, x, y = coords(X.chart), X.components, Y.components
+    x, y, dx, dy = X.components, Y.components, _jacobian(X), _jacobian(Y)
     return VectorFieldSym(X.chart, tuple(
-        sp.cancel(sum(x[j] * sp.diff(y[i], cs[j]) - y[j] * sp.diff(x[i], cs[j]) for j in range(7)))
-        for i in range(7)))
+        sp.cancel(sum(x[j] * dy[i][j] - y[j] * dx[i][j] for j in range(7))) for i in range(7)))
 
 
 #: default sampling boxes for the numeric equality fallback; legs kept

@@ -22,7 +22,8 @@ above are written; ``fibre_rhs`` and ``base_rhs`` are its halves, and the
 nilpotent gait is its base system) and the original gait on X1
 (``mechanism.frame_x1``).  Every ``time_grid`` has at most ``MAX_STEPS``
 steps, and a path that overflows is refused once.  CSV rows go through one
-writer, ``write_csv_rows``, fed whole columns; the module loads no sympy.
+writer, ``write_csv_rows``, fed whole columns and formatting one block of
+rows per ``%``; the module loads no sympy.
 """
 from __future__ import annotations
 
@@ -335,10 +336,11 @@ def _rk4(rhs, y0, times: np.ndarray, h: float) -> np.ndarray:
     """Classical fixed-step RK4 of y' = rhs(t, y) over the grid ``times``, step h.
 
     The one integrator of the module: the extremals and both gaits run on
-    it.  y is a tuple of columns, floats for one state or (B,) arrays for a
-    batch, as is rhs's result.  Step k starts at times[k]; the samples fill
-    one array of shape (len(times), len(y0)) + the column shape.  A path
-    that overflows (a step or inputs far too large) is a ValueError.
+    it.  y is a sequence of columns, floats for one state or (B,) arrays for
+    a batch, as is rhs's result; the stages pass lists.  Step k starts at
+    times[k]; the samples fill one array of shape (len(times), len(y0)) +
+    the column shape.  A path that overflows (a step or inputs far too
+    large) is a ValueError.
     """
     path = np.empty((len(times), len(y0)) + np.shape(y0[0]))
     path[0] = y = y0
@@ -347,11 +349,11 @@ def _rk4(rhs, y0, times: np.ndarray, h: float) -> np.ndarray:
         for k in range(len(times) - 1):
             t = times.item(k)
             k1 = rhs(t, y)
-            k2 = rhs(t + half, tuple(a + half * b for a, b in zip(y, k1)))
-            k3 = rhs(t + half, tuple(a + half * b for a, b in zip(y, k2)))
-            k4 = rhs(t + h, tuple(a + h * b for a, b in zip(y, k3)))
-            y = tuple(a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+            k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
+            k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
+            k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
+            y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
             path[k + 1] = y
     finite = np.isfinite(path.reshape(len(times), -1)).all(axis=1)
     if not finite.all():
@@ -516,7 +518,25 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
     system the flat coordinates return to their start exactly and the only
     net motion is pi*A^2 along the corresponding y-direction.  A q_start
     in the other system's chart raises ChartMismatch.
+
+    The controls are evaluated once per distinct stage time (k2 and k3
+    share t + h/2), and the controls column is the values at grid times.
     """
+    n = params.steps_per_cycle * params.cycles
+    times = np.linspace(0.0, params.cycles * params.period, n + 1)
+    grid = times.tolist() + [math.nan]  # the nan ends the grid: no stage time equals it
+    t_last, u_last, rows = math.nan, None, []
+
+    def stage_controls(t):
+        # a new stage time on the grid is the next row: every k1 time, or a
+        # k4 time that lands exactly on the next k1's (which then reuses it)
+        nonlocal t_last, u_last
+        if t != t_last:
+            t_last, u_last = t, params.controls(t)
+            if t == grid[len(rows)]:
+                rows.append(u_last)
+        return u_last
+
     if system == "nilpotent":
         if q_start is None:
             q_start = to_adapted(reference_configuration())
@@ -524,7 +544,7 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
             raise ChartMismatch("nilpotent-system gait needs an adapted-chart start")
 
         def rhs(t, q):  # the base system, with the gait's controls as h1..h4
-            return _hamiltonian_rhs((*q, *params.controls(t), 0.0, 0.0, 0.0))[:7]
+            return _hamiltonian_rhs((*q, *stage_controls(t), 0.0, 0.0, 0.0))[:7]
 
         chart = ADAPTED
     elif system == "original":
@@ -546,7 +566,7 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
 
         def rhs(t, q):
             check_regular(t, q)
-            u1, u2, u3, u4 = params.controls(t)
+            u1, u2, u3, u4 = stage_controls(t)
             dx, dy, dth, dph = frame_x1(*q[2:])
             return u1 * dx, u1 * dy, u1 * dth, u1 * dph, u2, u3, u4
 
@@ -554,12 +574,12 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
     else:
         raise ValueError("system must be 'nilpotent' or 'original'")
 
-    n = params.steps_per_cycle * params.cycles
-    times = np.linspace(0.0, params.cycles * params.period, n + 1)
     states = _rk4(rhs, tuple(q_start.array.tolist()), times, params.period / params.steps_per_cycle)
     if chart == ORIGINAL:
         check_regular(times[-1], states[-1])  # every earlier sample was checked as a stage
-    controls = np.array([params.controls(t) for t in times])
+    if len(rows) == n:  # the last grid time was no stage time
+        rows.append(params.controls(grid[n]))
+    controls = np.array(rows)
     return Trajectory(chart, times, states, None, controls, None)
 
 
@@ -579,18 +599,31 @@ _BASE_COLUMNS = ("t", "x", "y", "theta", "phi", "l1", "l2", "l3")
 _MOMENTA_COLUMNS = tuple(f"h{i}" for i in range(1, 8))
 _CONTROL_COLUMNS = tuple(f"u{i}" for i in range(1, 5))
 
+#: rows per formatted block in write_csv_rows; bounds its memory
+CSV_BLOCK_ROWS = 1024
+
 
 def write_csv_rows(path, header, columns) -> None:
     """Write equal-length float columns as CSV rows at 17 significant digits.
 
-    Rows are formatted one at a time (the table is never held as Python
-    floats); the floats written are exactly the floats a reader gets back.
+    Each block of CSV_BLOCK_ROWS rows is one ``%`` on a CRLF-ended
+    "%.17g,...,%.17g" row template, so memory is bounded by the block, not
+    the table.  The bytes are those of csv.writer on format(v, ".17g")
+    (nan, inf and -0 included), and the floats written are exactly the
+    floats a reader gets back.  Columns of unequal length are a ValueError,
+    raised before the file is opened.
     """
+    columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns have unequal lengths {lengths}")
+    n = lengths[0] if columns else 0
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([format(v, ".17g") for v in row])
+        csv.writer(fh).writerow(header)
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -179,15 +180,19 @@ def test_integrate_extremal_batch_is_the_reference_rk4_bit_for_bit(rng):
 
 
 @pytest.mark.parametrize("system", ["nilpotent", "original"])
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
 def test_bracket_motion_is_the_reference_gait_bit_for_bit(system, seed):
     from trident47.mechanism import Configuration, reference_configuration
     from trident47.nilpotent import to_adapted
 
     rng = np.random.default_rng(seed)
-    params = BracketMotionParams(amplitude=rng.uniform(0.05, 0.4), omega=rng.uniform(0.1, 1.0),
-                                 partner=int(rng.integers(2, 5)), cycles=int(rng.integers(1, 3)),
-                                 steps_per_cycle=150)
+    if seed == 3:  # several cycles: stage times shared across steps and across cycles
+        params = BracketMotionParams(amplitude=0.2, omega=2.5, partner=4, cycles=3,
+                                     steps_per_cycle=150)
+    else:
+        params = BracketMotionParams(amplitude=rng.uniform(0.05, 0.4), omega=rng.uniform(0.1, 1.0),
+                                     partner=int(rng.integers(2, 5)),
+                                     cycles=int(rng.integers(1, 3)), steps_per_cycle=150)
     q = Configuration.original(*(np.array(reference_configuration().values)
                                  + rng.uniform(-0.1, 0.1, 7)))
     start = to_adapted(q) if system == "nilpotent" else q
@@ -196,6 +201,23 @@ def test_bracket_motion_is_the_reference_gait_bit_for_bit(system, seed):
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.controls, controls)
+
+
+@pytest.mark.parametrize("system", ["nilpotent", "original"])
+def test_gait_controls_are_evaluated_once_per_distinct_stage_time(system):
+    calls = []
+
+    class Counted(BracketMotionParams):
+        def controls(self, t):
+            calls.append(t)
+            return super().controls(t)
+
+    params = Counted(amplitude=0.2, omega=2.5, partner=4, cycles=3, steps_per_cycle=150)
+    traj = bracket_motion(params, system)
+    times, h = traj.times, params.period / params.steps_per_cycle
+    stage_times = {*times.tolist(), *(times[:-1] + 0.5 * h).tolist(), *(times[:-1] + h).tolist()}
+    assert len(calls) == len(set(calls)) and set(calls) <= stage_times
+    assert np.array_equal(traj.controls, [BracketMotionParams.controls(params, t) for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -806,6 +828,80 @@ def test_original_converges_to_nilpotent_quadratically():
 
 # ---------------------------------------------------------------------------
 # CSV / JSON plumbing
+
+
+def _reference_csv_bytes(tmp_path, header, columns) -> bytes:
+    # the per-value writer: one format(v, ".17g") per value, one writerow per row
+    path = tmp_path / "reference.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([format(v, ".17g") for v in row])
+    return path.read_bytes()
+
+
+def _csv_bytes(tmp_path, header, columns) -> bytes:
+    path = tmp_path / "written.csv"
+    pmp.write_csv_rows(path, header, columns)
+    return path.read_bytes()
+
+
+_SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                   1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 1e16, 1e22,
+                   2.0**53, 2.0**53 + 2.0, 1e-5, 0.1, 1.0 / 3.0, 123456789012345678.0]
+
+
+@pytest.mark.parametrize("kind", ["numpy", "python"])
+def test_csv_writer_is_the_per_value_writer_on_special_floats(tmp_path, kind):
+    values = _SPECIAL_FLOATS + _SPECIAL_FLOATS[::-1]
+    columns = [values, values[::-1], values[3:] + values[:3]]
+    if kind == "numpy":
+        columns = [np.array(c) for c in columns]
+    header = ["a", "b", "c"]
+    assert _csv_bytes(tmp_path, header, columns) == _reference_csv_bytes(tmp_path, header, columns)
+
+
+@pytest.mark.parametrize("n", [0, 1, pmp.CSV_BLOCK_ROWS - 1, pmp.CSV_BLOCK_ROWS,
+                               pmp.CSV_BLOCK_ROWS + 1])
+def test_csv_writer_is_the_per_value_writer_at_block_edges(tmp_path, rng, n):
+    columns = list(rng.standard_normal((5, n)) * 10.0 ** rng.integers(-300, 300, (5, n)))
+    header = ["t", "u", "v", "w", "z"]
+    assert _csv_bytes(tmp_path, header, columns) == _reference_csv_bytes(tmp_path, header, columns)
+
+
+def test_csv_writer_is_the_per_value_writer_on_the_example2_geodesic(tmp_path):
+    c = example_constants(2)
+    traj = integrate_extremal(c.initial_fibre_state(), group_identity(), T=2.0 * math.pi,
+                              dt=1e-3).to_original()
+    header = ["t"] + [f"c{i}" for i in range(18)]
+    columns = [traj.times, *traj.states.T, *traj.momenta.T, *traj.controls.T]
+    written = _csv_bytes(tmp_path, header, columns)
+    assert written.count(b"\r\n") == 6285 and len(traj) > 6 * pmp.CSV_BLOCK_ROWS
+    assert written == _reference_csv_bytes(tmp_path, header, columns)
+
+
+def test_csv_writer_refuses_unequal_columns_before_opening(tmp_path):
+    path = tmp_path / "short.csv"
+    with pytest.raises(ValueError, match=r"unequal lengths \[3, 2, 3\]"):
+        pmp.write_csv_rows(path, ["a", "b", "c"], [np.zeros(3), np.zeros(2), np.zeros(3)])
+    assert not path.exists()
+
+
+def test_csv_writer_memory_does_not_grow_with_the_rows(tmp_path, rng):
+    import tracemalloc
+
+    def peak(blocks):
+        columns = list(rng.standard_normal((19, blocks * pmp.CSV_BLOCK_ROWS)))
+        tracemalloc.start()
+        try:
+            pmp.write_csv_rows(tmp_path / "big.csv", [f"c{i}" for i in range(19)], columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    two, twenty = peak(2), peak(20)
+    assert twenty < 1.5 * two  # a table-sized buffer would be 10x
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

@@ -259,6 +259,23 @@ def test_every_src_bracket_is_the_reference_normal_form():
         assert fields.lie_bracket(X, Y) == _reference_bracket(X, Y)
 
 
+def _per_call_diff_bracket(X, Y):
+    # the bracket that differentiates both fields on every call
+    cs, x, y = coords(X.chart), X.components, Y.components
+    return VectorFieldSym(X.chart, tuple(
+        sp.cancel(sum(x[j] * sp.diff(y[i], cs[j]) - y[j] * sp.diff(x[i], cs[j]) for j in range(7)))
+        for i in range(7)))
+
+
+def test_brackets_differentiate_each_field_once_and_are_the_per_call_diff_bracket():
+    pairs = _src_bracket_pairs()
+    fields._jacobian.cache_clear()
+    for X, Y in pairs:
+        assert fields.lie_bracket(X, Y) == _per_call_diff_bracket(X, Y)
+    distinct = {f for pair in pairs for f in pair}
+    assert fields._jacobian.cache_info().misses == len(distinct)
+
+
 # ---------------------------------------------------------------------------
 # sampled certificates
 
