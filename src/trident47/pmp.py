@@ -16,14 +16,13 @@ K^2 t^2, exact for every K, 0 included, and real or complex (complex-step
 derivatives pass through).  Three worked example solutions are built in,
 including their original-chart formulas.
 
-What stays numeric runs on one fixed-step RK4 loop, ``_rk4``, over tuples of
-columns: the extremals of ``_hamiltonian_rhs`` (the only place the equations
-above are written; ``fibre_rhs`` and ``base_rhs`` are its halves, and the
-nilpotent gait is its base system) and the original gait on X1
-(``mechanism.frame_x1``).  Every ``time_grid`` has at most ``MAX_STEPS``
-steps, and a path that overflows is refused once.  CSV rows go through one
-writer, ``write_csv_rows``, fed whole columns and formatting one block of
-rows per ``%``; the module loads no sympy.
+What stays numeric is fixed-step RK4 on these equations (``_fibre_rates``,
+``_base_rates``).  Only the fibre system and the original gait on X1
+(``mechanism.frame_x1``) step in Python, in ``_rk4``; the base system runs in
+whole-array passes, bit for bit the same (``_base_path``).  Every
+``time_grid`` has at most ``MAX_STEPS`` steps, and a path that overflows is
+refused once.  CSV rows go through one writer, ``write_csv_rows``, fed whole
+columns and formatting one block of rows per ``%``; the module loads no sympy.
 """
 from __future__ import annotations
 
@@ -86,31 +85,30 @@ def normalize_arclength(h0: FibreState) -> FibreState:
     return FibreState(h0.h1 / n, h0.h2 / n, h0.h3 / n, h0.h4 / n, h0.h5, h0.h6, h0.h7)
 
 
-def _hamiltonian_rhs(y):
-    """The coupled system on the 14 columns (x, l1..l3, y1..y3, h1..h7) of y, as a tuple.
+def _fibre_rates(h):
+    """The fibre system on the columns h1..h7 (floats or equal-shape arrays), as a tuple."""
+    h1, h2, h3, h4, h5, h6, h7 = h
+    return -h5 * h2 - h6 * h3 - h7 * h4, h5 * h1, h6 * h1, h7 * h1, 0.0, 0.0, 0.0
 
-    The columns are floats or equal-shape arrays.  The state follows
-    q' = h1 N1(q) + h2 N2 + h3 N3 + h4 N4 and the momenta the fibre system
-    of the module docstring.  This is the one place the equations are
-    written; ``base_rhs`` and ``fibre_rhs`` are its halves.
-    """
-    x, l1, l2, l3, _, _, _, h1, h2, h3, h4, h5, h6, h7 = y
-    v1, v2, v3 = n1_vertical(x, l1, l2, l3)
-    return (h1, h2, h3, h4, v1 * h1, v2 * h1, v3 * h1,
-            -h5 * h2 - h6 * h3 - h7 * h4, h5 * h1, h6 * h1, h7 * h1, 0.0, 0.0, 0.0)
+
+def _base_rates(q, u):
+    """The base system q' = sum u_i N_i(q) on columns; it reads x, l1..l3 of q and u1..u4."""
+    u1, u2, u3, u4 = u[:4]
+    v1, v2, v3 = n1_vertical(*q[:4])
+    return u1, u2, u3, u4, v1 * u1, v2 * u1, v3 * u1
 
 
 def fibre_rhs(h) -> np.ndarray:
     """Right-hand side of the momentum system (it does not depend on the state)."""
     a = h.array if isinstance(h, FibreState) else np.asarray(h, dtype=float)
-    return np.array(_hamiltonian_rhs([0.0] * 7 + a.tolist())[7:])
+    return np.array(_fibre_rates(a.tolist()))
 
 
 def base_rhs(q, h) -> np.ndarray:
     """Right-hand side of the state system q' = sum h_i N_i(q)."""
     qa = q.array if isinstance(q, AdaptedPoint) else np.asarray(q, dtype=float)
     ha = h.array if isinstance(h, FibreState) else np.asarray(h, dtype=float)
-    return np.array(_hamiltonian_rhs(qa.tolist() + ha.tolist())[:7])
+    return np.array(_base_rates(qa.tolist(), ha.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +330,16 @@ def time_grid(T: float, dt: float) -> tuple[np.ndarray, float]:
     return np.linspace(0.0, T, n + 1), T / n
 
 
+#: samples (steps times batch size) per array pass of ``_base_path``; bounds its scratch
+_BLOCK_SAMPLES = 1024
+
+
 def _rk4(rhs, y0, times: np.ndarray, h: float) -> np.ndarray:
     """Classical fixed-step RK4 of y' = rhs(t, y) over the grid ``times``, step h.
 
-    The one integrator of the module: the extremals and both gaits run on
-    it.  y is a sequence of columns, floats for one state or (B,) arrays for
-    a batch, as is rhs's result; the stages pass lists.  Step k starts at
-    times[k]; the samples fill one array of shape (len(times), len(y0)) +
-    the column shape.  A path that overflows (a step or inputs far too
-    large) is a ValueError.
+    The step loop of the fibre system and the original gait, over columns
+    (floats, or (B,) arrays for a batch).  The samples, unchecked for
+    overflow, fill one (len(times), len(y0)) + column-shape array.
     """
     path = np.empty((len(times), len(y0)) + np.shape(y0[0]))
     path[0] = y = y0
@@ -355,11 +354,57 @@ def _rk4(rhs, y0, times: np.ndarray, h: float) -> np.ndarray:
             y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
             path[k + 1] = y
-    finite = np.isfinite(path.reshape(len(times), -1)).all(axis=1)
+    return path
+
+
+def _base_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarray:
+    """``_rk4`` of ``_base_rates`` from the columns q0, bit for bit, in whole-array passes.
+
+    ``stage_controls(k, m)`` gives u1..u4 at the four stages of steps k..k+m-1.
+    x and l have rates u1..u4 and y's rates read only x and l, so each column
+    is its step increments summed left to right, a block of steps at a time.
+    """
+    n, block = len(times) - 1, max(1, _BLOCK_SAMPLES // np.size(q0[0]))
+    path = np.empty((n + 1, 7) + np.shape(q0[0]))
+    path[0] = q0
+
+    def accumulate(rows, columns, rates):
+        for j, b1, b2, b3, b4 in zip(columns, *rates):
+            rows[1:, j] = h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            np.add.accumulate(rows[:, j], axis=0, out=rows[:, j])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, n, block):
+            us, rows = stage_controls(k, min(block, n - k)), path[k:k + block + 1]
+            accumulate(rows, range(4), us)
+            q = [rows[:-1, j] for j in range(4)]
+            qs = [q] + [[a + c * b for a, b in zip(q, u)]
+                        for c, u in zip((0.5 * h, 0.5 * h, h), us)]
+            accumulate(rows, range(4, 7), [_base_rates(qi, u)[4:] for qi, u in zip(qs, us)])
+    return path
+
+
+def _refuse_overflow(times: np.ndarray, *paths) -> None:
+    """A ValueError at the first time where one of the paths is not finite."""
+    finite = np.logical_and.reduce([np.isfinite(p.reshape(len(p), -1)).all(axis=1) for p in paths])
     if not finite.all():
         raise ValueError(f"the path overflowed at t = {times[np.argmin(finite)]:.6g}; "
                          "use a smaller step or smaller inputs")
-    return path
+
+
+def _extremal_paths(q0, h0, times: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """States and momenta from the columns q0, h0: only the fibre steps in ``_rk4``."""
+    momenta = _rk4(lambda t, y: _fibre_rates(y), h0, times, h)
+
+    def stage_controls(k, m):  # h1..h4 at the four stages, rebuilt from the fibre path
+        ys = [list(momenta[k:k + m].swapaxes(0, 1))]
+        for c in (0.5 * h, 0.5 * h, h):
+            ys.append([a + c * b for a, b in zip(ys[0], _fibre_rates(ys[-1]))])
+        return [y[:4] for y in ys]
+
+    states = _base_path(q0, stage_controls, times, h)
+    _refuse_overflow(times, states, momenta)
+    return states, momenta
 
 
 def integrate_extremal(h0: FibreState, q0: AdaptedPoint, T: float, dt: float = 1e-3) -> Trajectory:
@@ -371,9 +416,7 @@ def integrate_extremal(h0: FibreState, q0: AdaptedPoint, T: float, dt: float = 1
     that overflows (T or dt far too large) is a ValueError.
     """
     times, h = time_grid(T, dt)
-    y0 = tuple(q0.array.tolist() + h0.array.tolist())
-    path = _rk4(lambda t, y: _hamiltonian_rhs(y), y0, times, h)
-    states, momenta = path[:, :7], path[:, 7:]
+    states, momenta = _extremal_paths(tuple(q0.array.tolist()), tuple(h0.array.tolist()), times, h)
     energies = 0.5 * np.sum(momenta[:, :4] ** 2, axis=1)
     h_drift = float(np.max(np.abs(energies - energies[0])))
     casimir = float(np.max(np.abs(momenta[:, 4:] - momenta[0, 4:])))
@@ -392,9 +435,8 @@ def integrate_extremal_batch(h0s: np.ndarray, q0s: np.ndarray, T: float,
     """
     h0s, q0s = np.broadcast_arrays(np.atleast_2d(h0s), np.atleast_2d(q0s))
     times, h = time_grid(T, dt)
-    y0 = tuple(np.concatenate([q0s, h0s], axis=1, dtype=float).T)
-    path = np.moveaxis(_rk4(lambda t, y: _hamiltonian_rhs(y), y0, times, h), -1, 0)
-    return times, path[:, :, :7], path[:, :, 7:]
+    paths = _extremal_paths(tuple(q0s.T.astype(float)), tuple(h0s.T.astype(float)), times, h)
+    return (times, *(np.moveaxis(p, -1, 0) for p in paths))
 
 
 def closed_form_trajectory(c, T: float, dt: float = 1e-3) -> Trajectory:
@@ -519,33 +561,30 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
     net motion is pi*A^2 along the corresponding y-direction.  A q_start
     in the other system's chart raises ChartMismatch.
 
-    The controls are evaluated once per distinct stage time (k2 and k3
-    share t + h/2), and the controls column is the values at grid times.
+    The controls are evaluated once per distinct stage time, and the
+    controls column is their values at grid times.
     """
     n = params.steps_per_cycle * params.cycles
+    h = params.period / params.steps_per_cycle
     times = np.linspace(0.0, params.cycles * params.period, n + 1)
-    grid = times.tolist() + [math.nan]  # the nan ends the grid: no stage time equals it
-    t_last, u_last, rows = math.nan, None, []
+    controls = np.tile(params.controls(times.item(0)), (n + 1, 1))  # row 0; blocks fill the rest
 
-    def stage_controls(t):
-        # a new stage time on the grid is the next row: every k1 time, or a
-        # k4 time that lands exactly on the next k1's (which then reuses it)
-        nonlocal t_last, u_last
-        if t != t_last:
-            t_last, u_last = t, params.controls(t)
-            if t == grid[len(rows)]:
-                rows.append(u_last)
-        return u_last
+    def stage_controls(k, m):
+        # u1..u4 at the stages of steps k..k+m-1; fills rows k+1..k+m, one call per distinct time
+        t = times[k:k + m + 1]
+        controls[k + 1:k + m + 1] = [params.controls(s) for s in t[1:].tolist()]
+        ends = controls[k + 1:k + m + 1].copy()
+        for i in np.flatnonzero(t[:-1] + h != t[1:]).tolist():
+            ends[i] = params.controls(t.item(i) + h)
+        mids = np.array([params.controls(s) for s in (t[:-1] + 0.5 * h).tolist()])
+        return [u.T for u in (controls[k:k + m], mids, mids, ends)]
 
     if system == "nilpotent":
         if q_start is None:
             q_start = to_adapted(reference_configuration())
         if getattr(q_start, "chart", ADAPTED) != ADAPTED:  # an AdaptedPoint has no tag
             raise ChartMismatch("nilpotent-system gait needs an adapted-chart start")
-
-        def rhs(t, q):  # the base system, with the gait's controls as h1..h4
-            return _hamiltonian_rhs((*q, *stage_controls(t), 0.0, 0.0, 0.0))[:7]
-
+        states = _base_path(tuple(q_start.array.tolist()), stage_controls, times, h)
         chart = ADAPTED
     elif system == "original":
         if q_start is None:
@@ -564,22 +603,23 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
                     f"{name} crossed zero near t = {t:.6g} during the gait")
             _check_regular(*q[4:])  # and q itself keeps SINGULAR_EPS away
 
+        pending = (u for k in range(0, n, _BLOCK_SAMPLES) for step in np.transpose(  # _rk4's order
+            stage_controls(k, min(_BLOCK_SAMPLES, n - k)), (2, 0, 1)) for u in step.tolist())
+
         def rhs(t, q):
             check_regular(t, q)
-            u1, u2, u3, u4 = stage_controls(t)
+            u1, u2, u3, u4 = next(pending)
             dx, dy, dth, dph = frame_x1(*q[2:])
             return u1 * dx, u1 * dy, u1 * dth, u1 * dph, u2, u3, u4
 
+        states = _rk4(rhs, tuple(q_start.array.tolist()), times, h)
         chart = ORIGINAL
     else:
         raise ValueError("system must be 'nilpotent' or 'original'")
 
-    states = _rk4(rhs, tuple(q_start.array.tolist()), times, params.period / params.steps_per_cycle)
+    _refuse_overflow(times, states)
     if chart == ORIGINAL:
         check_regular(times[-1], states[-1])  # every earlier sample was checked as a stage
-    if len(rows) == n:  # the last grid time was no stage time
-        rows.append(params.controls(grid[n]))
-    controls = np.array(rows)
     return Trajectory(chart, times, states, None, controls, None)
 
 

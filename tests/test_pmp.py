@@ -158,25 +158,43 @@ def _reference_gait(params, system, q_start):
     return times, states, controls
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+def _assert_same_bits(a, b):
+    # np.array_equal has -0.0 == 0.0, but the CSV writes "-0" and "0"
+    assert np.array_equal(a, b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+# a covector with K = 0 and a start point whose signed zeros survive in l1 and l3:
+# with h1 < 0 and h5 = h7 = +0.0, h2 = h4 = -0.0 and their rates stay -0.0 at every stage
+_SIGNED_ZEROS_H0 = np.array([-0.6, -0.0, 0.8, -0.0, 0.0, -0.0, 0.0])
+_SIGNED_ZEROS_Q0 = np.array([-0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, "signed-zeros"])
 def test_integrate_extremal_is_the_reference_rk4_bit_for_bit(seed):
-    rng = np.random.default_rng(seed)
-    h0 = FibreState.from_array(rng.uniform(-1, 1, 7))
-    q0 = AdaptedPoint.from_array(rng.uniform(-1, 1, 7))
+    if seed == "signed-zeros":
+        h0, q0 = FibreState.from_array(_SIGNED_ZEROS_H0), AdaptedPoint.from_array(_SIGNED_ZEROS_Q0)
+    else:
+        rng = np.random.default_rng(seed)
+        h0 = FibreState.from_array(rng.uniform(-1, 1, 7))
+        q0 = AdaptedPoint.from_array(rng.uniform(-1, 1, 7))
     traj = integrate_extremal(h0, q0, T=1.3, dt=0.01)
     path = _reference_rk4_path(np.concatenate([q0.array, h0.array]), 130, 1.3 / 130)
-    assert np.array_equal(traj.times, np.linspace(0.0, 1.3, 131))
-    assert np.array_equal(traj.states, path[:, :7])
-    assert np.array_equal(traj.momenta, path[:, 7:])
+    _assert_same_bits(traj.times, np.linspace(0.0, 1.3, 131))
+    _assert_same_bits(traj.states, path[:, :7])
+    _assert_same_bits(traj.momenta, path[:, 7:])
+    if seed == "signed-zeros":
+        assert np.signbit(traj.states[:, [1, 3]]).all()
 
 
 def test_integrate_extremal_batch_is_the_reference_rk4_bit_for_bit(rng):
     h0s, q0s = rng.uniform(-1, 1, (4, 7)), rng.uniform(-1, 1, (4, 7))
+    h0s, q0s = np.vstack([h0s, _SIGNED_ZEROS_H0]), np.vstack([q0s, _SIGNED_ZEROS_Q0])
     times, states, momenta = pmp.integrate_extremal_batch(h0s, q0s, T=0.7, dt=0.01)
     path = np.swapaxes(_reference_rk4_path(np.concatenate([q0s, h0s], axis=1), 70, 0.01), 0, 1)
-    assert np.array_equal(times, np.linspace(0.0, 0.7, 71))
-    assert np.array_equal(states, path[:, :, :7])
-    assert np.array_equal(momenta, path[:, :, 7:])
+    _assert_same_bits(times, np.linspace(0.0, 0.7, 71))
+    _assert_same_bits(states, path[:, :, :7])
+    _assert_same_bits(momenta, path[:, :, 7:])
+    assert np.signbit(states[-1, :, [1, 3]]).all()
 
 
 @pytest.mark.parametrize("system", ["nilpotent", "original"])
@@ -198,9 +216,35 @@ def test_bracket_motion_is_the_reference_gait_bit_for_bit(system, seed):
     start = to_adapted(q) if system == "nilpotent" else q
     traj = bracket_motion(params, system, q_start=start)
     times, states, controls = _reference_gait(params, system, start)
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.states, states)
-    assert np.array_equal(traj.controls, controls)
+    _assert_same_bits(traj.times, times)
+    _assert_same_bits(traj.states, states)
+    _assert_same_bits(traj.controls, controls)
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2100])
+def test_array_passes_are_the_reference_across_block_edges(n):
+    # the base system runs in blocks of pmp._BLOCK_SAMPLES samples (1024 steps of one
+    # path, 341 of a batch of 3), each carrying on from the last row of the one before
+    h0, q0 = example_momenta(3), AdaptedPoint.from_array(np.linspace(-0.3, 0.3, 7))
+    traj = integrate_extremal(h0, q0, T=n * 1e-3, dt=1e-3)
+    path = _reference_rk4_path(np.concatenate([q0.array, h0.array]), n, traj.diagnostics.dt)
+    _assert_same_bits(traj.states, path[:, :7])
+    _assert_same_bits(traj.momenta, path[:, 7:])
+
+    h0s = np.stack([h0.array, _SIGNED_ZEROS_H0, example_momenta(2).array])
+    q0s = np.stack([q0.array, _SIGNED_ZEROS_Q0, -q0.array])
+    _, states, momenta = pmp.integrate_extremal_batch(h0s, q0s, T=n * 1e-3, dt=1e-3)
+    path = np.swapaxes(_reference_rk4_path(np.concatenate([q0s, h0s], axis=1), n,
+                                           traj.diagnostics.dt), 0, 1)
+    _assert_same_bits(states, path[:, :, :7])
+    _assert_same_bits(momenta, path[:, :, 7:])
+
+    params = BracketMotionParams(amplitude=0.3, omega=1.5, partner=3, steps_per_cycle=n)
+    start = AdaptedPoint.from_array(np.linspace(0.2, -0.2, 7))
+    gait = bracket_motion(params, "nilpotent", q_start=start)
+    _, states, controls = _reference_gait(params, "nilpotent", start)
+    _assert_same_bits(gait.states, states)
+    _assert_same_bits(gait.controls, controls)
 
 
 @pytest.mark.parametrize("system", ["nilpotent", "original"])
@@ -984,6 +1028,34 @@ def test_integrate_extremal_holds_one_float_array_of_samples():
     finally:
         tracemalloc.stop()
     assert peak < 2 * (n + 1) * 14 * 8
+
+
+def _traced_peak(run):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_nilpotent_gait_holds_float_arrays_of_samples():
+    # the path is the states and the controls; gathering the controls in a list of
+    # tuples before the array takes the peak over 3x it
+    n = 20_000
+    peak = _traced_peak(lambda: bracket_motion(BracketMotionParams(steps_per_cycle=n), "nilpotent"))
+    assert peak < 2 * (n + 1) * (7 + 4) * 8
+
+
+def test_integrate_extremal_batch_holds_float_arrays_of_samples(rng):
+    # the array passes over the base system take blocks of a bounded number of samples,
+    # so their scratch stays small beside the path for a wide batch too
+    B, n = 16, 1000
+    h0s, q0s = rng.uniform(-1, 1, (B, 7)), rng.uniform(-1, 1, (B, 7))
+    peak = _traced_peak(lambda: pmp.integrate_extremal_batch(h0s, q0s, T=1.0, dt=1e-3))
+    assert peak < 2 * B * (n + 1) * 14 * 8
 
 
 def test_integrate_extremal_batch_refuses_an_overflowing_path():
