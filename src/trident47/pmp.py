@@ -544,11 +544,13 @@ class BracketMotionParams:
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
 
-    def controls(self, t: float) -> tuple[float, float, float, float]:
-        u = [0.0, 0.0, 0.0, 0.0]
-        u[0] = -self.amplitude * self.omega * math.sin(self.omega * t)
-        u[self.partner - 1] = self.amplitude * self.omega * math.cos(self.omega * t)
-        return tuple(u)
+    def controls(self, t) -> np.ndarray:
+        """u1 = -A w sin(wt), u_partner = A w cos(wt), others 0: (4,) + shape(t) for times t."""
+        t = np.asarray(t, dtype=float)
+        u = np.zeros((4,) + t.shape)
+        u[0] = -self.amplitude * self.omega * np.sin(self.omega * t)
+        u[self.partner - 1] = self.amplitude * self.omega * np.cos(self.omega * t)
+        return u
 
 
 def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
@@ -561,23 +563,20 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
     net motion is pi*A^2 along the corresponding y-direction.  A q_start
     in the other system's chart raises ChartMismatch.
 
-    The controls are evaluated once per distinct stage time, and the
-    controls column is their values at grid times.
+    ``params.controls`` takes arrays of times: one call gives the controls
+    column, and each block of steps one at t + h/2 (k2, k3) and one at t + h
+    (k4), the grid value bit for bit wherever t + h is the next grid time.
     """
     n = params.steps_per_cycle * params.cycles
     h = params.period / params.steps_per_cycle
     times = np.linspace(0.0, params.cycles * params.period, n + 1)
-    controls = np.tile(params.controls(times.item(0)), (n + 1, 1))  # row 0; blocks fill the rest
+    with np.errstate(over="ignore", invalid="ignore"):  # the path's overflow is refused below
+        controls = params.controls(times)
 
-    def stage_controls(k, m):
-        # u1..u4 at the stages of steps k..k+m-1; fills rows k+1..k+m, one call per distinct time
-        t = times[k:k + m + 1]
-        controls[k + 1:k + m + 1] = [params.controls(s) for s in t[1:].tolist()]
-        ends = controls[k + 1:k + m + 1].copy()
-        for i in np.flatnonzero(t[:-1] + h != t[1:]).tolist():
-            ends[i] = params.controls(t.item(i) + h)
-        mids = np.array([params.controls(s) for s in (t[:-1] + 0.5 * h).tolist()])
-        return [u.T for u in (controls[k:k + m], mids, mids, ends)]
+    def stage_controls(k, m):  # u1..u4 at the four stages of steps k..k+m-1
+        t = times[k:k + m]
+        mids = params.controls(t + 0.5 * h)
+        return [controls[:, k:k + m], mids, mids, params.controls(t + h)]
 
     if system == "nilpotent":
         if q_start is None:
@@ -620,7 +619,7 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
     _refuse_overflow(times, states)
     if chart == ORIGINAL:
         check_regular(times[-1], states[-1])  # every earlier sample was checked as a stage
-    return Trajectory(chart, times, states, None, controls, None)
+    return Trajectory(chart, times, states, None, controls.T, None)
 
 
 def bracket_displacement(traj: Trajectory) -> np.ndarray:

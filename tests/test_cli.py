@@ -248,6 +248,8 @@ def test_geodesic_overflow_exits_2_without_artifacts(tmp_path, capsys, example2_
     # nothing overflows here (the nilpotent gait peaks near 3e300); l1 = 1 + A sin(wt)
     # takes the original gait through L = 0 at t = pi/w, and the message says so
     (["--A", "1e150", "--omega", "0.5"], "L = l1 + l3 + 2 crossed zero"),
+    # A w = inf, so u1 = -A w sin(0) is inf * 0 = nan at t = 0
+    (["--A", "1e300", "--omega", "1e300"], "overflowed"),
 ])
 def test_bracket_motion_overflow_exits_2_without_artifacts(tmp_path, capsys, argv, cause):
     with warnings.catch_warnings():

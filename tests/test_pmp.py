@@ -248,7 +248,9 @@ def test_array_passes_are_the_reference_across_block_edges(n):
 
 
 @pytest.mark.parametrize("system", ["nilpotent", "original"])
-def test_gait_controls_are_evaluated_once_per_distinct_stage_time(system):
+def test_gait_controls_are_one_array_call_per_block(system):
+    # the controls column is one call on the grid; each block of pmp._BLOCK_SAMPLES
+    # steps adds one call at the midpoints (k2 and k3) and one at t + h (k4)
     calls = []
 
     class Counted(BracketMotionParams):
@@ -256,12 +258,27 @@ def test_gait_controls_are_evaluated_once_per_distinct_stage_time(system):
             calls.append(t)
             return super().controls(t)
 
-    params = Counted(amplitude=0.2, omega=2.5, partner=4, cycles=3, steps_per_cycle=150)
+    params = Counted(amplitude=0.2, omega=2.5, partner=4, cycles=3, steps_per_cycle=700)
     traj = bracket_motion(params, system)
-    times, h = traj.times, params.period / params.steps_per_cycle
-    stage_times = {*times.tolist(), *(times[:-1] + 0.5 * h).tolist(), *(times[:-1] + h).tolist()}
-    assert len(calls) == len(set(calls)) and set(calls) <= stage_times
-    assert np.array_equal(traj.controls, [BracketMotionParams.controls(params, t) for t in times])
+    n = params.cycles * params.steps_per_cycle
+    assert all(isinstance(t, np.ndarray) for t in calls)
+    assert len(calls) == 1 + 2 * math.ceil(n / pmp._BLOCK_SAMPLES) == 7
+    _assert_same_bits(traj.controls, BracketMotionParams.controls(params, traj.times).T)
+
+
+def test_gait_steers_the_nilpotent_system_along_an_extremal():
+    # controls given as h1..h4 of exp_map drive the nilpotent system along that extremal
+    h0 = np.array([0.6, -0.3, 0.5, 0.2, 0.7, -0.4, 0.9])
+
+    class Extremal(BracketMotionParams):
+        def controls(self, t):
+            return np.moveaxis(pmp.exp_map(h0, t)[..., 7:11], -1, 0)
+
+    traj = bracket_motion(Extremal(omega=2.0 * math.pi, steps_per_cycle=2000), "nilpotent",
+                          q_start=AdaptedPoint())
+    path = pmp.exp_map(h0, traj.times)
+    assert np.abs(traj.states - path[:, :7]).max() <= 1e-9
+    assert np.array_equal(traj.controls, path[:, 7:11])
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +866,8 @@ def test_original_gait_checks_its_last_sample():
 
     class KickAtEnd(BracketMotionParams):
         def controls(self, t):
-            u = np.zeros(4)
-            u[1] = -30.0 / self.period if t == self.period else 0.0  # l1: 1 -> -4
+            u = np.zeros((4,) + np.shape(t))
+            u[1] = np.where(t == self.period, -30.0 / self.period, 0.0)  # l1: 1 -> -4
             return u
 
     with pytest.raises(SingularConfiguration, match="L = l1 \\+ l3 \\+ 2 crossed zero near t = 50 "):
