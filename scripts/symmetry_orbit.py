@@ -20,7 +20,6 @@ import numpy as np
 from trident47 import nilpotent, pmp, symmetry
 from trident47.charts import ADAPTED
 from trident47.cli import _finite, _positive_finite
-from trident47.nilpotent import AdaptedPoint
 
 
 def main() -> None:
@@ -52,9 +51,7 @@ def main() -> None:
               "flows": {}}
     for s in args.flow_values:
         rep = symmetry.flow_invariance_report(v, states, times, tangents, s, dt=1e-2)
-        flowed = np.stack([
-            symmetry.symmetry_flow(v, AdaptedPoint.from_array(q), s, dt=1e-2).array
-            for q in states])
+        flowed = symmetry.symmetry_flow(v, states, s, dt=1e-2)
         endpoint = flowed[-1]
         curve = pmp.Trajectory(ADAPTED, times, flowed)
         pmp.write_trajectory_csv(curve, outdir / f"orbit_s{s:g}.csv")

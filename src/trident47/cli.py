@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 
 import numpy as np
 
@@ -37,25 +37,9 @@ EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Echo of the effective options of a run, embedded in every report."""
-
-    command: str
-    point: tuple[float, ...] | None = None
-    chart: str | None = None
-    constants: str | None = None
-    out: str | None = None
-    dt: float | None = None
-    T: float | None = None
-    tol_rank: float | None = None
-    seed: int = 0
-
-    def to_json(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if v is not None}
-        if "point" in d:
-            d["point"] = list(d["point"])
-        return d
+def _spec(**options) -> dict:
+    """Echo of the effective options of a run, embedded in every report (None values dropped)."""
+    return {k: list(v) if k == "point" else v for k, v in options.items() if v is not None}
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -113,8 +97,8 @@ def _write_json(path, obj) -> None:
 
 
 def cmd_controllability(args) -> int:
-    spec = RunSpec(command="controllability", point=args.point, chart=args.chart,
-                   out=args.out, tol_rank=args.tol_rank, seed=args.seed)
+    spec = _spec(command="controllability", point=args.point, chart=args.chart,
+                 out=args.out, tol_rank=args.tol_rank, seed=args.seed)
     q = Configuration(args.chart, args.point)
     if q.chart == ADAPTED:
         from . import nilpotent
@@ -125,7 +109,7 @@ def cmd_controllability(args) -> int:
         pairs = {f"f={f:g}": list(astuple(mechanism.check_dynamic_pair(q, f)))
                  for f in args.dynamic_f}
     except (SingularConfiguration, DegenerateGrowth) as exc:
-        _write_json(args.out, {"error": str(exc), "spec": spec.to_json()})
+        _write_json(args.out, {"error": str(exc), "spec": spec})
         return EXIT_BAD_INPUT
 
     report = {
@@ -136,7 +120,7 @@ def cmd_controllability(args) -> int:
         "dynamic_pair": pairs,
         "gbar": mechanism.serialize_matrix(res.gbar),
         "point": list(q.values),
-        "spec": spec.to_json(),
+        "spec": spec,
     }
     ok = res.growth == (4, 7)
 
@@ -159,9 +143,8 @@ def cmd_controllability(args) -> int:
 
 def cmd_geodesic(args) -> int:
     from . import nilpotent, pmp
-    spec = RunSpec(command="geodesic", point=args.point, chart=args.chart,
-                   constants=args.constants, out=args.out, dt=args.dt, T=args.T,
-                   seed=args.seed)
+    spec = _spec(command="geodesic", point=args.point, chart=args.chart,
+                 constants=args.constants, out=args.out, dt=args.dt, T=args.T, seed=args.seed)
     constants = pmp.load_solution_constants(args.constants)
     h0 = constants.initial_fibre_state()
     if h0.horizontal_norm() == 0.0:
@@ -188,7 +171,7 @@ def cmd_geodesic(args) -> int:
         "closed_form_branch": "oscillating" if constants.K > 0 else "constant-controls",
         "constants_consistency_residual": constants.consistency_residual(),
         "diagnostics": traj.diagnostics.to_json(),
-        "spec": spec.to_json(),
+        "spec": spec,
     }
     _write_json(args.out + ".diagnostics.json", sidecar)
     return EXIT_OK
@@ -196,7 +179,7 @@ def cmd_geodesic(args) -> int:
 
 def cmd_bracket_motion(args) -> int:
     from . import pmp
-    spec = RunSpec(command="bracket-motion", out=args.out, seed=args.seed)
+    spec = _spec(command="bracket-motion", out=args.out, seed=args.seed)
     params = pmp.BracketMotionParams(amplitude=args.A, omega=args.omega,
                                      partner=args.partner, cycles=args.cycles)
     try:
@@ -221,7 +204,7 @@ def cmd_bracket_motion(args) -> int:
         "nilpotent": dict(zip(names, map(float, d_nil))),
         "original": dict(zip(names, map(float, d_orig))),
         "difference_norm": float(np.linalg.norm(d_nil - d_orig)),
-        "spec": spec.to_json(),
+        "spec": spec,
     }
     _write_json(f"{args.out}_displacement.json", report)
     return EXIT_OK
@@ -240,8 +223,8 @@ def _write_trace_csv(traj, path) -> None:
 def cmd_symmetry_check(args) -> int:
     from . import nilpotent, symmetry
     from .fields import coordinate_field
-    spec = RunSpec(command="symmetry-check", out=args.out, seed=args.seed)
-    report: dict = {"spec": spec.to_json()}
+    spec = _spec(command="symmetry-check", out=args.out, seed=args.seed)
+    report: dict = {"spec": spec}
     ok = True
 
     table = symmetry.so3_structure()

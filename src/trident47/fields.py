@@ -33,9 +33,8 @@ import sympy as sp
 from .charts import ADAPTED, CHART_COORDS, ORIGINAL
 from .errors import ChartMismatch, DivisionByZero
 
-#: exact constants used throughout the field library
+#: exact sqrt(3), used throughout the field library
 SQRT3 = sp.sqrt(3)
-PI = sp.pi
 
 #: a quotient denominator smaller than this (in absolute value) at an
 #: evaluation point raises DivisionByZero
@@ -150,9 +149,6 @@ class VectorFieldSym:
         """The components at one point, shape (7,), or at an (n, 7) array, shape (n, 7)."""
         return _evaluate_all(self.components, point, self.chart)
 
-    def simplify(self) -> "VectorFieldSym":
-        return VectorFieldSym(self.chart, tuple(simplify_expr(c) for c in self.components))
-
     def is_zero(self) -> bool:
         return all(is_zero_expr(c) for c in self.components)
 
@@ -206,7 +202,7 @@ def _jacobian(X: VectorFieldSym) -> tuple[tuple[Expr, ...], ...]:
 def lie_bracket(X: VectorFieldSym, Y: VectorFieldSym) -> VectorFieldSym:
     """[X,Y]^i = sum_j (X^j dY^i/dx_j - Y^j dX^i/dx_j), in the one bracket normal form.
 
-    That form is sp.cancel of the sum; full simplify() is opt-in.
+    That form is sp.cancel of the sum.
     """
     if X.chart != Y.chart:
         raise ChartMismatch(f"bracket of fields in charts {X.chart!r} and {Y.chart!r}")

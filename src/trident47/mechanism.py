@@ -44,15 +44,9 @@ MAX_SAMPLES = 100_000
 _SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class MechanismConstants:
-    """Branch anchor angles; leg 2's anchor angle is 0 by convention."""
-
-    alpha1: float = -2.0 * math.pi / 3.0
-    alpha3: float = 2.0 * math.pi / 3.0
-
-
-CONSTANTS = MechanismConstants()
+#: anchor angles of legs 1 and 3; leg 2's anchor angle is 0 by convention
+ALPHA1 = -2.0 * math.pi / 3.0
+ALPHA3 = 2.0 * math.pi / 3.0
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,7 @@ def wheel_coords(x, y, th, ph, l1, l2, l3):
     direction; leg 2's direction is rotated by the revolute angle phi from
     its vertex direction.
     """
-    a1, a3 = th + CONSTANTS.alpha1, th + CONSTANTS.alpha3
+    a1, a3 = th + ALPHA1, th + ALPHA3
     return (x + (1.0 + l1) * np.cos(a1), y + (1.0 + l1) * np.sin(a1),
             x + np.cos(th) + l2 * np.cos(th + ph), y + np.sin(th) + l2 * np.sin(th + ph),
             x + (1.0 + l3) * np.cos(a3), y + (1.0 + l3) * np.sin(a3))
@@ -135,7 +129,7 @@ def wheel_positions(q: Configuration) -> np.ndarray:
 
 def vertex_coords(x, y, th):
     """The root-block vertices (v1x, v1y, v2x, v2y, v3x, v3y), unit circumradius."""
-    a1, a3 = th + CONSTANTS.alpha1, th + CONSTANTS.alpha3
+    a1, a3 = th + ALPHA1, th + ALPHA3
     return (x + np.cos(a1), y + np.sin(a1), x + np.cos(th), y + np.sin(th),
             x + np.cos(a3), y + np.sin(a3))
 
@@ -157,11 +151,11 @@ def pfaff_matrix(q: Configuration) -> np.ndarray:
     _require_original(q, "pfaff_matrix")
     x, y, th, ph, l1, l2, l3 = q.values
     m = np.zeros((3, 7))
-    m[0] = (-math.sin(th + CONSTANTS.alpha1), math.cos(th + CONSTANTS.alpha1),
+    m[0] = (-math.sin(th + ALPHA1), math.cos(th + ALPHA1),
             1.0 + l1, 0.0, 0.0, 0.0, 0.0)
     m[1] = (-math.sin(th + ph), math.cos(th + ph),
             math.cos(ph) + l2, l2, 0.0, 0.0, 0.0)
-    m[2] = (-math.sin(th + CONSTANTS.alpha3), math.cos(th + CONSTANTS.alpha3),
+    m[2] = (-math.sin(th + ALPHA3), math.cos(th + ALPHA3),
             1.0 + l3, 0.0, 0.0, 0.0, 0.0)
     return m
 

@@ -190,10 +190,10 @@ class LeftInvarianceReport:
 
 
 def check_left_invariance(X: VectorFieldSym, samples: int = 1000, seed: int = 0,
-                          tol: float = 1e-9, box: float = 2.0) -> LeftInvarianceReport:
+                          tol: float = 1e-9) -> LeftInvarianceReport:
     """Check dL_g(X(p)) = X(g*p) at random (g, p) pairs, in one array pass.
 
-    The pairs are one uniform (samples, 2, 7) draw from [-box, box]^7, with
+    The pairs are one uniform (samples, 2, 7) draw from [-2, 2]^7, with
     samples in [1, mechanism.MAX_SAMPLES].  The product is affine in its right
     factor, so dL_g is exact: the identity plus column 0's y rows
     (sqrt(3)/2 gx - gl1, -gl2, -sqrt(3)/2 gx - gl3).
@@ -203,7 +203,7 @@ def check_left_invariance(X: VectorFieldSym, samples: int = 1000, seed: int = 0,
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"left invariance needs at least one sample and at most "
                          f"{MAX_SAMPLES}, got {samples}")
-    g, p = np.random.default_rng(seed).uniform(-box, box, (samples, 2, 7)).transpose(1, 0, 2)
+    g, p = np.random.default_rng(seed).uniform(-2.0, 2.0, (samples, 2, 7)).transpose(1, 0, 2)
     gx, gl1, gl2, gl3 = g[:, :4].T
     lhs = X(p)
     lhs[:, 4:] += lhs[:, :1] * np.stack((_S3 / 2.0 * gx - gl1, -gl2, -_S3 / 2.0 * gx - gl3),
@@ -216,8 +216,7 @@ def check_left_invariance(X: VectorFieldSym, samples: int = 1000, seed: int = 0,
 def _in_span_residual(w: np.ndarray, at: np.ndarray) -> float:
     """Distance of w from E + V at a point: the y-components must match
     w_x times the y-components of N1 there (the leg part is free)."""
-    n1 = nilpotent_frame_matrix(at)[0]
-    return float(np.max(np.abs(w[4:7] - w[0] * n1[4:7])))
+    return float(np.max(np.abs(w[4:7] - w[0] * np.array(n1_vertical(*at[:4])))))
 
 
 @dataclass(frozen=True)

@@ -210,18 +210,23 @@ def _rotation(v: SymmetryField, t: float, dt: float) -> np.ndarray:
     return np.eye(3) + math.sin(t * norm) * hat + (1.0 - math.cos(t * norm)) * (hat @ hat)
 
 
-def symmetry_flow(v: SymmetryField, p: AdaptedPoint, t: float, dt: float = 1e-3) -> AdaptedPoint:
+def symmetry_flow(v: SymmetryField, p: AdaptedPoint | np.ndarray, t: float,
+                  dt: float = 1e-3) -> AdaptedPoint | np.ndarray:
     """Flow p for time t along v = a1 v1 + a2 v2 + a3 v3, exactly.
 
-    Fl_t(x, l, y) = (x, R l, y + (R - I)(y - c(x))) with R = exp(t hat(a));
-    this returns p bit for bit at t = 0.  The exact flow takes no steps, so
-    dt is only checked (it must be positive).  Raises NotASymmetry when v
-    has no axis.
+    p is an AdaptedPoint, returned as one, or an (n, 7) point array, flowed
+    in one pass.  Fl_t(x, l, y) = (x, R l, y + (R - I)(y - c(x))) with
+    R = exp(t hat(a)), each point's product taken as a stack, so an array
+    flows bit for bit as its points do, and p comes back bit for bit at
+    t = 0.  The exact flow takes no steps, so dt is only checked (it must be
+    positive).  Raises NotASymmetry when v has no axis.
     """
     R = _rotation(v, t, dt)
-    legs, y = p.array[1:4], p.array[4:7]
-    return AdaptedPoint.from_array(
-        np.concatenate([[p.x], R @ legs, y + (R - np.eye(3)) @ (y - np.array(centre(p.x)))]))
+    q = p.array if isinstance(p, AdaptedPoint) else np.asarray(p, dtype=float)
+    x, legs, y = q[..., :1], q[..., 1:4, None], q[..., 4:7]
+    y_c = (y - np.concatenate(centre(x), axis=-1))[..., None]
+    out = np.concatenate([x, (R @ legs)[..., 0], y + ((R - np.eye(3)) @ y_c)[..., 0]], axis=-1)
+    return AdaptedPoint.from_array(out) if isinstance(p, AdaptedPoint) else out
 
 
 def flow_with_jacobian(v: SymmetryField, p: AdaptedPoint, t: float,

@@ -375,6 +375,8 @@ def test_matrix_serialization_roundtrip(q0):
 
 def test_numeric_analyses_do_not_import_sympy():
     code = ("import sys, trident47\n"
+            "loaded = [m for m in sys.modules if m.startswith('trident47.')]\n"
+            "assert not loaded, f'import trident47 loaded {loaded}'\n"
             "from trident47 import mechanism\n"
             "q = mechanism.Configuration.original(0.3, -0.2, 1.1, 0.2, 1.2, 0.8, 0.7)\n"
             "mechanism.controllability(q)\n"
@@ -387,10 +389,3 @@ def test_numeric_analyses_do_not_import_sympy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
-
-
-def test_lazy_public_names_resolve():
-    for name in trident47.__all__:
-        assert getattr(trident47, name) is not None
-    assert trident47.controllability is mechanism.controllability
-    assert trident47.pmp.bracket_motion is trident47.bracket_motion

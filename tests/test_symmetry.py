@@ -146,6 +146,17 @@ def test_flow_zero_time_is_identity():
     assert np.array_equal(out.array, p.array)
 
 
+def test_array_flow_equals_point_flows_bit_for_bit(rng):
+    points = rng.uniform(-2.0, 2.0, (40, 7))
+    for v in (v_fields()[2], so3_combination(0.3184848170829566, -0.9045200484068716,
+                                             1.7034773792668148)):
+        for t in (0.0, 0.5, -2.0):
+            flowed = symmetry_flow(v, points, t)
+            assert flowed.shape == points.shape
+            assert flowed.tobytes() == np.stack(
+                [symmetry_flow(v, AdaptedPoint.from_array(q), t).array for q in points]).tobytes()
+
+
 def test_flow_reversibility():
     v = v_fields()[0]
     p = AdaptedPoint(0.4, 1.2, -0.3, 0.8, 0.05, -0.4, 0.6)
