@@ -12,8 +12,9 @@ Pfaffian constraint one-forms whose common kernel is the rank-4 horizontal
 distribution spanned by the frame X1..X4 built here.
 
 The numeric analyses run on one closed-form matrix (``closed_form_gbar``),
-whose first row is X1's one formula (``frame_x1``, also the original gait's
-field); they never import sympy.  Only the printed symbolic slice frame and
+whose first row is X1's one formula (``frame_x1``); its terms take floats or
+arrays, so the original gait reads the same formula over whole blocks of
+stages.  They never import sympy.  Only the printed symbolic slice frame and
 its brackets (``horizontal_frame_slice``, ``slice_bracket_fields``) do.
 """
 from __future__ import annotations
@@ -168,6 +169,40 @@ def _check_regular(l1: float, l2: float, l3: float) -> None:
         raise SingularConfiguration(f"L = l1 + l3 + 2 = {L} is numerically zero")
 
 
+def _x1_shape(l1, l3):
+    """X1's shape terms L = l1 + l3 + 2 and a = sqrt(3)(l1 - l3)/(3L), then its dtheta, -1/L.
+
+    a is X1's dy-coefficient on the slice; floats or arrays, as are the
+    other terms below, so the gait and ``frame_x1`` read X1 from one formula.
+    """
+    L = l1 + l3 + 2.0
+    return L, _SQRT3 * (l1 - l3) / (3.0 * L), -1.0 / L
+
+
+def _x1_rotation(theta):
+    """(cos, sin) of delta = theta - pi/2, the heading by which X1's (x, y) part turns.
+
+    Both come from ``math`` for a float and for an array alike, so the two
+    round alike on every machine.
+    """
+    delta = theta - math.pi / 2.0
+    if isinstance(delta, float):
+        return math.cos(delta), math.sin(delta)
+    values = delta.ravel().tolist()
+    return tuple(np.fromiter(map(f, values), float, len(values)).reshape(delta.shape)
+                 for f in (math.cos, math.sin))
+
+
+def _x1_planar(c, s, a):
+    """X1's (dx, dy): the slice's (1, a) turned by the rotation (c, s) of ``_x1_rotation``."""
+    return c - a * s, s + a * c
+
+
+def _x1_phi_rate(cp, sp, l2, L, a):
+    """X1's dphi from cos phi, sin phi, l2 and the shape terms L and a."""
+    return (a * sp + cp) / l2 + (cp + l2) / (l2 * L)
+
+
 def frame_x1(theta: float, phi: float, l1: float, l2: float, l3: float):
     """The components (dx, dy, dtheta, dphi) of X1, a tuple of floats; the rest are zero.
 
@@ -175,33 +210,30 @@ def frame_x1(theta: float, phi: float, l1: float, l2: float, l3: float):
     dx-coefficient) with its (x, y) part rotated by delta = theta - pi/2:
     the constraints are SE(2)-equivariant, so X1 depends on the heading and
     the shape only.  The only denominators are l2 and L = l1 + l3 + 2,
-    which ``_check_regular`` keeps away from zero.
+    which ``_check_regular`` keeps away from zero.  The terms it is built
+    from (``_x1_shape``, ``_x1_rotation``, ``_x1_planar``, ``_x1_phi_rate``)
+    also take arrays.
     """
-    delta = theta - math.pi / 2.0
-    c, s = math.cos(delta), math.sin(delta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    L = l1 + l3 + 2.0
-    a = _SQRT3 * (l1 - l3) / (3.0 * L)                # dy-coefficient of X1 on the slice
-    return c - a * s, s + a * c, -1.0 / L, (a * sp + cp) / l2 + (cp + l2) / (l2 * L)
+    L, a, dtheta = _x1_shape(l1, l3)
+    return (*_x1_planar(*_x1_rotation(theta), a), dtheta,
+            _x1_phi_rate(math.cos(phi), math.sin(phi), l2, L, a))
 
 
 def closed_form_gbar(theta: float, phi: float, l1: float, l2: float, l3: float) -> np.ndarray:
     """Gbar = (X1, X2, X3, X4, [X1,X2], [X1,X3], [X1,X4]) as the rows of a 7x7 array.
 
-    Row 0 is ``frame_x1``; X2..X4 are the leg coordinate fields d/dl1,
-    d/dl2, d/dl3.  The leg fields are constant, so [X1, d/dl_k] = -dX1/dl_k,
-    differentiated here from the terms of ``frame_x1``.
+    Row 0 is ``frame_x1``, from its terms; X2..X4 are the leg coordinate
+    fields d/dl1, d/dl2, d/dl3.  The leg fields are constant, so
+    [X1, d/dl_k] = -dX1/dl_k, differentiated here from the terms of ``frame_x1``.
     """
-    delta = theta - math.pi / 2.0
-    c, s = math.cos(delta), math.sin(delta)
+    L, a, dtheta = _x1_shape(l1, l3)
+    c, s = _x1_rotation(theta)
     cp, sp = math.cos(phi), math.sin(phi)
-    L = l1 + l3 + 2.0
-    a = _SQRT3 * (l1 - l3) / (3.0 * L)                # dy-coefficient of X1 on the slice
     a1 = 2.0 * _SQRT3 * (l3 + 1.0) / (3.0 * L * L)    # da/dl1
     a3 = -2.0 * _SQRT3 * (l1 + 1.0) / (3.0 * L * L)   # da/dl3
     leg_term = (cp + l2) / (l2 * L * L)               # -d/dl1 = -d/dl3 of (cos phi + l2)/(l2 L)
     g = np.zeros((7, 7))
-    g[0, :4] = frame_x1(theta, phi, l1, l2, l3)
+    g[0, :4] = (*_x1_planar(c, s, a), dtheta, _x1_phi_rate(cp, sp, l2, L, a))
     g[1, 4] = g[2, 5] = g[3, 6] = 1.0
     g[4, :4] = (a1 * s, -a1 * c, -1.0 / (L * L), leg_term - a1 * sp / l2)
     g[5, 3] = ((a * sp + cp) + cp / L) / (l2 * l2)

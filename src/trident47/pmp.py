@@ -17,9 +17,11 @@ derivatives pass through).  Three worked example solutions are built in,
 including their original-chart formulas.
 
 What stays numeric is fixed-step RK4 on these equations (``_fibre_rates``,
-``_base_rates``).  Only the fibre system and the original gait on X1
-(``mechanism.frame_x1``) step in Python, in ``_rk4``; the base system runs in
-whole-array passes, bit for bit the same (``_base_path``).  Every
+``_base_rates``) and on the original gait's field X1 (``mechanism.frame_x1``).
+Only the fibre system steps in Python, in ``_rk4``; the base system runs in
+whole-array passes, bit for bit the same (``_base_path``), and so does the
+original gait but for phi, the one column stepped in a scalar loop
+(``_original_path``).  Every
 ``time_grid`` has at most ``MAX_STEPS`` steps, and a path that overflows is
 refused once.  CSV rows go through one writer, ``write_csv_rows``, fed whole
 columns and formatting one block of rows per ``%``; the module loads no sympy.
@@ -35,7 +37,8 @@ import numpy as np
 
 from .errors import ChartMismatch, SingularConfiguration, ZeroHorizontalMomentum
 from .charts import ADAPTED, ORIGINAL
-from .mechanism import Configuration, _check_regular, frame_x1, leg_span, reference_configuration
+from .mechanism import (SINGULAR_EPS, Configuration, _check_regular, _x1_phi_rate, _x1_planar,
+                        _x1_rotation, _x1_shape, reference_configuration)
 from .nilpotent import AdaptedPoint, adapted_to_original, centre, n1_vertical, to_adapted
 
 _S3 = math.sqrt(3.0)
@@ -337,8 +340,8 @@ _BLOCK_SAMPLES = 1024
 def _rk4(rhs, y0, times: np.ndarray, h: float) -> np.ndarray:
     """Classical fixed-step RK4 of y' = rhs(t, y) over the grid ``times``, step h.
 
-    The step loop of the fibre system and the original gait, over columns
-    (floats, or (B,) arrays for a batch).  The samples, unchecked for
+    The step loop of the fibre system, over columns (floats, or (B,) arrays
+    for a batch), and the reference the whole-array passes reproduce.  The samples, unchecked for
     overflow, fill one (len(times), len(y0)) + column-shape array.
     """
     path = np.empty((len(times), len(y0)) + np.shape(y0[0]))
@@ -357,6 +360,22 @@ def _rk4(rhs, y0, times: np.ndarray, h: float) -> np.ndarray:
     return path
 
 
+def _accumulate(column, rates, h: float) -> None:
+    """Fill column[1:] by RK4 steps from column[0], given the four stage rates of each step.
+
+    The increments are summed left to right, so each sample is bit for bit
+    ``_rk4``'s y + h/6 (k1 + 2 k2 + 2 k3 + k4).
+    """
+    b1, b2, b3, b4 = rates
+    column[1:] = h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+    np.add.accumulate(column, axis=0, out=column)
+
+
+def _stage_inputs(y, rates, h: float) -> np.ndarray:
+    """``_rk4``'s stage inputs y, y + h/2 k1, y + h/2 k2 and y + h k3, stacked stage-major."""
+    return np.stack([y, y + 0.5 * h * rates[0], y + 0.5 * h * rates[1], y + h * rates[2]])
+
+
 def _base_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarray:
     """``_rk4`` of ``_base_rates`` from the columns q0, bit for bit, in whole-array passes.
 
@@ -369,9 +388,8 @@ def _base_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarray:
     path[0] = q0
 
     def accumulate(rows, columns, rates):
-        for j, b1, b2, b3, b4 in zip(columns, *rates):
-            rows[1:, j] = h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            np.add.accumulate(rows[:, j], axis=0, out=rows[:, j])
+        for j, *stages in zip(columns, *rates):
+            _accumulate(rows[:, j], stages, h)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(0, n, block):
@@ -381,6 +399,76 @@ def _base_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarray:
             qs = [q] + [[a + c * b for a, b in zip(q, u)]
                         for c, u in zip((0.5 * h, 0.5 * h, h), us)]
             accumulate(rows, range(4, 7), [_base_rates(qi, u)[4:] for qi, u in zip(qs, us)])
+    return path
+
+
+def _original_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarray:
+    """``_rk4`` of the original gait u1 X1 + u2 d/dl1 + u3 d/dl2 + u4 d/dl3, bit for bit.
+
+    Only phi steps in Python.  The legs have rates u2..u4, theta's rate
+    u1 (-1/L) reads only the legs, and x's and y's read theta and the legs,
+    so those columns are summed as in ``_base_path``, a block of
+    ``_BLOCK_SAMPLES`` steps at a time; phi's rate reads phi itself, so it
+    steps in a scalar loop fed each stage's u1, l2, L and a.  The guard sees
+    every stage input of a block at once.  At the first one in ``_rk4``'s
+    order (step, then stage) that is off the regular set or has an infinite
+    heading, the gait raises what a stage of ``_rk4`` on ``frame_x1`` would:
+    ``check_regular``'s SingularConfiguration, or else math's ValueError.
+    """
+    n, half, sixth = len(times) - 1, 0.5 * h, h / 6.0
+    path = np.empty((n + 1, 7))
+    path[0] = q0
+    l2_0, span0 = q0[5], q0[4] + q0[6] + 2.0
+    cos, sin, phi_rate = math.cos, math.sin, _x1_phi_rate
+
+    def check_regular(t, l1, l2, l3):
+        # l2 = 0 and L = l1 + l3 + 2 = 0 are the whole singular set; a sign
+        # change (or a non-finite value) means the frame is singular
+        # somewhere between the start and the legs (l1, l2, l3)
+        if not (l2 * l2_0 > 0.0 and (l1 + l3 + 2.0) * span0 > 0.0):
+            name = "L = l1 + l3 + 2" if l2 * l2_0 > 0.0 else "l2"
+            raise SingularConfiguration(f"{name} crossed zero near t = {t:.6g} during the gait")
+        _check_regular(l1, l2, l3)  # and the legs themselves keep SINGULAR_EPS away
+
+    with np.errstate(all="ignore"):  # overflow is refused below; stages past a stop are unread
+        for k in range(0, n, _BLOCK_SAMPLES):
+            m = min(_BLOCK_SAMPLES, n - k)
+            rows = path[k:k + m + 1]
+            u = np.stack(stage_controls(k, m)).transpose(0, 2, 1)  # (stage, step, u1..u4)
+            _accumulate(rows[:, 4:], u[..., 1:], h)
+            l1, l2, l3 = np.moveaxis(_stage_inputs(rows[:-1, 4:], u[..., 1:], h), -1, 0)
+            L, a, dtheta = _x1_shape(l1, l3)
+            theta_rates = u[..., 0] * dtheta
+            _accumulate(rows[:, 2], theta_rates, h)
+            thetas = _stage_inputs(rows[:-1, 2], theta_rates, h)
+            stops = (~((l2 * l2_0 > 0.0) & (L * span0 > 0.0)) | (np.abs(l2) < SINGULAR_EPS)
+                     | (np.abs(L) < SINGULAR_EPS) | np.isinf(thetas)).T.ravel()
+            stop = int(np.argmax(stops)) if stops.any() else 4 * m
+            phi_in = np.stack([u[..., 0], l2, L, a], axis=-1).transpose(1, 0, 2).reshape(m, 16)
+            p = rows.item(0, 3)
+            for j, (u1, l2a, La, aa, v1, l2b, Lb, ab, w1, l2c, Lc, ac, z1, l2d, Ld, ad) in \
+                    enumerate(phi_in[:stop // 4].tolist(), 1):
+                k1 = u1 * phi_rate(cos(p), sin(p), l2a, La, aa)
+                q = p + half * k1
+                k2 = v1 * phi_rate(cos(q), sin(q), l2b, Lb, ab)
+                q = p + half * k2
+                k3 = w1 * phi_rate(cos(q), sin(q), l2c, Lc, ac)
+                q = p + h * k3
+                k4 = z1 * phi_rate(cos(q), sin(q), l2d, Ld, ad)
+                p = p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                rows[j, 3] = p
+            if stop < 4 * m:
+                step, stage = divmod(stop, 4)
+                for i, (u1, l2i, Li, ai) in enumerate(phi_in[step].reshape(4, 4)[:stage].tolist()):
+                    q = p + (half, half, h)[i - 1] * rate if i else p  # math's ValueError if inf
+                    rate = u1 * phi_rate(cos(q), sin(q), l2i, Li, ai)
+                check_regular(times.item(k + step) + (0.0, half, half, h)[stage],
+                              l1.item(stage, step), l2.item(stage, step), l3.item(stage, step))
+                _x1_rotation(thetas.item(stage, step))  # the guard passed: theta is infinite
+            for j, d in enumerate(_x1_planar(*_x1_rotation(thetas), a)):  # x and y
+                _accumulate(rows[:, j], u[..., 0] * d, h)
+    _refuse_overflow(times, path)
+    check_regular(times.item(-1), *path[-1, 4:].tolist())  # earlier samples were stage inputs
     return path
 
 
@@ -566,6 +654,12 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
     ``params.controls`` takes arrays of times: one call gives the controls
     column, and each block of steps one at t + h/2 (k2, k3) and one at t + h
     (k4), the grid value bit for bit wherever t + h is the next grid time.
+    Either system is RK4 run in whole-array passes over those blocks, bit
+    for bit ``_rk4``'s path; on the original system only phi steps in a
+    scalar loop, and the singular-set guard checks a block's stage inputs
+    at once.  A gait that leaves the regular set (l2 or L = l1 + l3 + 2
+    through zero, or within SINGULAR_EPS of it) raises SingularConfiguration
+    naming the first such stage; one that overflows is a ValueError.
     """
     n = params.steps_per_cycle * params.cycles
     h = params.period / params.steps_per_cycle
@@ -584,41 +678,17 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
         if getattr(q_start, "chart", ADAPTED) != ADAPTED:  # an AdaptedPoint has no tag
             raise ChartMismatch("nilpotent-system gait needs an adapted-chart start")
         states = _base_path(tuple(q_start.array.tolist()), stage_controls, times, h)
+        _refuse_overflow(times, states)
         chart = ADAPTED
     elif system == "original":
         if q_start is None:
             q_start = reference_configuration()
         if q_start.chart != ORIGINAL:
             raise ChartMismatch("original-system gait needs an original-chart start")
-        l2_0, span0 = q_start.values[5], leg_span(q_start)
-
-        def check_regular(t, q):
-            # l2 = 0 and L = l1 + l3 + 2 = 0 are the whole singular set; a
-            # sign change (or a non-finite value) means the frame is singular
-            # somewhere between the start and q
-            if not (q[5] * l2_0 > 0.0 and (q[4] + q[6] + 2.0) * span0 > 0.0):
-                name = "L = l1 + l3 + 2" if q[5] * l2_0 > 0.0 else "l2"
-                raise SingularConfiguration(
-                    f"{name} crossed zero near t = {t:.6g} during the gait")
-            _check_regular(*q[4:])  # and q itself keeps SINGULAR_EPS away
-
-        pending = (u for k in range(0, n, _BLOCK_SAMPLES) for step in np.transpose(  # _rk4's order
-            stage_controls(k, min(_BLOCK_SAMPLES, n - k)), (2, 0, 1)) for u in step.tolist())
-
-        def rhs(t, q):
-            check_regular(t, q)
-            u1, u2, u3, u4 = next(pending)
-            dx, dy, dth, dph = frame_x1(*q[2:])
-            return u1 * dx, u1 * dy, u1 * dth, u1 * dph, u2, u3, u4
-
-        states = _rk4(rhs, tuple(q_start.array.tolist()), times, h)
+        states = _original_path(q_start.values, stage_controls, times, h)
         chart = ORIGINAL
     else:
         raise ValueError("system must be 'nilpotent' or 'original'")
-
-    _refuse_overflow(times, states)
-    if chart == ORIGINAL:
-        check_regular(times[-1], states[-1])  # every earlier sample was checked as a stage
     return Trajectory(chart, times, states, None, controls.T, None)
 
 

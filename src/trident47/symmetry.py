@@ -221,7 +221,11 @@ def symmetry_flow(v: SymmetryField, p: AdaptedPoint | np.ndarray, t: float,
     t = 0.  The exact flow takes no steps, so dt is only checked (it must be
     positive).  Raises NotASymmetry when v has no axis.
     """
-    R = _rotation(v, t, dt)
+    return _flow(_rotation(v, t, dt), p)
+
+
+def _flow(R: np.ndarray, p: AdaptedPoint | np.ndarray) -> AdaptedPoint | np.ndarray:
+    """``symmetry_flow``'s body given its rotation R."""
     q = p.array if isinstance(p, AdaptedPoint) else np.asarray(p, dtype=float)
     x, legs, y = q[..., :1], q[..., 1:4, None], q[..., 4:7]
     y_c = (y - np.concatenate(centre(x), axis=-1))[..., None]
@@ -242,7 +246,7 @@ def flow_with_jacobian(v: SymmetryField, p: AdaptedPoint, t: float,
     J[0, 0] = 1.0
     J[1:4, 1:4] = J[4:7, 4:7] = R
     J[4:7, 0] = (np.eye(3) - R) @ np.array(n1_vertical(p.x, 0.0, 0.0, 0.0))
-    return symmetry_flow(v, p, t, dt), J
+    return _flow(R, p), J
 
 
 def w_structure_report() -> dict:

@@ -107,6 +107,21 @@ def test_frame_x1_is_the_first_row_of_gbar(rng):
         assert row == [*mechanism.frame_x1(*shape), 0.0, 0.0, 0.0]
 
 
+def test_frame_x1_terms_on_arrays_are_frame_x1_on_floats(rng):
+    # the original gait evaluates X1's terms over whole blocks of stages
+    n = 1000
+    theta, phi = rng.uniform(-10.0, 10.0, (2, n))
+    l1, l2, l3 = rng.uniform(-3.0, 3.0, (3, n))
+    theta[:10], l3[10:20], phi[20:30] = math.pi / 2.0, l1[10:20], -0.0  # delta = 0, a = 0
+    L, a, dtheta = mechanism._x1_shape(l1, l3)
+    cp, sp = (np.array([f(v) for v in phi.tolist()]) for f in (math.cos, math.sin))
+    arrays = np.stack([*mechanism._x1_planar(*mechanism._x1_rotation(theta), a), dtheta,
+                       mechanism._x1_phi_rate(cp, sp, l2, L, a)], axis=1)
+    floats = np.array([mechanism.frame_x1(*q) for q in zip(*(c.tolist()
+                                                           for c in (theta, phi, l1, l2, l3)))])
+    assert arrays.shape == floats.shape and arrays.tobytes() == floats.tobytes()
+
+
 def test_singular_configurations_raise():
     with pytest.raises(SingularConfiguration):
         horizontal_frame(Configuration.original(0, 0, math.pi / 2, 0, 1, 1e-12, 1))

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -223,8 +224,9 @@ def test_bracket_motion_is_the_reference_gait_bit_for_bit(system, seed):
 
 @pytest.mark.parametrize("n", [1023, 1024, 1025, 2100])
 def test_array_passes_are_the_reference_across_block_edges(n):
-    # the base system runs in blocks of pmp._BLOCK_SAMPLES samples (1024 steps of one
-    # path, 341 of a batch of 3), each carrying on from the last row of the one before
+    # the base system and the original gait run in blocks of pmp._BLOCK_SAMPLES samples
+    # (1024 steps of one path, 341 of a batch of 3), each carrying on from the last row
+    # of the one before
     h0, q0 = example_momenta(3), AdaptedPoint.from_array(np.linspace(-0.3, 0.3, 7))
     traj = integrate_extremal(h0, q0, T=n * 1e-3, dt=1e-3)
     path = _reference_rk4_path(np.concatenate([q0.array, h0.array]), n, traj.diagnostics.dt)
@@ -239,12 +241,17 @@ def test_array_passes_are_the_reference_across_block_edges(n):
     _assert_same_bits(states, path[:, :, :7])
     _assert_same_bits(momenta, path[:, :, 7:])
 
+    from trident47.mechanism import Configuration, reference_configuration
+
     params = BracketMotionParams(amplitude=0.3, omega=1.5, partner=3, steps_per_cycle=n)
-    start = AdaptedPoint.from_array(np.linspace(0.2, -0.2, 7))
-    gait = bracket_motion(params, "nilpotent", q_start=start)
-    _, states, controls = _reference_gait(params, "nilpotent", start)
-    _assert_same_bits(gait.states, states)
-    _assert_same_bits(gait.controls, controls)
+    original = Configuration.original(*(np.array(reference_configuration().values)
+                                        + np.linspace(0.2, -0.2, 7)))
+    for system, start in (("nilpotent", AdaptedPoint.from_array(np.linspace(0.2, -0.2, 7))),
+                          ("original", original)):
+        gait = bracket_motion(params, system, q_start=start)
+        _, states, controls = _reference_gait(params, system, start)
+        _assert_same_bits(gait.states, states)
+        _assert_same_bits(gait.controls, controls)
 
 
 @pytest.mark.parametrize("system", ["nilpotent", "original"])
@@ -872,6 +879,81 @@ def test_original_gait_checks_its_last_sample():
 
     with pytest.raises(SingularConfiguration, match="L = l1 \\+ l3 \\+ 2 crossed zero near t = 50 "):
         bracket_motion(KickAtEnd(steps_per_cycle=1), "original")
+
+
+@dataclass(frozen=True)
+class _Kicked(BracketMotionParams):
+    """The gait's controls, with u_i set to v at the exact stage times t of ``kicks`` (t, i, v)."""
+
+    kicks: tuple = ()
+
+    def controls(self, t):
+        u = super().controls(t)
+        for time, i, value in self.kicks:
+            u[i] = np.where(t == time, value, u[i])
+        return u
+
+
+def _stage_time(params, k, stage):
+    """The time at which the gait evaluates stage 1..4 of step k, as its stage controls do."""
+    h = params.period / params.steps_per_cycle
+    t = np.linspace(0.0, params.cycles * params.period,
+                    params.cycles * params.steps_per_cycle + 1)[k:k + 1]
+    return (t, t + 0.5 * h, t + 0.5 * h, t + h)[stage - 1].item()
+
+
+# partner 2 drives l1 only, so l2 = 1 moves only where it is kicked; 1,500 steps of
+# h = 1/30 make two blocks, and step 1100 is in the second
+_KICK_PARAMS = dict(partner=2, steps_per_cycle=1500)
+
+
+def test_original_gait_guard_fires_at_the_first_crossing_stage():
+    # at the midpoint of step 1100 l2's rate is -3/h: the k2 input keeps l2 = 1 (its rate
+    # at t is 0), the k3 input l2 + h/2 (-3/h) = -0.5 is the first across zero
+    from trident47.errors import SingularConfiguration
+
+    params = _Kicked(**_KICK_PARAMS)
+    t = _stage_time(params, 1100, 3)
+    params = _Kicked(**_KICK_PARAMS, kicks=((t, 2, -3.0 * 30.0),))
+    with pytest.raises(SingularConfiguration,
+                       match="^l2 crossed zero near t = 36.6833 during the gait$"):
+        bracket_motion(params, "original")
+
+
+def test_original_gait_guard_fires_at_a_k4_stage_within_the_singular_distance():
+    # the k3 input l2 + h/2 k2 is about 0.5; the k4 input l2 + h k3 is about 5e-10 > 0
+    from trident47.errors import SingularConfiguration
+
+    params = _Kicked(**_KICK_PARAMS)
+    h = params.period / params.steps_per_cycle
+    params = _Kicked(**_KICK_PARAMS, kicks=((_stage_time(params, 1100, 2), 2, (5e-10 - 1.0) / h),))
+    with pytest.raises(SingularConfiguration,
+                       match="^l2 = 5.000000413701855e-10 is numerically zero$"):
+        bracket_motion(params, "original")
+
+
+def test_original_gait_infinite_heading_before_a_singular_stage_is_a_value_error():
+    # u1 = inf at the midpoint of step 1100 makes theta's k3 input -inf, where math.cos
+    # raises; the guard is checked first at each stage
+    from trident47.errors import SingularConfiguration
+
+    params = _Kicked(**_KICK_PARAMS)
+    heading = (_stage_time(params, 1100, 2), 0, math.inf)
+
+    def crossing(k):
+        return (_stage_time(params, k, 2), 2, -3.0 * 30.0)
+
+    with pytest.raises(SingularConfiguration,
+                       match="^l2 crossed zero near t = 36.7167 during the gait$"):
+        bracket_motion(_Kicked(**_KICK_PARAMS, kicks=(crossing(1101),)), "original")
+    with pytest.raises(ValueError) as domain_error:
+        math.cos(math.inf)
+    with pytest.raises(ValueError) as err:  # math's error, not the guard's nor an overflow
+        bracket_motion(_Kicked(**_KICK_PARAMS, kicks=(heading, crossing(1101))), "original")
+    assert type(err.value) is ValueError and str(err.value) == str(domain_error.value)
+    with pytest.raises(SingularConfiguration,
+                       match="^l2 crossed zero near t = 36.6833 during the gait$"):
+        bracket_motion(_Kicked(**_KICK_PARAMS, kicks=(heading, crossing(1100))), "original")
 
 
 def test_original_converges_to_nilpotent_quadratically():

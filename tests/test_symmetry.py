@@ -301,6 +301,19 @@ def test_exact_flow_matches_rk4_oracle(rng):
         assert np.abs(J - J_ref).max() < 1e-9
 
 
+def test_flow_with_jacobian_builds_its_rotation_once(monkeypatch, rng):
+    from trident47 import symmetry
+
+    calls = []
+    rotation = symmetry._rotation
+    monkeypatch.setattr(symmetry, "_rotation", lambda *args: calls.append(args) or rotation(*args))
+    v, p = so3_combination(0.6, -0.8, 0.4), AdaptedPoint.from_array(rng.uniform(-1.0, 1.0, 7))
+    flowed, J = flow_with_jacobian(v, p, 0.9)
+    assert len(calls) == 1
+    assert flowed.array.tobytes() == symmetry_flow(v, p, 0.9).array.tobytes()
+    assert len(calls) == 2
+
+
 def test_flow_of_axisless_field_is_rejected():
     bent = SymmetryField("v1(perturbed)",
                          v_fields()[0].field + 0.01 * coordinate_field(ADAPTED, 2))
