@@ -17,14 +17,16 @@ derivatives pass through).  Three worked example solutions are built in,
 including their original-chart formulas.
 
 What stays numeric is fixed-step RK4 on these equations (``_fibre_rates``,
-``_base_rates``) and on the original gait's field X1 (``mechanism.frame_x1``).
-Only the fibre system steps in Python, in ``_rk4``; the base system runs in
-whole-array passes, bit for bit the same (``_base_path``), and so does the
-original gait but for phi, the one column stepped in a scalar loop
-(``_original_path``).  Every
-``time_grid`` has at most ``MAX_STEPS`` steps, and a path that overflows is
-refused once.  CSV rows go through one writer, ``write_csv_rows``, fed whole
-columns and formatting one block of rows per ``%``; the module loads no sympy.
+``_base_rates``) and on the original gait's field X1 (``mechanism.frame_x1``),
+each path bit for bit the classical step loop y + h/6 (k1 + 2 k2 + 2 k3 + k4)
+that the tests keep as their reference.  The fibre system steps h1..h4 as
+four unrolled columns (``_fibre_path``); the base system runs in whole-array
+passes (``_base_path``), and so does the original gait but for phi, the one
+column stepped in a scalar loop (``_original_path``).  Every ``time_grid``
+has at most ``MAX_STEPS`` steps, a non-finite start is refused, and a path
+that overflows is refused once.  CSV rows go through one writer,
+``write_csv_rows``, fed whole columns and formatting each distinct column of
+a block once; the module loads no sympy.
 """
 from __future__ import annotations
 
@@ -333,30 +335,56 @@ def time_grid(T: float, dt: float) -> tuple[np.ndarray, float]:
     return np.linspace(0.0, T, n + 1), T / n
 
 
-#: samples (steps times batch size) per array pass of ``_base_path``; bounds its scratch
+#: samples (steps times batch size) per block of the RK4 paths; bounds their scratch
 _BLOCK_SAMPLES = 1024
 
 
-def _rk4(rhs, y0, times: np.ndarray, h: float) -> np.ndarray:
-    """Classical fixed-step RK4 of y' = rhs(t, y) over the grid ``times``, step h.
+def _fibre_path(h0, times: np.ndarray, h: float) -> np.ndarray:
+    """Classical RK4 of the fibre system from the columns h0, over the grid ``times``, step h.
 
-    The step loop of the fibre system, over columns (floats, or (B,) arrays
-    for a batch), and the reference the whole-array passes reproduce.  The samples, unchecked for
-    overflow, fill one (len(times), len(y0)) + column-shape array.
+    h1..h4 step as four unrolled columns: floats for one path, (B,) arrays
+    for a batch.  h5..h7 have the rate 0.0, so every stage after step 0's k1,
+    and every row after row 0, holds h0[4:] + 0.0 (a -0.0 reads +0.0 there).
+    Rows are written once per block of ``_BLOCK_SAMPLES`` samples into one
+    (len(times), 7) + column-shape array, unchecked for overflow.
     """
-    path = np.empty((len(times), len(y0)) + np.shape(y0[0]))
-    path[0] = y = y0
-    half, sixth = 0.5 * h, h / 6.0
+    n, block = len(times) - 1, max(1, _BLOCK_SAMPLES // np.size(h0[0]))
+    path = np.empty((n + 1, 7) + np.shape(h0[0]))
+    path[0] = h0
+    c5, c6, c7 = (b + 0.0 for b in h0[4:])
+    path[1:, 4:] = (c5, c6, c7)
+    m5, half, sixth = -c5, 0.5 * h, h / 6.0
+    p1, p2, p3, p4 = h0[:4]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(times) - 1):
-            t = times.item(k)
-            k1 = rhs(t, y)
-            k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
-            k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
-            k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
-            y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-            path[k + 1] = y
+        a1, a2, a3, a4 = _fibre_rates(h0)[:4]  # step 0's k1 reads the raw h5..h7
+        for k in range(0, n, block):
+            rows = []
+            for _ in range(min(block, n - k)):
+                y1 = p1 + half * a1
+                b1 = m5 * (p2 + half * a2) - c6 * (p3 + half * a3) - c7 * (p4 + half * a4)
+                b2 = c5 * y1
+                b3 = c6 * y1
+                b4 = c7 * y1
+                y1 = p1 + half * b1
+                d1 = m5 * (p2 + half * b2) - c6 * (p3 + half * b3) - c7 * (p4 + half * b4)
+                d2 = c5 * y1
+                d3 = c6 * y1
+                d4 = c7 * y1
+                y1 = p1 + h * d1
+                e1 = m5 * (p2 + h * d2) - c6 * (p3 + h * d3) - c7 * (p4 + h * d4)
+                e2 = c5 * y1
+                e3 = c6 * y1
+                e4 = c7 * y1
+                p1 = p1 + sixth * (a1 + 2.0 * b1 + 2.0 * d1 + e1)
+                p2 = p2 + sixth * (a2 + 2.0 * b2 + 2.0 * d2 + e2)
+                p3 = p3 + sixth * (a3 + 2.0 * b3 + 2.0 * d3 + e3)
+                p4 = p4 + sixth * (a4 + 2.0 * b4 + 2.0 * d4 + e4)
+                rows.append((p1, p2, p3, p4))
+                a1 = m5 * p2 - c6 * p3 - c7 * p4
+                a2 = c5 * p1
+                a3 = c6 * p1
+                a4 = c7 * p1
+            path[k + 1:k + 1 + len(rows), :4] = rows
     return path
 
 
@@ -364,7 +392,7 @@ def _accumulate(column, rates, h: float) -> None:
     """Fill column[1:] by RK4 steps from column[0], given the four stage rates of each step.
 
     The increments are summed left to right, so each sample is bit for bit
-    ``_rk4``'s y + h/6 (k1 + 2 k2 + 2 k3 + k4).
+    the classical step y + h/6 (k1 + 2 k2 + 2 k3 + k4).
     """
     b1, b2, b3, b4 = rates
     column[1:] = h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
@@ -372,12 +400,12 @@ def _accumulate(column, rates, h: float) -> None:
 
 
 def _stage_inputs(y, rates, h: float) -> np.ndarray:
-    """``_rk4``'s stage inputs y, y + h/2 k1, y + h/2 k2 and y + h k3, stacked stage-major."""
+    """RK4 stage inputs y, y + h/2 k1, y + h/2 k2 and y + h k3, stacked stage-major."""
     return np.stack([y, y + 0.5 * h * rates[0], y + 0.5 * h * rates[1], y + h * rates[2]])
 
 
 def _base_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarray:
-    """``_rk4`` of ``_base_rates`` from the columns q0, bit for bit, in whole-array passes.
+    """Classical RK4 of ``_base_rates`` from the columns q0, bit for bit, in whole-array passes.
 
     ``stage_controls(k, m)`` gives u1..u4 at the four stages of steps k..k+m-1.
     x and l have rates u1..u4 and y's rates read only x and l, so each column
@@ -403,17 +431,18 @@ def _base_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarray:
 
 
 def _original_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarray:
-    """``_rk4`` of the original gait u1 X1 + u2 d/dl1 + u3 d/dl2 + u4 d/dl3, bit for bit.
+    """Classical RK4 of the original gait u1 X1 + u2 d/dl1 + u3 d/dl2 + u4 d/dl3, bit for bit.
 
     Only phi steps in Python.  The legs have rates u2..u4, theta's rate
     u1 (-1/L) reads only the legs, and x's and y's read theta and the legs,
     so those columns are summed as in ``_base_path``, a block of
     ``_BLOCK_SAMPLES`` steps at a time; phi's rate reads phi itself, so it
     steps in a scalar loop fed each stage's u1, l2, L and a.  The guard sees
-    every stage input of a block at once.  At the first one in ``_rk4``'s
-    order (step, then stage) that is off the regular set or has an infinite
-    heading, the gait raises what a stage of ``_rk4`` on ``frame_x1`` would:
-    ``check_regular``'s SingularConfiguration, or else math's ValueError.
+    every stage input of a block at once.  At the first one in the step
+    loop's order (step, then stage) that is off the regular set or has an
+    infinite heading, the gait raises what that stage of a step loop on
+    ``frame_x1`` would: ``check_regular``'s SingularConfiguration, or else
+    math's ValueError.
     """
     n, half, sixth = len(times) - 1, 0.5 * h, h / 6.0
     path = np.empty((n + 1, 7))
@@ -481,8 +510,12 @@ def _refuse_overflow(times: np.ndarray, *paths) -> None:
 
 
 def _extremal_paths(q0, h0, times: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """States and momenta from the columns q0, h0: only the fibre steps in ``_rk4``."""
-    momenta = _rk4(lambda t, y: _fibre_rates(y), h0, times, h)
+    """States and momenta from the columns q0, h0; a non-finite start is a ValueError."""
+    if not np.isfinite(h0).all():
+        raise ValueError("the initial covector h0 must be finite")
+    if not np.isfinite(q0).all():
+        raise ValueError("the start point q0 must be finite")
+    momenta = _fibre_path(h0, times, h)
 
     def stage_controls(k, m):  # h1..h4 at the four stages, rebuilt from the fibre path
         ys = [list(momenta[k:k + m].swapaxes(0, 1))]
@@ -655,11 +688,12 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
     column, and each block of steps one at t + h/2 (k2, k3) and one at t + h
     (k4), the grid value bit for bit wherever t + h is the next grid time.
     Either system is RK4 run in whole-array passes over those blocks, bit
-    for bit ``_rk4``'s path; on the original system only phi steps in a
-    scalar loop, and the singular-set guard checks a block's stage inputs
-    at once.  A gait that leaves the regular set (l2 or L = l1 + l3 + 2
-    through zero, or within SINGULAR_EPS of it) raises SingularConfiguration
-    naming the first such stage; one that overflows is a ValueError.
+    for bit the classical step loop's path; on the original system only phi
+    steps in a scalar loop, and the singular-set guard checks a block's
+    stage inputs at once.  A gait that leaves the regular set (l2 or
+    L = l1 + l3 + 2 through zero, or within SINGULAR_EPS of it) raises
+    SingularConfiguration naming the first such stage; one that overflows
+    is a ValueError.
     """
     n = params.steps_per_cycle * params.cycles
     h = params.period / params.steps_per_cycle
@@ -715,24 +749,41 @@ CSV_BLOCK_ROWS = 1024
 def write_csv_rows(path, header, columns) -> None:
     """Write equal-length float columns as CSV rows at 17 significant digits.
 
-    Each block of CSV_BLOCK_ROWS rows is one ``%`` on a CRLF-ended
-    "%.17g,...,%.17g" row template, so memory is bounded by the block, not
-    the table.  The bytes are those of csv.writer on format(v, ".17g")
-    (nan, inf and -0 included), and the floats written are exactly the
-    floats a reader gets back.  Columns of unequal length are a ValueError,
-    raised before the file is opened.
+    Per block of CSV_BLOCK_ROWS rows, each distinct column is formatted
+    once, with one ``%`` on a "%.17g" template, and the rows are joined
+    from the per-column texts, so memory is bounded by the block, not the
+    table.  Columns whose block bytes are equal share one text (an
+    extremal's u1..u4 are its h1..h4), and a block column holding one value
+    bit for bit formats it once.  The bytes are those of csv.writer on
+    format(v, ".17g") (nan, inf and -0 included), and the floats written
+    are exactly the floats a reader gets back.  Columns of unequal length
+    are a ValueError, raised before the file is opened.
     """
     columns = [np.asarray(c) for c in columns]
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"CSV columns have unequal lengths {lengths}")
     n = lengths[0] if columns else 0
-    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, n, CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            texts, cells = {}, []
+            for c in columns:
+                block = c[start:start + CSV_BLOCK_ROWS]
+                key = (block.dtype.str, block.tobytes())
+                if key not in texts:
+                    m, raw = len(block), key[1]
+                    if raw == raw[:block.itemsize] * m:
+                        texts[key] = _format17(block[:1].tolist()) * m
+                    else:
+                        texts[key] = _format17(block.tolist())
+                cells.append(texts[key])
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _format17(values: list) -> list[str]:
+    """format(v, ".17g") of each of a non-empty list of values, in one ``%``."""
+    return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -168,12 +168,25 @@ def _assert_same_bits(a, b):
 # with h1 < 0 and h5 = h7 = +0.0, h2 = h4 = -0.0 and their rates stay -0.0 at every stage
 _SIGNED_ZEROS_H0 = np.array([-0.6, -0.0, 0.8, -0.0, 0.0, -0.0, 0.0])
 _SIGNED_ZEROS_Q0 = np.array([-0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0])
+# K = 0 with h5 = h6 = h7 = -0.0, which only step 0's k1 reads raw: with h1 < 0, h2 and h4
+# (-0.0) get a +0.0 rate there and -0.0 rates at every later stage, so they read +0.0
+# from row 1 on; had that k1 read +0.0 brackets, they would stay -0.0
+_NEGATIVE_BRACKETS_H0 = np.array([-0.8, -0.0, 0.6, -0.0, -0.0, -0.0, -0.0])
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, "signed-zeros"])
+def _assert_negative_brackets_path(momenta):
+    # h5..h7 keep -0.0 in row 0 and read +0.0 from row 1 on, as h2 and h4 do
+    assert np.signbit(momenta[0, [1, 3, 4, 5, 6]]).all()
+    assert not np.signbit(momenta[1:, [1, 3, 4, 5, 6]]).any()
+    assert not momenta[:, 4:].any()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, "signed-zeros", "negative-brackets"])
 def test_integrate_extremal_is_the_reference_rk4_bit_for_bit(seed):
     if seed == "signed-zeros":
         h0, q0 = FibreState.from_array(_SIGNED_ZEROS_H0), AdaptedPoint.from_array(_SIGNED_ZEROS_Q0)
+    elif seed == "negative-brackets":
+        h0, q0 = FibreState.from_array(_NEGATIVE_BRACKETS_H0), group_identity()
     else:
         rng = np.random.default_rng(seed)
         h0 = FibreState.from_array(rng.uniform(-1, 1, 7))
@@ -185,17 +198,21 @@ def test_integrate_extremal_is_the_reference_rk4_bit_for_bit(seed):
     _assert_same_bits(traj.momenta, path[:, 7:])
     if seed == "signed-zeros":
         assert np.signbit(traj.states[:, [1, 3]]).all()
+    if seed == "negative-brackets":
+        _assert_negative_brackets_path(traj.momenta)
 
 
 def test_integrate_extremal_batch_is_the_reference_rk4_bit_for_bit(rng):
     h0s, q0s = rng.uniform(-1, 1, (4, 7)), rng.uniform(-1, 1, (4, 7))
-    h0s, q0s = np.vstack([h0s, _SIGNED_ZEROS_H0]), np.vstack([q0s, _SIGNED_ZEROS_Q0])
+    h0s = np.vstack([h0s, _SIGNED_ZEROS_H0, _NEGATIVE_BRACKETS_H0])
+    q0s = np.vstack([q0s, _SIGNED_ZEROS_Q0, np.zeros(7)])
     times, states, momenta = pmp.integrate_extremal_batch(h0s, q0s, T=0.7, dt=0.01)
     path = np.swapaxes(_reference_rk4_path(np.concatenate([q0s, h0s], axis=1), 70, 0.01), 0, 1)
     _assert_same_bits(times, np.linspace(0.0, 0.7, 71))
     _assert_same_bits(states, path[:, :, :7])
     _assert_same_bits(momenta, path[:, :, 7:])
-    assert np.signbit(states[-1, :, [1, 3]]).all()
+    assert np.signbit(states[4, :, [1, 3]]).all()
+    _assert_negative_brackets_path(momenta[-1])
 
 
 @pytest.mark.parametrize("system", ["nilpotent", "original"])
@@ -224,22 +241,26 @@ def test_bracket_motion_is_the_reference_gait_bit_for_bit(system, seed):
 
 @pytest.mark.parametrize("n", [1023, 1024, 1025, 2100])
 def test_array_passes_are_the_reference_across_block_edges(n):
-    # the base system and the original gait run in blocks of pmp._BLOCK_SAMPLES samples
-    # (1024 steps of one path, 341 of a batch of 3), each carrying on from the last row
-    # of the one before
+    # the fibre and base systems and the original gait run in blocks of
+    # pmp._BLOCK_SAMPLES samples (1024 steps of one path, 256 of a batch of 4), each
+    # carrying on from the last row of the one before
     h0, q0 = example_momenta(3), AdaptedPoint.from_array(np.linspace(-0.3, 0.3, 7))
-    traj = integrate_extremal(h0, q0, T=n * 1e-3, dt=1e-3)
-    path = _reference_rk4_path(np.concatenate([q0.array, h0.array]), n, traj.diagnostics.dt)
-    _assert_same_bits(traj.states, path[:, :7])
-    _assert_same_bits(traj.momenta, path[:, 7:])
+    for h0_, q0_ in ((h0, q0), (FibreState.from_array(_NEGATIVE_BRACKETS_H0), q0)):
+        traj = integrate_extremal(h0_, q0_, T=n * 1e-3, dt=1e-3)
+        path = _reference_rk4_path(np.concatenate([q0_.array, h0_.array]), n,
+                                   traj.diagnostics.dt)
+        _assert_same_bits(traj.states, path[:, :7])
+        _assert_same_bits(traj.momenta, path[:, 7:])
+    _assert_negative_brackets_path(traj.momenta)
 
-    h0s = np.stack([h0.array, _SIGNED_ZEROS_H0, example_momenta(2).array])
-    q0s = np.stack([q0.array, _SIGNED_ZEROS_Q0, -q0.array])
+    h0s = np.stack([h0.array, _SIGNED_ZEROS_H0, example_momenta(2).array, _NEGATIVE_BRACKETS_H0])
+    q0s = np.stack([q0.array, _SIGNED_ZEROS_Q0, -q0.array, q0.array])
     _, states, momenta = pmp.integrate_extremal_batch(h0s, q0s, T=n * 1e-3, dt=1e-3)
     path = np.swapaxes(_reference_rk4_path(np.concatenate([q0s, h0s], axis=1), n,
                                            traj.diagnostics.dt), 0, 1)
     _assert_same_bits(states, path[:, :, :7])
     _assert_same_bits(momenta, path[:, :, 7:])
+    _assert_negative_brackets_path(momenta[-1])
 
     from trident47.mechanism import Configuration, reference_configuration
 
@@ -1024,6 +1045,36 @@ def test_csv_writer_is_the_per_value_writer_on_the_example2_geodesic(tmp_path):
     assert written == _reference_csv_bytes(tmp_path, header, columns)
 
 
+def _shared_and_constant_columns(kind, rng):
+    # columns that share bytes, or hold one value, each formatted once per block
+    n = pmp.CSV_BLOCK_ROWS + 5
+    a = rng.standard_normal(n)
+    if kind == "one array twice":
+        return [a, a, rng.standard_normal(n)]
+    if kind == "view and copy":
+        table = rng.standard_normal((n, 3))
+        return [table[:, 1], a, table[:, 1].copy()]
+    if kind == "constant across a block edge":
+        return [np.full(n, 0.25), a, np.full(n, -0.0), np.full(n, 0.25)]
+    if kind == "constant but row 0":
+        return [np.concatenate([[-0.0], np.zeros(n - 1)]), a, np.zeros(n)]
+    if kind == "nan and -nan":
+        return [np.full(n, math.nan), np.full(n, -math.nan), np.copysign(np.full(n, math.nan), a)]
+    # Python lists mixing ints and floats; the ints of a's bits have a's bytes, not its text
+    ints = [int(v) for v in rng.integers(-10**6, 10**6, n)]
+    return [[3] * n, ints, [v if k % 2 else float(v) for k, v in enumerate(ints)], list(a),
+            a.view(np.int64).tolist()]
+
+
+@pytest.mark.parametrize("kind", ["one array twice", "view and copy",
+                                  "constant across a block edge", "constant but row 0",
+                                  "nan and -nan", "python lists of ints and floats"])
+def test_csv_writer_is_the_per_value_writer_on_shared_and_constant_columns(tmp_path, rng, kind):
+    columns = _shared_and_constant_columns(kind, rng)
+    header = [f"c{i}" for i in range(len(columns))]
+    assert _csv_bytes(tmp_path, header, columns) == _reference_csv_bytes(tmp_path, header, columns)
+
+
 def test_csv_writer_refuses_unequal_columns_before_opening(tmp_path):
     path = tmp_path / "short.csv"
     with pytest.raises(ValueError, match=r"unequal lengths \[3, 2, 3\]"):
@@ -1113,6 +1164,23 @@ def test_integrate_extremal_refuses_an_overflowing_path(T, dt):
     c = example_constants(2)
     with pytest.raises(ValueError, match="overflowed"):
         integrate_extremal(c.initial_fibre_state(), group_identity(), T, dt)
+
+
+@pytest.mark.parametrize("index, value", [(0, math.nan), (4, math.inf), (9, -math.inf),
+                                          (13, math.nan)])
+def test_integrate_extremal_refuses_a_non_finite_start(index, value):
+    # a start that is not finite is named, not reported as an overflow at t = 0
+    start = np.concatenate([example_momenta(2).array, np.zeros(7)])
+    start[index] = value
+    match = f"the {'initial covector h0' if index < 7 else 'start point q0'} must be finite"
+    with pytest.raises(ValueError, match=match):
+        integrate_extremal(FibreState.from_array(start[:7]), AdaptedPoint.from_array(start[7:]),
+                           T=1.0, dt=1e-2)
+    batch = np.stack([np.concatenate([example_momenta(3).array, np.zeros(7)]), start])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            pmp.integrate_extremal_batch(batch[:, :7], batch[:, 7:], T=1.0, dt=1e-2)
 
 
 def test_integrate_extremal_holds_one_float_array_of_samples():
