@@ -19,6 +19,7 @@ computed on whole arrays and written by the one row writer ``pmp.write_csv_rows`
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -234,10 +235,8 @@ def cmd_symmetry_check(args) -> int:
 
     vs = list(symmetry.v_fields())
     if args.perturb != 0.0:
-        bent = symmetry.SymmetryField(
-            "v1(perturbed)",
-            vs[0].field + args.perturb * coordinate_field(ADAPTED, 2))
-        vs[0] = bent
+        vs[0] = symmetry.SymmetryField("v1(perturbed)",
+                                       vs[0].field + args.perturb * coordinate_field(ADAPTED, 2))
 
     conditions = {}
     for v in vs:
@@ -347,5 +346,13 @@ def main(argv=None) -> int:
         return EXIT_FAIL
 
 
+def run() -> None:
+    """Process entry of ``python -m`` and the installed command: ``main``, collector off."""
+    gc.disable()
+    code = main()
+    gc.freeze()  # the shutdown collections then skip the job's heap, which dies with the process
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -98,12 +98,6 @@ def reference_configuration() -> Configuration:
     return Configuration.original(0.0, 0.0, math.pi / 2.0, 0.0, 1.0, 1.0, 1.0)
 
 
-def leg_span(q: Configuration) -> float:
-    """L = l1 + l3 + 2, the combined span of the two fixed branches."""
-    l1, _, l3 = q.legs()
-    return l1 + l3 + 2.0
-
-
 def _require_original(q: Configuration, op: str) -> None:
     if q.chart != ORIGINAL:
         raise ChartMismatch(f"{op} expects the original chart, got {q.chart!r}")

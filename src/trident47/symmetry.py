@@ -103,18 +103,19 @@ def so3_combination(a1: float, a2: float, a3: float) -> SymmetryField:
 def _coefficients_in_basis(b: VectorFieldSym, basis: list[VectorFieldSym]) -> tuple[float, ...]:
     """The constant coefficients c of b = sum_i c_i f_i, solved exactly.
 
-    Each component of b - sum_i c_i f_i is a polynomial in the coordinates
-    whose coefficients must vanish; those linear equations in c go to
-    ``sp.linsolve``.  Raises NotASymmetry when they have no solution.
+    The sum holds coefficient by coefficient, so one row [f_1 .. f_n | b] per
+    (component, monomial), in sorted monomial order, makes one numeric system
+    [M | r] for ``sp.linsolve``.  Raises NotASymmetry when it has no solution.
     """
     import sympy as sp
 
     from .fields import coords
-    cs = sp.symbols(f"c0:{len(basis)}", cls=sp.Dummy)
-    eqs = []
+    rows = []
     for bk, *fk in zip(b.components, *(f.components for f in basis)):
-        eqs += sp.Poly(bk - sum(c * f for c, f in zip(cs, fk)), *coords(ADAPTED)).coeffs()
-    solutions = sp.linsolve(eqs, cs)
+        b_terms, *f_terms = (sp.Poly(e, *coords(ADAPTED)).as_dict() for e in (bk, *fk))
+        rows += [[t.get(m, 0) for t in f_terms] + [b_terms.get(m, 0)]
+                 for m in sorted(set(b_terms).union(*f_terms))]
+    solutions = sp.linsolve(sp.Matrix(rows))
     if not solutions:
         raise NotASymmetry("field is not a constant combination of the basis", residual=b)
     (sol,) = solutions
@@ -129,11 +130,8 @@ def so3_structure() -> dict[tuple[int, int], tuple[float, float, float]]:
     """
     from .fields import lie_bracket
     vs = [v.field for v in v_fields()]
-    table = {}
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        b = lie_bracket(vs[i - 1], vs[j - 1])
-        table[(i, j)] = _coefficients_in_basis(b, vs)
-    return table
+    return {(i, j): _coefficients_in_basis(lie_bracket(vs[i - 1], vs[j - 1]), vs)
+            for i, j in ((1, 2), (1, 3), (2, 3))}
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -344,6 +345,52 @@ def test_sample_counts_above_the_cap_exit_2_at_parse_time(tmp_path, capsys, argv
     message = capsys.readouterr().err
     assert argv[1] in message and f"{MAX_SAMPLES}]" in message
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# process entry: run() owns the collector policy, main() leaves the caller's alone
+
+
+def test_in_process_main_leaves_the_collector_as_it_was(tmp_path):
+    before = (gc.isenabled(), gc.get_freeze_count())
+    assert main(["controllability", "--out", str(tmp_path / "c.json")]) == 0
+    assert main(["symmetry-check", "--samples", "20", "--out", str(tmp_path / "s.json")]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+_ENTRIES = {"module": ["-m", "trident47.cli"],
+            # what the installed console script runs
+            "script": ["-c", "import sys; from trident47.cli import run; sys.exit(run())"]}
+
+
+@pytest.mark.parametrize("entry, argv, expected", [
+    ("module", ["controllability"], 0),
+    ("module", ["symmetry-check"], 0),
+    ("module", ["symmetry-check", "--perturb", "0.01"], 1),
+    ("module", ["geodesic", "--constants", "FIXTURE", "--T", "nan"], 2),
+    ("script", ["symmetry-check"], 0),
+])
+def test_process_entry_exits_with_main_code_and_its_bytes(tmp_path, monkeypatch,
+                                                          example2_fixture, entry, argv,
+                                                          expected):
+    argv = [example2_fixture if a == "FIXTURE" else a for a in argv] + ["--out", "report.json"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trident47.__file__)))
+    (tmp_path / "process").mkdir()
+    proc = subprocess.run([sys.executable, *_ENTRIES[entry], *argv], cwd=tmp_path / "process",
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120)
+    assert proc.returncode == expected, proc.stderr.decode()
+
+    (tmp_path / "in_process").mkdir()
+    monkeypatch.chdir(tmp_path / "in_process")
+    if expected == 2:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert not (tmp_path / "process" / "report.json").exists()
+    else:
+        assert main(argv) == expected
+        assert ((tmp_path / "process" / "report.json").read_bytes()
+                == (tmp_path / "in_process" / "report.json").read_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,44 @@ def test_so3_bracket_table():
     assert table[(2, 3)] == (-1.0, 0.0, 0.0)   # [v2,v3] = -v1
 
 
+def _reference_coefficients_in_basis(b, basis):
+    """The per-component solve over Dummy unknowns: b - sum_i c_i f_i has zero coefficients."""
+    cs = sp.symbols(f"c0:{len(basis)}", cls=sp.Dummy)
+    eqs = []
+    for bk, *fk in zip(b.components, *(f.components for f in basis)):
+        eqs += sp.Poly(bk - sum(c * f for c, f in zip(cs, fk)), *coords(ADAPTED)).coeffs()
+    solutions = sp.linsolve(eqs, cs)
+    if not solutions:
+        raise NotASymmetry("field is not a constant combination of the basis", residual=b)
+    (sol,) = solutions
+    return tuple(float(c) for c in sol)
+
+
 def test_coefficients_in_basis_are_solved_exactly():
     vs = [v.field for v in v_fields()]
     b = sp.Rational(1, 7) * vs[0] + SQRT3 * vs[1]
     assert _coefficients_in_basis(b, vs) == (1.0 / 7.0, math.sqrt(3.0), 0.0)
-    with pytest.raises(NotASymmetry):
-        _coefficients_in_basis(w_fields()["w2"].field, vs)
+    assert _coefficients_in_basis(b, vs) == _reference_coefficients_in_basis(b, vs)
+    w2 = w_fields()["w2"].field
+    # v1 + d/dl1: the constant term of dl1 is in no basis field's dl1 component
+    for bad in (w2, vs[0] + coordinate_field(ADAPTED, 1)):
+        with pytest.raises(NotASymmetry) as err:
+            _coefficients_in_basis(bad, vs)
+        assert err.value.residual is bad
+        with pytest.raises(NotASymmetry):
+            _reference_coefficients_in_basis(bad, vs)
+
+
+def test_coefficients_in_basis_match_the_per_component_solve():
+    vs = [v.field for v in v_fields()]
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        b = lie_bracket(vs[i - 1], vs[j - 1])
+        assert _coefficients_in_basis(b, vs) == _reference_coefficients_in_basis(b, vs)
+    w = {name: s.field for name, s in w_fields().items()}
+    central = [w["w12"], w["w13"], w["w14"]]
+    for w_j in ("w2", "w3", "w4"):
+        b = lie_bracket(w["w1"], w[w_j])
+        assert _coefficients_in_basis(b, central) == _reference_coefficients_in_basis(b, central)
 
 
 def test_bracket_with_self_is_zero():
