@@ -15,7 +15,9 @@ The numeric analyses run on one closed-form matrix (``closed_form_gbar``),
 whose first row is X1's one formula (``frame_x1``); its terms take floats or
 arrays, so the original gait reads the same formula over whole blocks of
 stages.  They never import sympy.  Only the printed symbolic slice frame and
-its brackets (``horizontal_frame_slice``, ``slice_bracket_fields``) do.
+its brackets (``horizontal_frame_slice``, ``slice_bracket_fields``) do.  The
+leg fields X2..X4 commute, so every Pfaffian of the constraint annihilator is
+0.0: the signature is (0, 0), and only its rank-7 precondition is computed.
 """
 from __future__ import annotations
 
@@ -365,50 +367,22 @@ class SignatureResult:
         return (self.p, self.r)
 
 
-def _pfaffian4(a: np.ndarray) -> float:
-    # Pfaffian of a 4x4 antisymmetric matrix
-    return a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
-
-
 def pfaffian_signature(q: Configuration, eig_tol: float = RANK_TOL) -> SignatureResult:
     """Signature of the Pfaffian quadratic form on the constraint annihilator.
 
     For the annihilator basis mu_1..mu_3 (the Pfaffian-constraint rows),
     form A_k with (A_k)_{ij} = -mu_k([X_i, X_j]); the quadratic form is
-    c -> Pf(sum c_k A_k).  Its eigenvalue signs (counted against eig_tol
-    times the natural bracket scale) give the signature, reported unordered.
+    c -> Pf(sum c_k A_k).  The leg fields X2..X4 are constant, so they
+    commute and every A_k is zero outside its first row and column: the
+    Pfaffian a01*a23 - a02*a13 + a03*a12 is exactly 0.0 for every c, and the
+    signature is (0, 0).  Only its precondition, rank Gbar = 7 at
+    ``RANK_TOL``, is computed; ``eig_tol`` is recorded and decides nothing.
     """
     _require_original(q, "pfaffian_signature")
-    gbar = _gbar(q)
-    rank = _rank(gbar, RANK_TOL)
+    rank = _rank(_gbar(q), RANK_TOL)
     if rank < 7:
         raise DegenerateGrowth(f"Gbar has rank {rank} < 7 at {q.values}")
-    # the leg fields are constant, so their mutual brackets vanish exactly:
-    # only the entries pairing X1 with X2..X4 are nonzero
-    A = np.zeros((3, 4, 4))
-    A[:, 0, 1:] = -(pfaff_matrix(q) @ gbar[4:].T)
-    A[:, 1:, 0] = -A[:, 0, 1:]
-    return _signature_of_pfaffian_form(A, eig_tol)
-
-
-def _signature_of_pfaffian_form(A: np.ndarray, eig_tol: float) -> SignatureResult:
-    """Signature of c -> Pf(sum c_k A_k) for a (3,4,4) stack of antisymmetric
-    matrices, recovered by polarization."""
-    S = np.empty((3, 3))
-    for k in range(3):
-        S[k, k] = _pfaffian4(A[k])
-    for k in range(3):
-        for l in range(k + 1, 3):
-            S[k, l] = S[l, k] = 0.5 * (_pfaffian4(A[k] + A[l]) - S[k, k] - S[l, l])
-
-    # the Pfaffian is quadratic in the A-entries, so eigenvalues are
-    # compared against the square of the bracket scale
-    scale = max(float(np.abs(A).max()) ** 2, float(np.abs(S).max()))
-    lam = np.linalg.eigvalsh(S)
-    cut = eig_tol * max(scale, 1e-300)
-    p = int(np.sum(lam > cut))
-    r = int(np.sum(lam < -cut))
-    return SignatureResult(p=p, r=r, eig_tol=eig_tol)
+    return SignatureResult(p=0, r=0, eig_tol=eig_tol)
 
 
 def serialize_matrix(m: np.ndarray) -> dict:

@@ -73,6 +73,18 @@ def test_controllability_singular_point_exits_2(tmp_path):
     assert "error" in json.loads(out.read_text())
 
 
+def test_coarse_rank_tolerance_fails_growth_but_keeps_the_signature(tmp_path):
+    # the signature's rank-7 precondition is at RANK_TOL, not at --tol-rank: a
+    # tolerance coarse enough to drop a bracket direction is a failed growth
+    # check (exit 1), not a degenerate point (exit 2)
+    out = tmp_path / "coarse.json"
+    assert main(["controllability", "--tol-rank", "0.05", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["growth"] == [4, 6]
+    assert report["detG_nonzero"] is False
+    assert report["signature"] == [0, 0]
+
+
 def test_controllability_is_deterministic(tmp_path):
     out = tmp_path / "a.json"
     assert main(["controllability", "--sweep", "25", "--out", str(out)]) == 0

@@ -10,7 +10,8 @@ import sympy as sp
 import trident47
 from trident47 import mechanism
 from trident47.errors import ChartMismatch, SingularConfiguration
-from trident47.fields import ORIGINAL, SQRT3, VectorFieldSym, coords, fields_equal
+from trident47.fields import (ORIGINAL, SQRT3, VectorFieldSym, coords, fields_equal,
+                              lie_bracket)
 from trident47.mechanism import (Configuration, check_dynamic_pair, controllability,
                                  horizontal_frame, horizontal_frame_slice, pfaff_matrix,
                                  pfaffian_signature, serialize_matrix, matrix_from_json,
@@ -309,6 +310,35 @@ def test_signature_is_unordered():
     assert a.as_tuple() == b.as_tuple() == (2, 1)
 
 
+def _pfaffian4(a):
+    # Pfaffian of a 4x4 antisymmetric matrix
+    return a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
+
+
+def _polarized_pfaffian(A):
+    """The symmetric 3x3 matrix S of c -> Pf(sum c_k A_k), by polarization."""
+    S = np.empty((3, 3))
+    for k in range(3):
+        S[k, k] = _pfaffian4(A[k])
+    for k in range(3):
+        for l in range(k + 1, 3):
+            S[k, l] = S[l, k] = 0.5 * (_pfaffian4(A[k] + A[l]) - S[k, k] - S[l, l])
+    return S
+
+
+def _reference_signature(A, eig_tol):
+    """Signature of c -> Pf(sum c_k A_k) for any (3,4,4) stack of antisymmetric
+    matrices: the eigenvalue signs of the polarized form, counted against
+    eig_tol times the square of the bracket scale (the Pfaffian is quadratic
+    in the A-entries)."""
+    S = _polarized_pfaffian(A)
+    scale = max(float(np.abs(A).max()) ** 2, float(np.abs(S).max()))
+    lam = np.linalg.eigvalsh(S)
+    cut = eig_tol * max(scale, 1e-300)
+    return mechanism.SignatureResult(p=int(np.sum(lam > cut)), r=int(np.sum(lam < -cut)),
+                                     eig_tol=eig_tol)
+
+
 def test_signature_zero_from_bracket_table_oracle(rng):
     # independent derivation on the nilpotent model: the only nonzero
     # brackets pair the first frame field with the others, so every matrix
@@ -330,7 +360,7 @@ def test_signature_zero_from_bracket_table_oracle(rng):
             for (i, j), b in table.items():
                 A[i, j] = -mus[k] @ b
                 A[j, i] = -A[i, j]
-            assert mechanism._pfaffian4(A) == pytest.approx(0.0, abs=1e-15)
+            assert _pfaffian4(A) == pytest.approx(0.0, abs=1e-15)
         for c in rng.uniform(-1, 1, (5, 3)):
             Ac = np.zeros((4, 4))
             for k in range(3):
@@ -338,7 +368,7 @@ def test_signature_zero_from_bracket_table_oracle(rng):
                     val = -c[k] * (mus[k] @ b)
                     Ac[i, j] += val
                     Ac[j, i] -= val
-            assert mechanism._pfaffian4(Ac) == pytest.approx(0.0, abs=1e-12)
+            assert _pfaffian4(Ac) == pytest.approx(0.0, abs=1e-12)
 
 
 def _pfaffian_stack(bracket_coeffs):
@@ -358,13 +388,35 @@ def test_signature_machinery_detects_nondegenerate_structures():
         (0, 2): (0, 1, 0), (3, 1): (0, 1, 0),
         (0, 3): (0, 0, 1), (1, 2): (0, 0, 1),
     }
-    sig = mechanism._signature_of_pfaffian_form(_pfaffian_stack(quaternionic), 1e-9)
+    sig = _reference_signature(_pfaffian_stack(quaternionic), 1e-9)
     assert sig.as_tuple() == (3, 0)
     # flipping one pairing produces the split form (2,1)
     split = dict(quaternionic)
     split[(3, 1)] = (0, -1, 0)
-    sig = mechanism._signature_of_pfaffian_form(_pfaffian_stack(split), 1e-9)
+    sig = _reference_signature(_pfaffian_stack(split), 1e-9)
     assert sig.as_tuple() == (2, 1)
+
+
+def test_signature_of_the_slice_bracket_table_is_the_reference(rng):
+    # all six entries of each A_k = -mu_k([X_i, X_j]) from the printed slice
+    # frame, leg-leg brackets included, paired with the constraint rows
+    frame = horizontal_frame_slice()
+    brackets = {(0, j): b for j, b in enumerate(slice_bracket_fields(), start=1)}
+    for i in (1, 2, 3):
+        for j in range(i + 1, 4):
+            brackets[(i, j)] = lie_bracket(frame[i], frame[j])
+    assert all(b.is_zero() for (i, _), b in brackets.items() if i > 0)
+    for _ in range(10):
+        q = random_valid(rng, on_slice=True)
+        mu = pfaff_matrix(q)
+        A = np.zeros((3, 4, 4))
+        for (i, j), b in brackets.items():
+            A[:, i, j] = -(mu @ b(q.values))
+            A[:, j, i] = -A[:, i, j]
+        assert np.abs(A[:, 0, 1:]).max() > 0.0  # the A_k are not all zero
+        assert np.abs(_polarized_pfaffian(A)).max() == 0.0
+        sig = _reference_signature(A, mechanism.RANK_TOL).as_tuple()
+        assert sig == (0, 0) == pfaffian_signature(q).as_tuple()
 
 
 def test_degenerate_inputs_raise(q0):

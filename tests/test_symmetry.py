@@ -121,6 +121,27 @@ def test_non_symmetry_is_rejected():
     assert not err.value.residual.is_zero()
 
 
+def test_bracket_with_a_leg_field_leaving_the_vertical_bundle_is_rejected():
+    # l1 d/dy1 commutes with N1, but [v, N2] = -d/dy1 is not vertical
+    l1 = coords(ADAPTED)[1]
+    bad = SymmetryField("l1*dy1", l1 * coordinate_field(ADAPTED, 4))
+    with pytest.raises(NotASymmetry, match=r"^\[l1\*dy1, N2\] leaves the vertical bundle$") as err:
+        check_symmetry_conditions(bad)
+    assert not err.value.residual.is_zero()
+
+
+def test_symmetric_vertical_matrix_is_rejected():
+    # commutes with N1 and maps N2 to -N2: a vertical rotation by a
+    # symmetric, not an antisymmetric, matrix
+    x, l1, _, _, y1, _, _ = coords(ADAPTED)
+    bad = SymmetryField("stretch", l1 * coordinate_field(ADAPTED, 1)
+                        + (y1 - x - SQRT3 * x**2 / 4) * coordinate_field(ADAPTED, 4))
+    with pytest.raises(NotASymmetry,
+                       match="^induced matrix of stretch .* not antisymmetric$") as err:
+        check_symmetry_conditions(bad)
+    assert err.value.residual is None
+
+
 # ---------------------------------------------------------------------------
 # fixed points
 
