@@ -3,9 +3,10 @@
 
 The origin is fixed by every isotropy generator, so flowing a geodesic that
 starts there produces a family of horizontal curves of identical length to
-rotated endpoints.  Whenever the endpoint itself sits on the fixed-point
-set of the chosen symmetry, the family joins the SAME two points, so the
-geodesic cannot be a unique minimizer beyond such a point.
+rotated endpoints.  Were an endpoint on the fixed-point set of the chosen
+symmetry, the family would join the same two points there; generic
+extremals were not seen to reach that set, so the script shows equal-length
+curves to rotated endpoints, not a loss of uniqueness.
 
 The script integrates one of the built-in example extremals, flows it for
 several parameter values, verifies horizontality and length preservation,

@@ -159,10 +159,8 @@ def cmd_geodesic(args) -> int:
     worst = float(np.max(np.abs(ref - traj.states[idx])))
 
     if args.point is not None:
-        start = nilpotent.AdaptedPoint.from_array(args.point)
-        if args.chart == ORIGINAL:
-            start = nilpotent.to_adapted(Configuration(ORIGINAL, args.point))
-        states = np.stack(nilpotent.group_law(start.array, traj.states.T), axis=-1)
+        start = args.point if args.chart == ADAPTED else nilpotent.original_to_adapted(*args.point)
+        states = np.stack(nilpotent.group_law(start, traj.states.T), axis=-1)
         traj = pmp.Trajectory(ADAPTED, traj.times, states, traj.momenta,
                               traj.controls, traj.diagnostics)
 
@@ -294,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--point", type=_parse_point,
                    default=mechanism.reference_configuration().values)
     c.add_argument("--chart", choices=(ORIGINAL, ADAPTED), default=ORIGINAL)
-    c.add_argument("--tol-rank", type=_positive_finite, default=mechanism.RANK_TOL)
+    c.add_argument("--tol-rank", type=_positive_finite, default=mechanism.RANK_TOL,
+                   help="growth-vector rank cutoff only; the signature's precondition "
+                        "and the dynamic pairs use mechanism.RANK_TOL")
     c.add_argument("--dynamic-f", type=_parse_floats, default=(1.0, 2.0, -0.5))
     c.add_argument("--sweep", type=_bounded_int(0), default=0,
                    help="random valid-shape sweep size")

@@ -325,12 +325,12 @@ class DynamicPairResult:
     transversal: bool
 
 
-def check_dynamic_pair(q: Configuration, f: float, rank_tol: float = RANK_TOL) -> DynamicPairResult:
+def check_dynamic_pair(q: Configuration, f: float) -> DynamicPairResult:
     """Regularity of the dynamic pair with drift f*X1 and inputs X2, X3, X4.
 
     V0 = span(X2,X3,X4), V1 = V0 + [f*X1, V0]; at regular points the ranks
     are (3, 6) and V1 + <f*X1> fills the tangent space.  For constant f,
-    [f*X1, Xi] = f*[X1, Xi].
+    [f*X1, Xi] = f*[X1, Xi].  The ranks are taken at RANK_TOL.
     """
     _require_original(q, "check_dynamic_pair")
     if f == 0.0:
@@ -340,9 +340,9 @@ def check_dynamic_pair(q: Configuration, f: float, rank_tol: float = RANK_TOL) -
     v1 = np.vstack([v0, f * gbar[4:]])
     full = np.vstack([v1, f * gbar[:1]])
     return DynamicPairResult(
-        rank_v0=_rank(v0, rank_tol),
-        rank_v1=_rank(v1, rank_tol),
-        transversal=_rank(full, rank_tol) == 7,
+        rank_v0=_rank(v0, RANK_TOL),
+        rank_v1=_rank(v1, RANK_TOL),
+        transversal=_rank(full, RANK_TOL) == 7,
     )
 
 

@@ -62,17 +62,19 @@ class AdaptedPoint:
         return cls.from_array(obj["point"])
 
 
+def original_to_adapted(x, y, th, ph, l1, l2, l3):
+    """The tuple (x, l1, l2, l3, y1, y2, y3) of an original point; floats or arrays."""
+    y1 = -2.0 * x - 2.0 * _S3 * y - 8.0 * th
+    y2 = 0.8 * ph - 0.8 * x + 1.6 * th
+    y3 = -2.0 * x + 2.0 * _S3 * y - 8.0 * th
+    return x, l1, l2, l3, y1, y2, y3
+
+
 def to_adapted(q: Configuration) -> AdaptedPoint:
     """Original chart -> adapted chart (linear; x and the legs pass through)."""
     if q.chart != ORIGINAL:
         raise ChartMismatch("to_adapted expects the original chart")
-    x, y, th, ph, l1, l2, l3 = q.values
-    return AdaptedPoint(
-        x=x, l1=l1, l2=l2, l3=l3,
-        y1=-2.0 * x - 2.0 * _S3 * y - 8.0 * th,
-        y2=0.8 * ph - 0.8 * x + 1.6 * th,
-        y3=-2.0 * x + 2.0 * _S3 * y - 8.0 * th,
-    )
+    return AdaptedPoint(*original_to_adapted(*q.values))
 
 
 def adapted_to_original(x, l1, l2, l3, y1, y2, y3):
@@ -89,14 +91,8 @@ def from_adapted(p: AdaptedPoint) -> Configuration:
 
 
 def adapted_jacobian() -> np.ndarray:
-    """Constant 7x7 Jacobian of to_adapted (pushforward original->adapted)."""
-    T = np.zeros((7, 7))
-    T[0, 0] = 1.0
-    T[1, 4] = T[2, 5] = T[3, 6] = 1.0
-    T[4] = (-2.0, -2.0 * _S3, -8.0, 0.0, 0.0, 0.0, 0.0)
-    T[5] = (-0.8, 0.0, 1.6, 0.8, 0.0, 0.0, 0.0)
-    T[6] = (-2.0, 2.0 * _S3, -8.0, 0.0, 0.0, 0.0, 0.0)
-    return T
+    """Constant 7x7 Jacobian of to_adapted: the map is linear, so column j is the image of e_j."""
+    return np.array(original_to_adapted(*np.eye(7))) + 0.0
 
 
 @functools.lru_cache(maxsize=1)

@@ -41,7 +41,8 @@ from .errors import ChartMismatch, SingularConfiguration, ZeroHorizontalMomentum
 from .charts import ADAPTED, ORIGINAL
 from .mechanism import (SINGULAR_EPS, Configuration, _check_regular, _x1_phi_rate, _x1_planar,
                         _x1_rotation, _x1_shape, reference_configuration)
-from .nilpotent import AdaptedPoint, adapted_to_original, centre, n1_vertical, to_adapted
+from .nilpotent import (AdaptedPoint, adapted_to_original, centre, n1_vertical,
+                        original_to_adapted, to_adapted)
 
 _S3 = math.sqrt(3.0)
 
@@ -423,9 +424,7 @@ def _base_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarray:
         for k in range(0, n, block):
             us, rows = stage_controls(k, min(block, n - k)), path[k:k + block + 1]
             accumulate(rows, range(4), us)
-            q = [rows[:-1, j] for j in range(4)]
-            qs = [q] + [[a + c * b for a, b in zip(q, u)]
-                        for c, u in zip((0.5 * h, 0.5 * h, h), us)]
+            qs = _stage_inputs(rows[:-1, :4].swapaxes(0, 1), np.asarray(us), h)
             accumulate(rows, range(4, 7), [_base_rates(qi, u)[4:] for qi, u in zip(qs, us)])
     return path
 
@@ -730,8 +729,7 @@ def bracket_displacement(traj: Trajectory) -> np.ndarray:
     """Net adapted-chart displacement of a gait trajectory."""
     if traj.chart == ADAPTED:
         return traj.displacement()
-    first = to_adapted(Configuration(ORIGINAL, tuple(traj.states[0]))).array
-    last = to_adapted(Configuration(ORIGINAL, tuple(traj.states[-1]))).array
+    first, last = (np.array(original_to_adapted(*traj.states[i].tolist())) for i in (0, -1))
     return last - first
 
 

@@ -9,14 +9,14 @@ Two explicit families in the adapted chart:
   block, commutes with N1, and rotates (N2,N3,N4) orthogonally, so the
   control metric is preserved.
 
-The axis (a1, a2, a3) defines a1 v1 + a2 v2 + a3 v3; its symbolic field is
-built on first read, each float taken as the exact rational it is.  That
-field equals (0, hat(a) l, hat(a)(y - c(x))) with the centre curve
-c(x) = (x + sqrt(3)x^2/4, x, x - sqrt(3)x^2/4), a linear system with x
-constant, so its time-t flow rotates l and y - c(x) by R = exp(t hat(a))
-(Rodrigues' formula).  The flows, fixed points and invariance report are
-numpy; only the certificates (symbolic fields, structure constants solved
-exactly, symmetry conditions) load sympy.
+The axis (a1, a2, a3) defines a1 v1 + a2 v2 + a3 v3, and v1, v2, v3 are
+the unit axes.  Its symbolic field is one formula, built on first read with
+each float taken as the exact rational it is: (0, hat(a) l, hat(a)(y - c(x)))
+with the centre curve c(x) = (x + sqrt(3)x^2/4, x, x - sqrt(3)x^2/4), a
+linear system with x constant, so its time-t flow rotates l and y - c(x) by
+R = exp(t hat(a)) (Rodrigues' formula).  The flows, fixed points and
+invariance report are numpy; only the certificates (symbolic fields,
+structure constants solved exactly, symmetry conditions) load sympy.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ class SymmetryField:
 
     ``axis`` is (a1, a2, a3) when the field is a1 v1 + a2 v2 + a3 v3 and None
     otherwise; only fields with an axis have an exact flow.  ``field`` is the
-    given field or, when none is given, the combination built from the axis.
+    given field or, when none is given, the so(3) formula of the axis.
     """
 
     name: str
@@ -51,28 +51,25 @@ class SymmetryField:
 
     @functools.cached_property
     def field(self) -> VectorFieldSym:
-        if self.given is not None:
-            return self.given
-        import sympy as sp
+        return self.given if self.given is not None else _so3_field(self.axis)
 
-        from . import fields
-        return fields.linear_combination([v.field for v in v_fields()],
-                                         [sp.Rational(a) for a in self.axis])
+
+def _so3_field(axis: tuple[float, float, float]) -> VectorFieldSym:
+    """a1 v1 + a2 v2 + a3 v3 = (0, hat(a) l, hat(a)(y - c(x))), each a_i its exact rational."""
+    import sympy as sp
+
+    from .fields import SQRT3, VectorFieldSym, coords
+    x, l1, l2, l3, y1, y2, y3 = coords(ADAPTED)
+    a = sp.Matrix([sp.Rational(a_i) for a_i in axis])
+    y_c = sp.Matrix([y1 - x - SQRT3 * x**2 / 4, y2 - x, y3 - x + SQRT3 * x**2 / 4])
+    return VectorFieldSym(ADAPTED, (0, *a.cross(sp.Matrix([l1, l2, l3])), *a.cross(y_c)))
 
 
 @functools.lru_cache(maxsize=1)
 def v_fields() -> tuple[SymmetryField, SymmetryField, SymmetryField]:
-    """The isotropy generators v1, v2, v3 (they vanish at the origin)."""
-    from .fields import SQRT3, VectorFieldSym, coords
-    x, l1, l2, l3, y1, y2, y3 = coords(ADAPTED)
-    P = SQRT3 * x**2 / 4 - x + y3
-    Q = x - y2
-    R = SQRT3 * x**2 / 4 + x - y1
-    v1 = VectorFieldSym(ADAPTED, (0, 0, -l3, l2, 0, -P, -Q))
-    v2 = VectorFieldSym(ADAPTED, (0, l3, 0, -l1, P, 0, R))
-    v3 = VectorFieldSym(ADAPTED, (0, -l2, l1, 0, Q, -R, 0))
-    return (SymmetryField("v1", v1, (1.0, 0.0, 0.0)), SymmetryField("v2", v2, (0.0, 1.0, 0.0)),
-            SymmetryField("v3", v3, (0.0, 0.0, 1.0)))
+    """The isotropy generators v1, v2, v3 (they vanish at the origin): the unit axes."""
+    return (SymmetryField("v1", axis=(1.0, 0.0, 0.0)), SymmetryField("v2", axis=(0.0, 1.0, 0.0)),
+            SymmetryField("v3", axis=(0.0, 0.0, 1.0)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -243,8 +240,14 @@ def flow_with_jacobian(v: SymmetryField, p: AdaptedPoint, t: float,
     J = np.zeros((7, 7))
     J[0, 0] = 1.0
     J[1:4, 1:4] = J[4:7, 4:7] = R
-    J[4:7, 0] = (np.eye(3) - R) @ np.array(n1_vertical(p.x, 0.0, 0.0, 0.0))
+    J[4:7, 0] = _shear_column(R, np.array([p.x]))[0]
     return _flow(R, p), J
+
+
+def _shear_column(R: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The flow differential's x-column in the y rows, (I - R) c'(x), one row per x in (n,)."""
+    zero = np.zeros(len(x))
+    return np.stack(n1_vertical(x, zero, zero, zero), axis=1) @ (np.eye(3) - R).T
 
 
 def w_structure_report() -> dict:
@@ -297,10 +300,9 @@ def flow_invariance_report(v: SymmetryField, states: np.ndarray, times: np.ndarr
     if not all(np.isfinite(a).all() for a in (states, times, tangents)):
         raise ValueError("states, times and tangents must be finite")
     R = _rotation(v, s, dt)
-    x, xdot, zero = states[:, 0], tangents[:, :1], np.zeros(len(states))
+    x, xdot = states[:, 0], tangents[:, :1]
     legs_dot = tangents[:, 1:4] @ R.T
-    c_prime = np.stack(n1_vertical(x, zero, zero, zero), axis=1)
-    ydot = xdot * (c_prime @ (np.eye(3) - R).T) + tangents[:, 4:7] @ R.T
+    ydot = xdot * _shear_column(R, x) + tangents[:, 4:7] @ R.T
     n1_y = np.stack(n1_vertical(x, *(states[:, 1:4] @ R.T).T), axis=1)
     speeds_before = np.linalg.norm(tangents[:, :4], axis=1)
     speeds_after = np.linalg.norm(np.hstack([xdot, legs_dot]), axis=1)

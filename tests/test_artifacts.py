@@ -1,9 +1,9 @@
 """The whole-array artifact path is the per-row path it replaced, bit for bit.
 
 The references below are the former per-sample code, kept test-local: the
-scalar chart map, group product and mechanism geometry, the row-by-row
-CSV writers, the closed-form cross-check loop and the per-state left
-translation of ``geodesic --point``.
+scalar chart maps, group product and mechanism geometry, the row-by-row
+CSV writers, the closed-form cross-check loop, the per-state left
+translation of ``geodesic --point`` and the per-endpoint gait displacement.
 """
 import csv
 import json
@@ -32,6 +32,16 @@ def _reference_from_adapted(p):
     th = -y1 / 16.0 - y3 / 16.0 - x / 4.0
     y = -S3 / 12.0 * (y1 - y3)
     return np.array([x, y, th, ph, l1, l2, l3])
+
+
+def _reference_to_adapted(q):
+    x, y, th, ph, l1, l2, l3 = q
+    return np.array([
+        x, l1, l2, l3,
+        -2.0 * x - 2.0 * S3 * y - 8.0 * th,
+        0.8 * ph - 0.8 * x + 1.6 * th,
+        -2.0 * x + 2.0 * S3 * y - 8.0 * th,
+    ])
 
 
 def _reference_group_mul(p, q):
@@ -116,6 +126,14 @@ def _reference_trace_csv(times, states, path):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _reference_bracket_displacement(traj):
+    if traj.chart == ADAPTED:
+        return traj.states[-1] - traj.states[0]
+    first = _reference_to_adapted([float(v) for v in traj.states[0]])
+    last = _reference_to_adapted([float(v) for v in traj.states[-1]])
+    return last - first
+
+
 def _reference_cross_check(constants, traj):
     idx = np.arange(0, len(traj), max(1, len(traj) // 200))
     worst = 0.0
@@ -135,6 +153,14 @@ def test_chart_map_columns_match_per_point_calls():
     per_point = np.stack([nilpotent.from_adapted(AdaptedPoint(*p)).array for p in pts])
     assert np.array_equal(cols, per_point)
     assert np.array_equal(cols, np.stack([_reference_from_adapted(p) for p in pts]))
+
+
+def test_original_chart_map_columns_match_per_point_calls():
+    pts = _points(8, box=4.0)
+    cols = np.stack(nilpotent.original_to_adapted(*np.array(pts).T), axis=-1)
+    per_point = np.stack([nilpotent.to_adapted(Configuration.original(*p)).array for p in pts])
+    assert np.array_equal(cols, per_point)
+    assert np.array_equal(cols, np.stack([_reference_to_adapted(p) for p in pts]))
 
 
 def test_group_law_columns_match_per_point_calls():
@@ -239,3 +265,21 @@ def test_geodesic_point_translation_is_the_reference(tmp_path, chart, point):
     moved = pmp.Trajectory(ADAPTED, traj.times, states, traj.momenta, traj.controls)
     _reference_trajectory_csv(moved, tmp_path / "want.csv")
     assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("system", ["nilpotent", "original"])
+@pytest.mark.parametrize("params", [
+    pmp.BracketMotionParams(),
+    pmp.BracketMotionParams(amplitude=0.3, partner=3, steps_per_cycle=300),
+    pmp.BracketMotionParams(amplitude=0.2, partner=4, cycles=2, omega=2.5),
+], ids=["default", "partner3", "partner4"])
+def test_gait_displacement_is_the_per_endpoint_reference(system, params):
+    traj = pmp.bracket_motion(params, system)
+    got = pmp.bracket_displacement(traj)
+    assert got.tobytes() == _reference_bracket_displacement(traj).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_example_fixtures_are_the_built_in_examples(n):
+    # the worked examples are typed twice, as JSON fixtures and in pmp.example_constants
+    assert pmp.load_solution_constants(FIXTURES / f"example{n}.json") == pmp.example_constants(n)

@@ -50,6 +50,22 @@ def test_from_adapted_matches_matrix_inverse_oracle(rng):
         assert np.abs(from_adapted(p).array - Tinv @ p.array).max() < 1e-12
 
 
+def _reference_adapted_jacobian():
+    """The hand-typed rows that adapted_jacobian() replaced by the chart map's columns."""
+    T = np.zeros((7, 7))
+    T[0, 0] = 1.0
+    T[1, 4] = T[2, 5] = T[3, 6] = 1.0
+    T[4] = (-2.0, -2.0 * S3, -8.0, 0.0, 0.0, 0.0, 0.0)
+    T[5] = (-0.8, 0.0, 1.6, 0.8, 0.0, 0.0, 0.0)
+    T[6] = (-2.0, 2.0 * S3, -8.0, 0.0, 0.0, 0.0, 0.0)
+    return T
+
+
+def test_adapted_jacobian_is_the_hand_typed_matrix():
+    # tobytes tells -0.0 from 0.0
+    assert adapted_jacobian().tobytes() == _reference_adapted_jacobian().tobytes()
+
+
 def test_to_adapted_rejects_adapted_chart():
     with pytest.raises(ChartMismatch):
         to_adapted(Configuration.adapted(0, 1, 1, 1, 0, 0, 0))

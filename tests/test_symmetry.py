@@ -11,7 +11,8 @@ import sympy as sp
 import trident47
 from trident47 import nilpotent, pmp
 from trident47.errors import NotASymmetry, ZeroCombination
-from trident47.fields import ADAPTED, SQRT3, coordinate_field, coords, lie_bracket
+from trident47.fields import (ADAPTED, SQRT3, VectorFieldSym, coordinate_field, coords,
+                              lie_bracket, linear_combination)
 from trident47.nilpotent import AdaptedPoint, nilpotent_frame_matrix
 from trident47.symmetry import (SymmetryField, _coefficients_in_basis, check_symmetry_conditions,
                                 fixed_point_set, flow_invariance_report,
@@ -234,6 +235,32 @@ def test_so3_combination_is_a_rotation_of_legs_and_centre_offset():
     for v, axis in zip(v_fields(), np.eye(3)):
         assert v.axis == tuple(axis)
     assert so3_combination(0.5, -1.0, 2.0).axis == (0.5, -1.0, 2.0)
+
+
+def _reference_v_fields():
+    """The hand-typed generators that v_fields() replaced by the axis formula."""
+    x, l1, l2, l3, y1, y2, y3 = coords(ADAPTED)
+    P = SQRT3 * x**2 / 4 - x + y3
+    Q = x - y2
+    R = SQRT3 * x**2 / 4 + x - y1
+    return (VectorFieldSym(ADAPTED, (0, 0, -l3, l2, 0, -P, -Q)),
+            VectorFieldSym(ADAPTED, (0, l3, 0, -l1, P, 0, R)),
+            VectorFieldSym(ADAPTED, (0, -l2, l1, 0, Q, -R, 0)))
+
+
+def test_v_fields_are_the_hand_typed_generators():
+    for v, ref in zip(v_fields(), _reference_v_fields()):
+        assert v.field.components == ref.components
+
+
+@pytest.mark.parametrize("axis", [
+    *(tuple(np.random.default_rng(seed).uniform(-2.0, 2.0, 3)) for seed in range(8)),
+    (0.3184848170829566, -0.9045200484068716, 1.7034773792668148),  # the CI generic axis
+    (1.0, 1.0, 1.0), (0.6, -0.8, 0.4), (0.0, 0.0, 0.0),
+])
+def test_so3_combination_is_the_linear_combination_of_the_generators(axis):
+    ref = linear_combination(_reference_v_fields(), [sp.Rational(a) for a in axis])
+    assert so3_combination(*axis).field.components == ref.components
 
 
 def test_so3_combination_field_is_its_axis_exactly():
