@@ -13,8 +13,9 @@ Four subcommands, each writing deterministic CSV/JSON artifacts:
 Exit codes: 0 pass, 1 internal/check failure, 2 invalid input or
 precondition breach.
 
-Only ``symmetry-check`` loads sympy.  Every CSV, traces included, is
-computed on whole arrays and written by the one row writer ``pmp.write_csv_rows``.
+No subcommand loads sympy: ``symmetry-check`` certifies on exact
+polynomial fields (``polyfield``).  Every CSV, traces included, is computed
+on whole arrays and written by the one row writer ``pmp.write_csv_rows``.
 """
 from __future__ import annotations
 
@@ -221,7 +222,7 @@ def _write_trace_csv(traj, path) -> None:
 
 def cmd_symmetry_check(args) -> int:
     from . import nilpotent, symmetry
-    from .fields import coordinate_field
+    from .polyfield import coordinate_field
     spec = _spec(command="symmetry-check", out=args.out, seed=args.seed)
     report: dict = {"spec": spec}
     ok = True
@@ -234,7 +235,7 @@ def cmd_symmetry_check(args) -> int:
     vs = list(symmetry.v_fields())
     if args.perturb != 0.0:
         vs[0] = symmetry.SymmetryField("v1(perturbed)",
-                                       vs[0].field + args.perturb * coordinate_field(ADAPTED, 2))
+                                       vs[0].field + args.perturb * coordinate_field(2))
 
     conditions = {}
     for v in vs:

@@ -24,7 +24,7 @@ class DegenerateGrowth(TridentError):
 class NotASymmetry(TridentError):
     """A field failed an infinitesimal-symmetry condition.
 
-    Carries the offending residual field (a VectorFieldSym) in ``residual``.
+    Carries the offending residual field (a ``polyfield.PolyField``) in ``residual``.
     """
 
     def __init__(self, message, residual=None):

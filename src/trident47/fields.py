@@ -1,26 +1,18 @@
-"""Exact symbolic scalar expressions and vector fields on R^7.
+"""Exact symbolic expressions and vector fields on R^7, in sympy.
 
-Every other module works over one of two fixed charts on the configuration
-space:
-
-* ``original``: (x, y, theta, phi, l1, l2, l3) -- planar pose, revolute-joint
-  angle and the three prismatic leg lengths;
-* ``adapted``: (x, l1, l2, l3, y1, y2, y3) -- the chart in which the
-  nilpotent approximation lives.
-
-Expressions are sympy trees restricted to rational constants, the exact
-tokens sqrt(3) and pi, coordinate symbols, sums, products, quotients,
-integer powers and sin/cos.  Keeping the constants exact makes bracket
-tables close by structural equality; floats only appear at evaluation time.
-
-A vector field is a chart tag plus seven component expressions.  Mixing
-charts is a hard error everywhere (``ChartMismatch``), never an implicit
-conversion.
+Two roles: the original chart's slice frame (``mechanism``), whose
+coefficients have sin, cos and 1/L terms, and the oracle the tests hold the
+exact polynomial fields of ``polyfield`` to.  Expressions are sympy trees
+with rational constants, the exact tokens sqrt(3) and pi, coordinate
+symbols, sums, products, quotients, integer powers and sin/cos, so bracket
+tables close by structural equality.  A vector field is a chart tag,
+``original`` (x, y, theta, phi, l1, l2, l3) or ``adapted`` (x, l1, l2, l3,
+y1, y2, y3), plus seven components; mixing charts raises ``ChartMismatch``.
 
 Evaluation has one path: a field's seven components (or one expression)
 compile once, with their coordinate-dependent denominators, into one numpy
-function of an ``(n, 7)`` point array, so a sampled certificate makes one
-call per field.  Brackets have one normal form, ``sp.cancel``.
+function of an ``(n, 7)`` point array.  Brackets have one normal form,
+``sp.cancel``.
 """
 from __future__ import annotations
 
@@ -30,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .charts import ADAPTED, CHART_COORDS, ORIGINAL
+from .charts import ADAPTED, CHART_COORDS, ORIGINAL, random_points
 from .errors import ChartMismatch, DivisionByZero
 
 #: exact sqrt(3), used throughout the field library
@@ -115,10 +107,6 @@ def differentiate(e: Expr, coord_index: int, chart: str = ORIGINAL) -> Expr:
     return sp.diff(sp.sympify(e), coords(chart)[coord_index])
 
 
-def simplify_expr(e: Expr) -> Expr:
-    return sp.simplify(sp.sympify(e))
-
-
 def is_zero_expr(e: Expr) -> bool:
     """Structural zero test: as given, then expanded, then sp.simplify'd."""
     e = sp.sympify(e)
@@ -184,14 +172,6 @@ def coordinate_field(chart: str, index: int) -> VectorFieldSym:
     return VectorFieldSym(chart, tuple(comps))
 
 
-def linear_combination(fields_, coeffs) -> VectorFieldSym:
-    """coeffs[0] * fields_[0] + coeffs[1] * fields_[1] + ..., summed left to right."""
-    out = coeffs[0] * fields_[0]
-    for c, f in zip(coeffs[1:], fields_[1:]):
-        out = out + c * f
-    return out
-
-
 @functools.lru_cache(maxsize=1024)
 def _jacobian(X: VectorFieldSym) -> tuple[tuple[Expr, ...], ...]:
     """dX^i/dx_j as [i][j]: each field is differentiated once, however many brackets take it."""
@@ -209,21 +189,6 @@ def lie_bracket(X: VectorFieldSym, Y: VectorFieldSym) -> VectorFieldSym:
     x, y, dx, dy = X.components, Y.components, _jacobian(X), _jacobian(Y)
     return VectorFieldSym(X.chart, tuple(
         sp.cancel(sum(x[j] * dy[i][j] - y[j] * dx[i][j] for j in range(7))) for i in range(7)))
-
-
-#: default sampling boxes for the numeric equality fallback; legs kept
-#: positive in the original chart so no denominator vanishes
-_SAMPLE_BOX = {
-    ORIGINAL: [(-1.0, 1.0)] * 4 + [(0.5, 2.0)] * 3,
-    ADAPTED: [(-1.0, 1.0)] * 7,
-}
-
-
-def random_points(chart: str, n: int, rng=None) -> np.ndarray:
-    """n sample points in the chart's standard box (legs positive)."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    box = np.array(_SAMPLE_BOX[chart])
-    return rng.uniform(box[:, 0], box[:, 1], size=(n, 7))
 
 
 def fields_equal(X: VectorFieldSym, Y: VectorFieldSym, samples: int = 50,

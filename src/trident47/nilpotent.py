@@ -12,6 +12,9 @@ In this chart the step-2 nilpotent frame N1..N4 generates a 7-dimensional
 Lie algebra with [N1,N2] = d/dy1, [N1,N3] = d/dy2, [N1,N4] = d/dy3 and all
 other brackets zero.  R^7 with the polynomial product ``group_mul`` is the
 corresponding simply connected group; the frame is left-invariant for it.
+
+The frame and its brackets are exact ``polyfield.PolyField``s, loaded when a
+certificate first asks for them; nothing here loads sympy.
 """
 from __future__ import annotations
 
@@ -22,12 +25,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .charts import ADAPTED, ORIGINAL
+from .charts import ADAPTED, ORIGINAL, random_points
 from .errors import ChartMismatch
 from .mechanism import MAX_SAMPLES, RANK_TOL, Configuration, _rank
 
 if TYPE_CHECKING:
-    from .fields import VectorFieldSym
+    from .polyfield import PolyField
 
 _S3 = math.sqrt(3.0)
 
@@ -96,26 +99,21 @@ def adapted_jacobian() -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def nilpotent_frame() -> tuple[VectorFieldSym, ...]:
-    """The frame N1..N4 in the adapted chart."""
-    from .fields import SQRT3, VectorFieldSym, coordinate_field, coords
-    x, l1, l2, l3, y1, y2, y3 = coords(ADAPTED)
-    n1 = VectorFieldSym(ADAPTED, (
-        1, 0, 0, 0,
-        -(-SQRT3 / 2 * x + l1 - 1),
-        -(l2 - 1),
-        -(SQRT3 / 2 * x + l3 - 1),
-    ))
-    return (n1,
-            coordinate_field(ADAPTED, 1),
-            coordinate_field(ADAPTED, 2),
-            coordinate_field(ADAPTED, 3))
+def nilpotent_frame() -> tuple[PolyField, ...]:
+    """The frame N1..N4 in the adapted chart: N1 = d/dx + n1_vertical . d/dy, N_k = d/dl_{k-1}."""
+    from .polyfield import ONE, UNIT, PolyField, coordinate_field
+    x, l1, l2, l3 = UNIT[:4]
+    n1 = PolyField(({ONE: (1, 0)}, {}, {}, {},
+                    {ONE: (1, 0), x: (0, 0.5), l1: (-1, 0)},
+                    {ONE: (1, 0), l2: (-1, 0)},
+                    {ONE: (1, 0), x: (0, -0.5), l3: (-1, 0)}))
+    return (n1, coordinate_field(1), coordinate_field(2), coordinate_field(3))
 
 
 @functools.lru_cache(maxsize=1)
-def extended_frame() -> tuple[VectorFieldSym, ...]:
+def extended_frame() -> tuple[PolyField, ...]:
     """N1..N4 followed by N12 = [N1,N2], N13 = [N1,N3], N14 = [N1,N4]."""
-    from .fields import lie_bracket
+    from .polyfield import lie_bracket
     n1, n2, n3, n4 = nilpotent_frame()
     return (n1, n2, n3, n4,
             lie_bracket(n1, n2), lie_bracket(n1, n3), lie_bracket(n1, n4))
@@ -185,7 +183,7 @@ class LeftInvarianceReport:
     samples: int
 
 
-def check_left_invariance(X: VectorFieldSym, samples: int = 1000, seed: int = 0,
+def check_left_invariance(X: PolyField, samples: int = 1000, seed: int = 0,
                           tol: float = 1e-9) -> LeftInvarianceReport:
     """Check dL_g(X(p)) = X(g*p) at random (g, p) pairs, in one array pass.
 
@@ -233,34 +231,31 @@ def check_path_geometry_conditions(samples: int = 25, seed: int = 0) -> PathGeom
 
     (1) E and V stay transversal (the frame has rank 4 at random points).
     (2) Brackets of V-sections with random affine coefficients land in
-        E + V (their bracket is again vertical: checked symbolically).
+        E + V (their bracket is again vertical: checked exactly).
     (3) For generic sections xi in E and nu in V that do not vanish at a
         point, [xi, nu] at that point leaves E + V.
     """
-    import sympy as sp
-
-    from . import fields
+    from .polyfield import ONE, UNIT, PolyField, lie_bracket
     rng = np.random.default_rng(seed)
     n = nilpotent_frame()
-    cs = fields.coords(ADAPTED)
 
     def affine_coeff():  # the integers (c0, c) of c0 + c . coords
         return rng.integers(-3, 4, size=8)
 
-    def affine_expr(c):
-        return sp.Integer(int(c[0])) + sum(int(ci) * s for ci, s in zip(c[1:], cs))
+    def affine_poly(c):
+        return {ONE: (int(c[0]), 0), **{m: (int(ci), 0) for m, ci in zip(UNIT, c[1:])}}
 
-    def vertical_section():
-        return fields.linear_combination(n[1:], [affine_expr(affine_coeff()) for _ in range(3)])
+    def vertical_section(coeffs):  # sum_k coeffs[k] N_{k+2}
+        return PolyField(({}, *map(affine_poly, coeffs), {}, {}, {}))
 
-    pts = fields.random_points(ADAPTED, samples, rng) * 2.0
+    pts = random_points(ADAPTED, samples, rng) * 2.0
     rank_ok = bool(np.all(_rank(nilpotent_frame_matrix(pts), RANK_TOL) == 4))
 
     # vertical fields close among themselves: x- and y-components vanish
     v_ok = True
     for _ in range(4):
-        b = fields.lie_bracket(vertical_section(), vertical_section())
-        v_ok &= all(fields.is_zero_expr(b.components[idx]) for idx in (0, 4, 5, 6))
+        b = lie_bracket(*(vertical_section([affine_coeff() for _ in range(3)]) for _ in range(2)))
+        v_ok &= not any(b.components[idx] for idx in (0, 4, 5, 6))
 
     min_res = math.inf
     outside_ok = True
@@ -272,9 +267,7 @@ def check_path_geometry_conditions(samples: int = 25, seed: int = 0) -> PathGeom
             avals = [c[0] + c[1:] @ p for c in coeffs]
             if abs(fval) > 0.1 and np.linalg.norm(avals) > 0.1:
                 break
-        xi = affine_expr(f) * n[0]
-        nu = fields.linear_combination(n[1:], [affine_expr(c) for c in coeffs])
-        w = fields.lie_bracket(xi, nu)(p)
+        w = lie_bracket(n[0] * affine_poly(f), vertical_section(coeffs))(p)
         res = _in_span_residual(w, p)
         expected = abs(fval) * float(np.linalg.norm(avals, ord=np.inf))
         min_res = min(min_res, res)

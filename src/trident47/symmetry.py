@@ -10,13 +10,14 @@ Two explicit families in the adapted chart:
   control metric is preserved.
 
 The axis (a1, a2, a3) defines a1 v1 + a2 v2 + a3 v3, and v1, v2, v3 are
-the unit axes.  Its symbolic field is one formula, built on first read with
-each float taken as the exact rational it is: (0, hat(a) l, hat(a)(y - c(x)))
+the unit axes.  Its field is one formula, built on first read with each
+float taken as the exact rational it is: (0, hat(a) l, hat(a)(y - c(x)))
 with the centre curve c(x) = (x + sqrt(3)x^2/4, x, x - sqrt(3)x^2/4), a
 linear system with x constant, so its time-t flow rotates l and y - c(x) by
 R = exp(t hat(a)) (Rodrigues' formula).  The flows, fixed points and
-invariance report are numpy; only the certificates (symbolic fields,
-structure constants solved exactly, symmetry conditions) load sympy.
+invariance report are numpy.  The certificates (structure constants solved
+exactly, symmetry conditions, transitivity) work on exact
+``polyfield.PolyField``s, loaded on first use; nothing here loads sympy.
 """
 from __future__ import annotations
 
@@ -27,18 +28,18 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .charts import ADAPTED
+from .charts import ADAPTED, random_points
 from .errors import NotASymmetry, ZeroCombination
 from .mechanism import RANK_TOL, _rank
 from .nilpotent import AdaptedPoint, centre, n1_vertical, nilpotent_frame
 
 if TYPE_CHECKING:
-    from .fields import VectorFieldSym
+    from .polyfield import PolyField
 
 
 @dataclass(frozen=True)
 class SymmetryField:
-    """A named symbolic field in the adapted chart.
+    """A named exact polynomial field in the adapted chart.
 
     ``axis`` is (a1, a2, a3) when the field is a1 v1 + a2 v2 + a3 v3 and None
     otherwise; only fields with an axis have an exact flow.  ``field`` is the
@@ -46,23 +47,23 @@ class SymmetryField:
     """
 
     name: str
-    given: VectorFieldSym | None = None
+    given: PolyField | None = None
     axis: tuple[float, float, float] | None = None
 
     @functools.cached_property
-    def field(self) -> VectorFieldSym:
+    def field(self) -> PolyField:
         return self.given if self.given is not None else _so3_field(self.axis)
 
 
-def _so3_field(axis: tuple[float, float, float]) -> VectorFieldSym:
+def _so3_field(axis: tuple[float, float, float]) -> PolyField:
     """a1 v1 + a2 v2 + a3 v3 = (0, hat(a) l, hat(a)(y - c(x))), each a_i its exact rational."""
-    import sympy as sp
-
-    from .fields import SQRT3, VectorFieldSym, coords
-    x, l1, l2, l3, y1, y2, y3 = coords(ADAPTED)
-    a = sp.Matrix([sp.Rational(a_i) for a_i in axis])
-    y_c = sp.Matrix([y1 - x - SQRT3 * x**2 / 4, y2 - x, y3 - x + SQRT3 * x**2 / 4])
-    return VectorFieldSym(ADAPTED, (0, *a.cross(sp.Matrix([l1, l2, l3])), *a.cross(y_c)))
+    from .polyfield import UNIT, PolyField, combine
+    x, l1, l2, l3, y1, y2, y3 = ({m: (1, 0)} for m in UNIT)
+    bump = {(2, 0, 0, 0, 0, 0, 0): (0, 0.25)}  # sqrt(3) x^2 / 4
+    y_c = (combine((1, y1), (-1, x), (-1, bump)), combine((1, y2), (-1, x)),
+           combine((1, y3), (-1, x), (1, bump)))
+    return PolyField(({}, *(combine((axis[j], u[k]), (-axis[k], u[j]))
+                            for u in ((l1, l2, l3), y_c) for j, k in ((1, 2), (2, 0), (0, 1)))))
 
 
 @functools.lru_cache(maxsize=1)
@@ -74,18 +75,13 @@ def v_fields() -> tuple[SymmetryField, SymmetryField, SymmetryField]:
 
 @functools.lru_cache(maxsize=1)
 def w_fields() -> dict[str, SymmetryField]:
-    """The transitive nilpotent algebra w1..w4, w12, w13, w14."""
-    from .fields import SQRT3, VectorFieldSym, coordinate_field, coords
-    x, l1, l2, l3, y1, y2, y3 = coords(ADAPTED)
-    w = {
-        "w1": VectorFieldSym(ADAPTED, (-1, -SQRT3 / 2, 0, 0, 0, 0, SQRT3 * x / 2)),
-        "w2": VectorFieldSym(ADAPTED, (0, 1, 0, 0, -x, 0, 0)),
-        "w3": VectorFieldSym(ADAPTED, (0, 0, 1, 0, 0, -x, 0)),
-        "w4": VectorFieldSym(ADAPTED, (0, 0, 0, 1, 0, 0, -x)),
-        "w12": coordinate_field(ADAPTED, 4),
-        "w13": coordinate_field(ADAPTED, 5),
-        "w14": coordinate_field(ADAPTED, 6),
-    }
+    """The transitive nilpotent algebra w1..w4, w12, w13, w14: w_k = d/dl_{k-1} - x d/dy_{k-1}."""
+    from .polyfield import ONE, UNIT, PolyField, coordinate_field
+    x = UNIT[0]
+    w = {"w1": PolyField(({ONE: (-1, 0)}, {ONE: (0, -0.5)}, {}, {}, {}, {}, {x: (0, 0.5)}))}
+    w |= {f"w{k}": coordinate_field(k - 1) - coordinate_field(k + 2) * {x: (1, 0)}
+          for k in (2, 3, 4)}
+    w |= {f"w1{k}": coordinate_field(k + 2) for k in (2, 3, 4)}
     return {name: SymmetryField(name, f) for name, f in w.items()}
 
 
@@ -97,37 +93,15 @@ def so3_combination(a1: float, a2: float, a3: float) -> SymmetryField:
     return SymmetryField(f"{a1}*v1+{a2}*v2+{a3}*v3", axis=axis)
 
 
-def _coefficients_in_basis(b: VectorFieldSym, basis: list[VectorFieldSym]) -> tuple[float, ...]:
-    """The constant coefficients c of b = sum_i c_i f_i, solved exactly.
-
-    The sum holds coefficient by coefficient, so one row [f_1 .. f_n | b] per
-    (component, monomial), in sorted monomial order, makes one numeric system
-    [M | r] for ``sp.linsolve``.  Raises NotASymmetry when it has no solution.
-    """
-    import sympy as sp
-
-    from .fields import coords
-    rows = []
-    for bk, *fk in zip(b.components, *(f.components for f in basis)):
-        b_terms, *f_terms = (sp.Poly(e, *coords(ADAPTED)).as_dict() for e in (bk, *fk))
-        rows += [[t.get(m, 0) for t in f_terms] + [b_terms.get(m, 0)]
-                 for m in sorted(set(b_terms).union(*f_terms))]
-    solutions = sp.linsolve(sp.Matrix(rows))
-    if not solutions:
-        raise NotASymmetry("field is not a constant combination of the basis", residual=b)
-    (sol,) = solutions
-    return tuple(float(c) for c in sol)
-
-
 def so3_structure() -> dict[tuple[int, int], tuple[float, float, float]]:
     """Structure constants of (v1, v2, v3): [v_i, v_j] = sum_k c_k v_k.
 
     The coefficients are solved exactly from the brackets' polynomial
     coefficients, so the returned table is certified.
     """
-    from .fields import lie_bracket
+    from .polyfield import lie_bracket
     vs = [v.field for v in v_fields()]
-    return {(i, j): _coefficients_in_basis(lie_bracket(vs[i - 1], vs[j - 1]), vs)
+    return {(i, j): lie_bracket(vs[i - 1], vs[j - 1]).coefficients_in(vs)
             for i, j in ((1, 2), (1, 3), (2, 3))}
 
 
@@ -141,7 +115,7 @@ class SymmetryReport:
 
 
 def check_symmetry_conditions(v: SymmetryField) -> SymmetryReport:
-    """Verify the defining conditions of an isotropy symmetry, symbolically.
+    """Verify the defining conditions of an isotropy symmetry, exactly.
 
     Requires [v, N1] = 0 and [v, N_j] = sum_k A_jk N_k for j, k in {2,3,4}
     with constant antisymmetric A.  Together these say the field fixes the
@@ -149,23 +123,21 @@ def check_symmetry_conditions(v: SymmetryField) -> SymmetryReport:
     the control metric.  Raises NotASymmetry with the offending residual
     field when a condition fails.
     """
-    from .fields import is_zero_expr, lie_bracket, simplify_expr
-    n1, n2, n3, n4 = nilpotent_frame()
+    from .polyfield import ONE, lie_bracket
+    n1, *legs = nilpotent_frame()
     b1 = lie_bracket(v.field, n1)
     if not b1.is_zero():
         raise NotASymmetry(f"[{v.name}, N1] != 0", residual=b1)
 
-    legs = [n2, n3, n4]
     A = []
     for j, nj in enumerate(legs, start=2):
         bj = lie_bracket(v.field, nj)
         # must be vertical with constant coefficients
-        if not all(is_zero_expr(bj.components[idx]) for idx in (0, 4, 5, 6)):
+        if any(bj.components[idx] for idx in (0, 4, 5, 6)):
             raise NotASymmetry(f"[{v.name}, N{j}] leaves the vertical bundle", residual=bj)
-        row = [simplify_expr(bj.components[k]) for k in (1, 2, 3)]
-        if any(c.free_symbols for c in row):
+        if any(m != ONE for comp in bj.components[1:4] for m in comp):
             raise NotASymmetry(f"[{v.name}, N{j}] has non-constant coefficients", residual=bj)
-        A.append(tuple(float(c) for c in row))
+        A.append(bj.coefficients_in(legs))
 
     if not np.array_equal(np.array(A), -np.array(A).T):
         raise NotASymmetry(f"induced matrix of {v.name} on the vertical frame "
@@ -251,15 +223,15 @@ def _shear_column(R: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def w_structure_report() -> dict:
-    """Bracket structure of the w-family, certified symbolically.
+    """Bracket structure of the w-family, certified exactly.
 
     [w1, w_j] for j = 2,3,4 land in span(w12, w13, w14) with constant
     coefficients; every other pair commutes.
     """
-    from .fields import lie_bracket
+    from .polyfield import lie_bracket
     w = {name: s.field for name, s in w_fields().items()}
     central = [w["w12"], w["w13"], w["w14"]]
-    nontrivial = {("w1", w_j): _coefficients_in_basis(lie_bracket(w["w1"], w[w_j]), central)
+    nontrivial = {("w1", w_j): lie_bracket(w["w1"], w[w_j]).coefficients_in(central)
                   for w_j in ("w2", "w3", "w4")}
     names = list(w)
     trivial_ok = all(lie_bracket(w[a], w[b]).is_zero() for i, a in enumerate(names)
@@ -272,8 +244,7 @@ def transitivity_rank(samples: int = 20, seed: int = 0) -> int:
 
     One call evaluates each w-field at every point, and one ranks the stack.
     """
-    from . import fields
-    points = fields.random_points(ADAPTED, samples, np.random.default_rng(seed)) * 2.0
+    points = random_points(ADAPTED, samples, np.random.default_rng(seed)) * 2.0
     stack = np.stack([w.field(points) for w in w_fields().values()], axis=1)
     return int(_rank(stack, RANK_TOL).min(initial=7))
 

@@ -214,10 +214,14 @@ def test_controllability_does_not_import_sympy(tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-@pytest.mark.parametrize("argv", [["geodesic", "--constants", "FIXTURE", "--T", "1"],
-                                  ["bracket-motion", "--cycles", "1"]],
-                         ids=["geodesic", "bracket-motion"])
-def test_numeric_runs_do_not_import_sympy(tmp_path, example2_fixture, argv):
+@pytest.mark.parametrize("argv, exit_code",
+                         [(["geodesic", "--constants", "FIXTURE", "--T", "1"], 0),
+                          (["bracket-motion", "--cycles", "1"], 0),
+                          (["symmetry-check"], 0),
+                          (["symmetry-check", "--perturb", "0.01"], 1)],
+                         ids=["geodesic", "bracket-motion", "symmetry-check",
+                              "symmetry-check-perturbed"])
+def test_numeric_runs_do_not_import_sympy(tmp_path, example2_fixture, argv, exit_code):
     argv = [example2_fixture if a == "FIXTURE" else a for a in argv]
     code = ("import sys\n"
             "from trident47.cli import main\n"
@@ -226,7 +230,7 @@ def test_numeric_runs_do_not_import_sympy(tmp_path, example2_fixture, argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(trident47.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.returncode == 10 * exit_code, proc.stderr.decode()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -15,6 +15,8 @@ from trident47.nilpotent import (AdaptedPoint, adapted_jacobian, centre, check_l
                                  n1_vertical, nilpotent_frame, nilpotent_frame_matrix,
                                  to_adapted)
 
+from sympy_forms import to_sym
+
 S3 = math.sqrt(3.0)
 
 
@@ -81,7 +83,7 @@ def test_n1_at_adapted_origin():
 
 
 def test_bracket_table():
-    n1, n2, n3, n4 = nilpotent_frame()
+    n1, n2, n3, n4 = map(to_sym, nilpotent_frame())
     assert fields_equal(lie_bracket(n1, n2), coordinate_field(ADAPTED, 4))
     assert fields_equal(lie_bracket(n1, n3), coordinate_field(ADAPTED, 5))
     assert fields_equal(lie_bracket(n1, n4), coordinate_field(ADAPTED, 6))
@@ -91,7 +93,7 @@ def test_bracket_table():
 
 
 def test_step_two_nilpotency():
-    frame = extended_frame()
+    frame = [to_sym(f) for f in extended_frame()]
     gens = frame[:4]
     for X in gens:
         for Y in gens:
@@ -215,12 +217,12 @@ def test_path_geometry_conditions():
 
 
 def test_constant_vertical_sections_commute():
-    n = nilpotent_frame()
+    n = [to_sym(f) for f in nilpotent_frame()]
     assert lie_bracket(n[1], n[2]).is_zero()
 
 
 def test_mixed_bracket_leaves_ev_at_origin():
-    n = nilpotent_frame()
+    n = [to_sym(f) for f in nilpotent_frame()]
     w = lie_bracket(n[0], n[1])(np.zeros(7))  # [N1, N2] = d/dy1
     assert nilpotent._in_span_residual(w, np.zeros(7)) == pytest.approx(1.0)
 
@@ -228,7 +230,7 @@ def test_mixed_bracket_leaves_ev_at_origin():
 def test_escape_clause_vanishing_xi():
     # xi = f*N1 with f(origin) = 0 brings the bracket back into E+V there
     x = fields.coords(ADAPTED)[0]
-    n = nilpotent_frame()
+    n = [to_sym(f) for f in nilpotent_frame()]
     xi = x * n[0]
     b = lie_bracket(xi, n[1])
     assert nilpotent._in_span_residual(b(np.zeros(7)), np.zeros(7)) < 1e-15

@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from trident47 import fields, mechanism, nilpotent, symmetry
+from trident47 import fields, mechanism, nilpotent, polyfield, symmetry
 from trident47.errors import DivisionByZero
 from trident47.fields import ADAPTED, ORIGINAL, DENOM_EPS, VectorFieldSym, coords
 from trident47.mechanism import horizontal_frame_slice, slice_bracket_fields
+
+from sympy_forms import to_sym
 
 
 @functools.lru_cache(maxsize=None)
@@ -43,6 +45,7 @@ def _reference_evaluate(e, point, chart):
 
 
 def _reference_call(X, point):
+    X = X if isinstance(X, VectorFieldSym) else to_sym(X)
     return np.array([_reference_evaluate(c, point, X.chart) for c in X.components])
 
 
@@ -149,7 +152,7 @@ def test_field_arrays_are_the_per_point_reference_on_n_and_w_fields(rng):
         want = np.array([_reference_call(X, p) for p in pts])
         assert np.array_equal(X(pts), want)
         assert np.array_equal(X(pts[0]), want[0])
-        for k, c in enumerate(X.components):
+        for k, c in enumerate(to_sym(X).components):
             assert np.array_equal(fields.evaluate(c, pts, ADAPTED), want[:, k])
             assert fields.evaluate(c, pts[1], ADAPTED) == want[1, k]
 
@@ -243,12 +246,12 @@ def test_fields_equal_fallback_is_the_reference_on_random_differences(rng):
 
 def _src_bracket_pairs():
     slice_frame = horizontal_frame_slice()
-    ext = nilpotent.extended_frame()
-    vs = [v.field for v in symmetry.v_fields()]
-    ws = [w.field for w in symmetry.w_fields().values()]
+    ext = [to_sym(f) for f in nilpotent.extended_frame()]
+    vs = [to_sym(v.field) for v in symmetry.v_fields()]
+    ws = [to_sym(w.field) for w in symmetry.w_fields().values()]
     return ([(a, b) for a in slice_frame for b in slice_frame]
             + [(a, b) for a in ext for b in ext]
-            + [(a, b) for a in vs for b in vs + list(nilpotent.nilpotent_frame())]
+            + [(a, b) for a in vs for b in vs + ext[:4]]
             + [(a, b) for a in ws for b in ws])
 
 
@@ -288,7 +291,7 @@ def test_left_invariance_residual_is_the_per_point_reference(samples, seed):
 
 
 def test_left_invariance_residual_is_the_reference_off_the_frame():
-    X = fields.coordinate_field(ADAPTED, 0) + symmetry.w_fields()["w1"].field
+    X = polyfield.coordinate_field(0) + symmetry.w_fields()["w1"].field
     rep = nilpotent.check_left_invariance(X, samples=30, seed=2)
     assert not rep.field_ok
     assert rep.max_residual == _reference_left_invariance_residual(X, 30, 2)
