@@ -1,7 +1,8 @@
 """The two chart tags on R^7, their coordinate names and sample boxes.
 
 Kept free of sympy so that the numeric modules can tag, check and sample
-points without importing the symbolic field library; ``fields`` re-exports them.
+points without importing the symbolic field library; ``fields`` tags its
+symbolic fields with the same two names.
 """
 import numpy as np
 

@@ -101,13 +101,14 @@ def _write_json(path, obj) -> None:
 def cmd_controllability(args) -> int:
     spec = _spec(command="controllability", point=args.point, chart=args.chart,
                  out=args.out, tol_rank=args.tol_rank, seed=args.seed)
-    q = Configuration(args.chart, args.point)
-    if q.chart == ADAPTED:
+    if args.chart == ADAPTED:
         from . import nilpotent
-        q = nilpotent.from_adapted(nilpotent.AdaptedPoint.from_array(q.array))
+        q = nilpotent.from_adapted(nilpotent.AdaptedPoint(*args.point))
+    else:
+        q = Configuration(ORIGINAL, args.point)
     try:
         res = mechanism.controllability(q, rank_tol=args.tol_rank)
-        sig = mechanism.pfaffian_signature(q, eig_tol=args.tol_rank)
+        sig = mechanism.pfaffian_signature(q)
         pairs = {f"f={f:g}": list(astuple(mechanism.check_dynamic_pair(q, f)))
                  for f in args.dynamic_f}
     except (SingularConfiguration, DegenerateGrowth) as exc:

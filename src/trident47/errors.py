@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+No program path evaluates symbolic quotients: the tests' sympy evaluator
+keeps its own ``DivisionByZero`` beside it in ``tests/sympy_forms.py``.
+"""
 
 
 class TridentError(Exception):
@@ -7,10 +11,6 @@ class TridentError(Exception):
 
 class ChartMismatch(TridentError):
     """An operation received points or fields from the wrong chart."""
-
-
-class DivisionByZero(TridentError):
-    """A quotient denominator is (numerically) zero at the evaluation point."""
 
 
 class SingularConfiguration(TridentError):

@@ -14,25 +14,20 @@ distribution spanned by the frame X1..X4 built here.
 The numeric analyses run on one closed-form matrix (``closed_form_gbar``),
 whose first row is X1's one formula (``frame_x1``); its terms take floats or
 arrays, so the original gait reads the same formula over whole blocks of
-stages.  They never import sympy.  Only the printed symbolic slice frame and
-its brackets (``horizontal_frame_slice``, ``slice_bracket_fields``) do.  The
-leg fields X2..X4 commute, so every Pfaffian of the constraint annihilator is
-0.0: the signature is (0, 0), and only its rank-7 precondition is computed.
+stages.  The module imports no sympy: the printed symbolic slice frame, the
+oracle for ``closed_form_gbar``, lives with the tests.  The leg fields X2..X4
+commute, so every Pfaffian of the constraint annihilator is 0.0: the
+signature is (0, 0), and only its rank-7 precondition is computed.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .charts import ADAPTED, CHART_COORDS, ORIGINAL
+from .charts import ORIGINAL
 from .errors import ChartMismatch, DegenerateGrowth, SingularConfiguration
-
-if TYPE_CHECKING:
-    from .fields import VectorFieldSym
 
 #: l2 or L = l1 + l3 + 2 closer to zero than this is a singular configuration
 SINGULAR_EPS = 1e-9
@@ -54,14 +49,18 @@ ALPHA3 = 2.0 * math.pi / 3.0
 
 @dataclass(frozen=True)
 class Configuration:
-    """A point of the 7-dim configuration space in a tagged chart."""
+    """A point of the 7-dim configuration space in the original chart.
+
+    The tag is always ``original``; an adapted-chart point is a
+    ``nilpotent.AdaptedPoint``, so any other tag raises ChartMismatch.
+    """
 
     chart: str
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if self.chart not in CHART_COORDS:
-            raise ChartMismatch(f"unknown chart {self.chart!r}")
+        if self.chart != ORIGINAL:
+            raise ChartMismatch(f"a Configuration is in the original chart, not {self.chart!r}")
         vals = tuple(float(v) for v in self.values)
         if len(vals) != 7:
             raise ValueError("a configuration has exactly 7 coordinates")
@@ -71,38 +70,17 @@ class Configuration:
     def original(cls, x, y, theta, phi, l1, l2, l3) -> "Configuration":
         return cls(ORIGINAL, (x, y, theta, phi, l1, l2, l3))
 
-    @classmethod
-    def adapted(cls, x, l1, l2, l3, y1, y2, y3) -> "Configuration":
-        return cls(ADAPTED, (x, l1, l2, l3, y1, y2, y3))
-
     @property
     def array(self) -> np.ndarray:
         return np.array(self.values)
 
-    def coord(self, name: str) -> float:
-        return self.values[CHART_COORDS[self.chart].index(name)]
-
     def legs(self) -> tuple[float, float, float]:
-        if self.chart == ORIGINAL:
-            return self.values[4:7]
-        return self.values[1:4]
-
-    def to_json(self) -> dict:
-        return {"chart": self.chart, "point": list(self.values)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Configuration":
-        return cls(obj["chart"], tuple(obj["point"]))
+        return self.values[4:7]
 
 
 def reference_configuration() -> Configuration:
     """The base point q0 = (0, 0, pi/2, 0, 1, 1, 1) used by all analyses."""
     return Configuration.original(0.0, 0.0, math.pi / 2.0, 0.0, 1.0, 1.0, 1.0)
-
-
-def _require_original(q: Configuration, op: str) -> None:
-    if q.chart != ORIGINAL:
-        raise ChartMismatch(f"{op} expects the original chart, got {q.chart!r}")
 
 
 def wheel_coords(x, y, th, ph, l1, l2, l3):
@@ -120,7 +98,6 @@ def wheel_coords(x, y, th, ph, l1, l2, l3):
 
 def wheel_positions(q: Configuration) -> np.ndarray:
     """Planar positions of the three wheels, one row per wheel."""
-    _require_original(q, "wheel_positions")
     return np.reshape(wheel_coords(*q.values), (3, 2))
 
 
@@ -133,7 +110,6 @@ def vertex_coords(x, y, th):
 
 def root_vertices(q: Configuration) -> np.ndarray:
     """Planar positions of the three root-block vertices, one row per vertex."""
-    _require_original(q, "root_vertices")
     return np.reshape(vertex_coords(*q.values[:3]), (3, 2))
 
 
@@ -145,7 +121,6 @@ def pfaff_matrix(q: Configuration) -> np.ndarray:
     The dl_i columns vanish identically: changing a leg length alone never
     slips a wheel sideways.
     """
-    _require_original(q, "pfaff_matrix")
     x, y, th, ph, l1, l2, l3 = q.values
     m = np.zeros((3, 7))
     m[0] = (-math.sin(th + ALPHA1), math.cos(th + ALPHA1),
@@ -245,45 +220,7 @@ def _gbar(q: Configuration) -> np.ndarray:
 
 def horizontal_frame(q: Configuration) -> np.ndarray:
     """A basis X1..X4 of the horizontal distribution at q (rows of a 4x7 array)."""
-    _require_original(q, "horizontal_frame")
     return _gbar(q)[:4]
-
-
-@functools.lru_cache(maxsize=1)
-def horizontal_frame_slice() -> tuple[VectorFieldSym, ...]:
-    """Closed-form frame on the slice x = y = 0, theta = pi/2, as symbolic fields.
-
-    Valid for arbitrary (phi, l1, l2, l3); the coefficients depend on the
-    shape variables only, so brackets against the leg fields taken from
-    these expressions agree with the true brackets on the slice.  This is
-    the printed formula, kept as the symbolic oracle for ``closed_form_gbar``.
-    """
-    import sympy as sp
-
-    from .fields import SQRT3, VectorFieldSym, coordinate_field, coords
-
-    x, y, th, ph, l1, l2, l3 = coords(ORIGINAL)
-    L = l1 + l3 + 2
-    x1 = VectorFieldSym(ORIGINAL, (
-        sp.Integer(1),
-        (l1 - l3) * SQRT3 / (3 * L),
-        -1 / L,
-        (sp.sin(ph) * SQRT3 * (l1 - l3) + 3 * sp.cos(ph) * (L + 1) + 3 * l2) / (3 * l2 * L),
-        0, 0, 0,
-    ))
-    return (x1,
-            coordinate_field(ORIGINAL, 4),
-            coordinate_field(ORIGINAL, 5),
-            coordinate_field(ORIGINAL, 6))
-
-
-@functools.lru_cache(maxsize=1)
-def slice_bracket_fields() -> tuple[VectorFieldSym, ...]:
-    """Exact X12 = [X1,X2], X13 = [X1,X3], X14 = [X1,X4] on the slice."""
-    from .fields import lie_bracket
-
-    x1, x2, x3, x4 = horizontal_frame_slice()
-    return (lie_bracket(x1, x2), lie_bracket(x1, x3), lie_bracket(x1, x4))
 
 
 def _rank(m: np.ndarray, tol: float):
@@ -312,7 +249,6 @@ def controllability(q: Configuration, rank_tol: float = RANK_TOL) -> Controllabi
     relative singular-value cutoff.  Locally controllable configurations
     have growth (4, 7) and det Gbar != 0.
     """
-    _require_original(q, "controllability")
     gbar = _gbar(q)
     growth = (_rank(gbar[:4], rank_tol), _rank(gbar, rank_tol))
     return ControllabilityResult(gbar=gbar, det=float(np.linalg.det(gbar)), growth=growth)
@@ -332,7 +268,6 @@ def check_dynamic_pair(q: Configuration, f: float) -> DynamicPairResult:
     are (3, 6) and V1 + <f*X1> fills the tangent space.  For constant f,
     [f*X1, Xi] = f*[X1, Xi].  The ranks are taken at RANK_TOL.
     """
-    _require_original(q, "check_dynamic_pair")
     if f == 0.0:
         raise ValueError("f must be a nonzero constant")
     gbar = _gbar(q)
@@ -378,7 +313,6 @@ def pfaffian_signature(q: Configuration, eig_tol: float = RANK_TOL) -> Signature
     signature is (0, 0).  Only its precondition, rank Gbar = 7 at
     ``RANK_TOL``, is computed; ``eig_tol`` is recorded and decides nothing.
     """
-    _require_original(q, "pfaffian_signature")
     rank = _rank(_gbar(q), RANK_TOL)
     if rank < 7:
         raise DegenerateGrowth(f"Gbar has rank {rank} < 7 at {q.values}")
@@ -389,7 +323,3 @@ def serialize_matrix(m: np.ndarray) -> dict:
     """Row-major JSON form with an explicit shape field."""
     arr = np.asarray(m, dtype=float)
     return {"shape": list(arr.shape), "data": [float(v) for v in arr.ravel()]}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    return np.array(obj["data"], dtype=float).reshape(obj["shape"])

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .charts import ADAPTED, ORIGINAL, random_points
+from .charts import ADAPTED, random_points
 from .errors import ChartMismatch
 from .mechanism import MAX_SAMPLES, RANK_TOL, Configuration, _rank
 
@@ -55,15 +55,6 @@ class AdaptedPoint:
     def from_array(cls, arr) -> "AdaptedPoint":
         return cls(*(float(v) for v in arr))
 
-    def to_json(self) -> dict:
-        return {"chart": ADAPTED, "point": [float(v) for v in self.array]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AdaptedPoint":
-        if obj.get("chart") != ADAPTED:
-            raise ChartMismatch("expected an adapted-chart point")
-        return cls.from_array(obj["point"])
-
 
 def original_to_adapted(x, y, th, ph, l1, l2, l3):
     """The tuple (x, l1, l2, l3, y1, y2, y3) of an original point; floats or arrays."""
@@ -74,9 +65,13 @@ def original_to_adapted(x, y, th, ph, l1, l2, l3):
 
 
 def to_adapted(q: Configuration) -> AdaptedPoint:
-    """Original chart -> adapted chart (linear; x and the legs pass through)."""
-    if q.chart != ORIGINAL:
-        raise ChartMismatch("to_adapted expects the original chart")
+    """Original chart -> adapted chart (linear; x and the legs pass through).
+
+    Any q but a Configuration, the original chart's one point type, raises ChartMismatch.
+    """
+    if not isinstance(q, Configuration):
+        raise ChartMismatch(f"to_adapted expects an original-chart Configuration, "
+                            f"got {type(q).__name__}")
     return AdaptedPoint(*original_to_adapted(*q.values))
 
 

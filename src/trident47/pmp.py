@@ -26,7 +26,8 @@ column stepped in a scalar loop (``_original_path``).  Every ``time_grid``
 has at most ``MAX_STEPS`` steps, a non-finite start is refused, and a path
 that overflows is refused once.  CSV rows go through one writer,
 ``write_csv_rows``, fed whole columns and formatting each distinct column of
-a block once; the module loads no sympy.
+a block once.  Of files the module reads only solution-constants fixtures,
+and it loads no sympy.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ChartMismatch, SingularConfiguration, ZeroHorizontalMomentum
+from .errors import ChartMismatch, SingularConfiguration
 from .charts import ADAPTED, ORIGINAL
 from .mechanism import (SINGULAR_EPS, Configuration, _check_regular, _x1_phi_rate, _x1_planar,
                         _x1_rotation, _x1_shape, reference_configuration)
@@ -83,14 +84,6 @@ def hamiltonian(h) -> float:
     return 0.5 * float(arr[0]**2 + arr[1]**2 + arr[2]**2 + arr[3]**2)
 
 
-def normalize_arclength(h0: FibreState) -> FibreState:
-    """Scale (h1..h4) to unit norm; the bracket momenta are untouched."""
-    n = h0.horizontal_norm()
-    if n == 0.0:
-        raise ZeroHorizontalMomentum("cannot normalize zero horizontal momentum")
-    return FibreState(h0.h1 / n, h0.h2 / n, h0.h3 / n, h0.h4 / n, h0.h5, h0.h6, h0.h7)
-
-
 def _fibre_rates(h):
     """The fibre system on the columns h1..h7 (floats or equal-shape arrays), as a tuple."""
     h1, h2, h3, h4, h5, h6, h7 = h
@@ -102,12 +95,6 @@ def _base_rates(q, u):
     u1, u2, u3, u4 = u[:4]
     v1, v2, v3 = n1_vertical(*q[:4])
     return u1, u2, u3, u4, v1 * u1, v2 * u1, v3 * u1
-
-
-def fibre_rhs(h) -> np.ndarray:
-    """Right-hand side of the momentum system (it does not depend on the state)."""
-    a = h.array if isinstance(h, FibreState) else np.asarray(h, dtype=float)
-    return np.array(_fibre_rates(a.tolist()))
 
 
 def base_rhs(q, h) -> np.ndarray:
@@ -257,11 +244,6 @@ def _covector(c) -> np.ndarray:
     return (c if isinstance(c, FibreState) else c.initial_fibre_state()).array
 
 
-def closed_form_fibre(c, t: float) -> FibreState:
-    """Exact momenta at time t of the extremal of c (constants or h0)."""
-    return FibreState.from_array(exp_map(_covector(c), t)[7:])
-
-
 def closed_form_base(c, t: float) -> AdaptedPoint:
     """Exact state at time t of the extremal of c (constants or h0) from the origin."""
     return AdaptedPoint.from_array(exp_map(_covector(c), t)[:7])
@@ -283,7 +265,7 @@ class IntegrationDiagnostics:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A time-sampled curve; momenta/controls ride along when available."""
 
@@ -311,17 +293,6 @@ class Trajectory:
 
     def displacement(self) -> np.ndarray:
         return self.states[-1] - self.states[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Trajectory):
-            return NotImplemented
-        def same(a, b):
-            if a is None or b is None:
-                return a is None and b is None
-            return a.shape == b.shape and bool(np.all(a == b))
-        return self.chart == other.chart and all(
-            same(getattr(self, k), getattr(other, k))
-            for k in ("times", "states", "momenta", "controls"))
 
 
 def time_grid(T: float, dt: float) -> tuple[np.ndarray, float]:
@@ -681,7 +652,8 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
     displacement along the bracket of the driven pair; on the nilpotent
     system the flat coordinates return to their start exactly and the only
     net motion is pi*A^2 along the corresponding y-direction.  A q_start
-    in the other system's chart raises ChartMismatch.
+    that is not the system's point type, an ``AdaptedPoint`` on the nilpotent
+    system and a ``Configuration`` on the original, raises ChartMismatch.
 
     ``params.controls`` takes arrays of times: one call gives the controls
     column, and each block of steps one at t + h/2 (k2, k3) and one at t + h
@@ -708,7 +680,7 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
     if system == "nilpotent":
         if q_start is None:
             q_start = to_adapted(reference_configuration())
-        if getattr(q_start, "chart", ADAPTED) != ADAPTED:  # an AdaptedPoint has no tag
+        if not isinstance(q_start, AdaptedPoint):
             raise ChartMismatch("nilpotent-system gait needs an adapted-chart start")
         states = _base_path(tuple(q_start.array.tolist()), stage_controls, times, h)
         _refuse_overflow(times, states)
@@ -716,7 +688,7 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
     elif system == "original":
         if q_start is None:
             q_start = reference_configuration()
-        if q_start.chart != ORIGINAL:
+        if not isinstance(q_start, Configuration):
             raise ChartMismatch("original-system gait needs an original-chart start")
         states = _original_path(q_start.values, stage_controls, times, h)
         chart = ORIGINAL
@@ -798,24 +770,6 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     write_csv_rows(path, header, columns)
 
 
-def read_trajectory_csv(path) -> Trajectory:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = np.array([[float(v) for v in row] for row in reader])
-    if tuple(header[:8]) != _BASE_COLUMNS:
-        raise ValueError(f"unexpected trajectory header {header[:8]}")
-    blocks = [data[:, header.index(names[0]):header.index(names[0]) + len(names)]
-              if names[0] in header else None for names in (_MOMENTA_COLUMNS, _CONTROL_COLUMNS)]
-    return Trajectory(ORIGINAL, data[:, 0], data[:, 1:8], *blocks, None)
-
-
 def load_solution_constants(path) -> SolutionConstants:
     with open(path) as fh:
         return SolutionConstants.from_json(json.load(fh))
-
-
-def save_solution_constants(c: SolutionConstants, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(c.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import trident47
 from trident47 import pmp
 from trident47.cli import build_parser, main
-from trident47.pmp import read_trajectory_csv, save_solution_constants
+
+from trajectory_io import read_trajectory_csv, save_solution_constants
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,14 +8,15 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trident47 import fields, nilpotent
-from trident47.errors import ChartMismatch, DivisionByZero
+import trident47
+from trident47 import nilpotent
+from trident47.charts import random_points
+from trident47.errors import ChartMismatch
 from trident47.fields import (ADAPTED, ORIGINAL, SQRT3, VectorFieldSym,
-                              coordinate_field, coords, differentiate,
-                              evaluate, fields_equal, lie_bracket, zero_field)
-from trident47.mechanism import horizontal_frame_slice, slice_bracket_fields
+                              coordinate_field, coords, lie_bracket)
 
-from sympy_forms import to_sym
+from sympy_forms import (DivisionByZero, differentiate, evaluate, field_at, fields_equal,
+                         horizontal_frame_slice, slice_bracket_fields, to_sym, zero_field)
 
 
 def fd_derivative(e, i, point, chart=ORIGINAL, step=1e-6):
@@ -31,8 +34,8 @@ def fd_derivative(e, i, point, chart=ORIGINAL, step=1e-6):
 
 def test_constant_field_evaluates_everywhere(rng):
     X = coordinate_field(ORIGINAL, 0)
-    for p in fields.random_points(ORIGINAL, 5, rng):
-        assert np.array_equal(X(p), np.eye(7)[0])
+    for p in random_points(ORIGINAL, 5, rng):
+        assert np.array_equal(field_at(X, p), np.eye(7)[0])
 
 
 def test_n2_is_unit_vector_in_l1_slot():
@@ -43,7 +46,7 @@ def test_n2_is_unit_vector_in_l1_slot():
 
 def test_slice_x1_at_q0():
     x1 = horizontal_frame_slice()[0]
-    val = x1((0.0, 0.0, math.pi / 2, 0.0, 1.0, 1.0, 1.0))
+    val = field_at(x1, (0.0, 0.0, math.pi / 2, 0.0, 1.0, 1.0, 1.0))
     # hand substitution: l1=l3=1, phi=0 gives L=4, coefficients (1, 0, -1/4, 3/2)
     assert np.allclose(val, [1.0, 0.0, -0.25, 1.5, 0.0, 0.0, 0.0], atol=1e-15)
 
@@ -51,7 +54,7 @@ def test_slice_x1_at_q0():
 def test_division_by_zero_is_reported():
     x1 = horizontal_frame_slice()[0]
     with pytest.raises(DivisionByZero):
-        x1((0.0, 0.0, math.pi / 2, 0.0, 1.0, 0.0, 1.0))  # l2 = 0
+        field_at(x1, (0.0, 0.0, math.pi / 2, 0.0, 1.0, 0.0, 1.0))  # l2 = 0
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +89,7 @@ def _library_expressions():
 
 def test_library_derivatives_match_finite_differences(rng):
     # every nonconstant coefficient function, all nonzero partials, 100 points
-    pts = fields.random_points(ORIGINAL, 100, rng)
+    pts = random_points(ORIGINAL, 100, rng)
     for e in _library_expressions():
         for i in range(7):
             d = differentiate(e, i)
@@ -218,3 +221,25 @@ def test_zero_field_and_equality_fallback(rng):
     th = coords(ORIGINAL)[2]
     tricky = VectorFieldSym(ORIGINAL, (sp.sin(th) ** 2 + sp.cos(th) ** 2 - 1, 0, 0, 0, 0, 0, 0))
     assert fields_equal(tricky, z, rng=rng)
+
+
+# ---------------------------------------------------------------------------
+# the package boundary
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_only_fields_imports_sympy():
+    # module-level and function-local imports alike: the program runs on numpy alone
+    importers = set()
+    for path in pathlib.Path(trident47.__file__).parent.glob("*.py"):
+        names = _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+        if any(n.split(".")[0] == "sympy" for n in names):
+            importers.add(path.name)
+    assert importers == {"fields.py"}

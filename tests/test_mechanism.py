@@ -9,13 +9,14 @@ import sympy as sp
 
 import trident47
 from trident47 import mechanism
+from trident47.charts import ADAPTED, ORIGINAL
 from trident47.errors import ChartMismatch, SingularConfiguration
-from trident47.fields import (ORIGINAL, SQRT3, VectorFieldSym, coords, fields_equal,
-                              lie_bracket)
+from trident47.fields import SQRT3, VectorFieldSym, coords, lie_bracket
 from trident47.mechanism import (Configuration, check_dynamic_pair, controllability,
-                                 horizontal_frame, horizontal_frame_slice, pfaff_matrix,
-                                 pfaffian_signature, serialize_matrix, matrix_from_json,
-                                 slice_bracket_fields, wheel_positions)
+                                 horizontal_frame, pfaff_matrix, pfaffian_signature,
+                                 serialize_matrix, wheel_positions)
+
+from sympy_forms import field_at, fields_equal, horizontal_frame_slice, slice_bracket_fields
 
 S3 = math.sqrt(3.0)
 
@@ -50,8 +51,11 @@ def test_wheel_positions_periodic_in_theta(rng):
 
 
 def test_wheel_positions_rejects_adapted_chart():
+    # adapted coordinates never reach wheel_positions: a Configuration refuses them
+    with pytest.raises(ChartMismatch, match="original chart, not 'adapted'"):
+        Configuration(ADAPTED, (0, 1, 1, 1, 0, 0, 0))
     with pytest.raises(ChartMismatch):
-        wheel_positions(Configuration.adapted(0, 1, 1, 1, 0, 0, 0))
+        Configuration("polar", (0, 1, 1, 1, 0, 0, 0))
 
 
 def test_pfaff_rows_at_q0(q0):
@@ -98,7 +102,7 @@ def test_numeric_frame_matches_slice_closed_form(rng):
     x1 = horizontal_frame_slice()[0]
     for _ in range(20):
         q = random_valid(rng, on_slice=True)
-        assert np.allclose(horizontal_frame(q)[0], x1(q.values), atol=1e-10)
+        assert np.allclose(horizontal_frame(q)[0], field_at(x1, q.values), atol=1e-10)
 
 
 def test_frame_x1_is_the_first_row_of_gbar(rng):
@@ -161,12 +165,12 @@ def _printed_bracket_fields():
 def test_symbolic_brackets_match_printed_closed_forms(q0):
     for got, want in zip(slice_bracket_fields(), _printed_bracket_fields()):
         assert fields_equal(got, want)
-        assert np.abs(got(q0.values) - want(q0.values)).max() < 1e-9
+        assert np.abs(field_at(got, q0.values) - field_at(want, q0.values)).max() < 1e-9
 
 
 def test_x12_at_q0(q0):
     x12 = slice_bracket_fields()[0]
-    val = x12(q0.values)
+    val = field_at(x12, q0.values)
     assert np.allclose(val, (0.0, -1.0 / (4.0 * S3), -1.0 / 16.0, 1.0 / 8.0, 0, 0, 0),
                        atol=1e-15)
 
@@ -175,7 +179,7 @@ def test_closed_form_brackets_match_symbolic_on_slice(rng):
     brackets = slice_bracket_fields()
     for _ in range(10):
         q = random_valid(rng, on_slice=True)
-        want = np.stack([b(q.values) for b in brackets])
+        want = np.stack([field_at(b, q.values) for b in brackets])
         assert np.abs(controllability(q).gbar[4:] - want).max() < 1e-12
 
 
@@ -411,7 +415,7 @@ def test_signature_of_the_slice_bracket_table_is_the_reference(rng):
         mu = pfaff_matrix(q)
         A = np.zeros((3, 4, 4))
         for (i, j), b in brackets.items():
-            A[:, i, j] = -(mu @ b(q.values))
+            A[:, i, j] = -(mu @ field_at(b, q.values))
             A[:, j, i] = -A[:, i, j]
         assert np.abs(A[:, 0, 1:]).max() > 0.0  # the A_k are not all zero
         assert np.abs(_polarized_pfaffian(A)).max() == 0.0
@@ -428,12 +432,16 @@ def test_degenerate_inputs_raise(q0):
 # serialization
 
 
+def _matrix_from_json(obj):
+    return np.array(obj["data"], dtype=float).reshape(obj["shape"])
+
+
 def test_matrix_serialization_roundtrip(q0):
     g = controllability(q0).gbar
     obj = serialize_matrix(g)
     assert obj["shape"] == [7, 7]
     assert len(obj["data"]) == 49
-    assert np.array_equal(matrix_from_json(obj), g)
+    assert np.array_equal(_matrix_from_json(obj), g)
 
 
 # ---------------------------------------------------------------------------

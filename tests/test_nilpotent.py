@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trident47 import fields, mechanism, nilpotent
 from trident47.errors import ChartMismatch
-from trident47.fields import ADAPTED, ORIGINAL, coordinate_field, fields_equal, lie_bracket
+from trident47.fields import ADAPTED, ORIGINAL, coordinate_field, lie_bracket
 from trident47.mechanism import Configuration
 from trident47.nilpotent import (AdaptedPoint, adapted_jacobian, centre, check_left_invariance,
                                  check_path_geometry_conditions, extended_frame,
@@ -15,7 +15,7 @@ from trident47.nilpotent import (AdaptedPoint, adapted_jacobian, centre, check_l
                                  n1_vertical, nilpotent_frame, nilpotent_frame_matrix,
                                  to_adapted)
 
-from sympy_forms import to_sym
+from sympy_forms import field_at, fields_equal, from_sym, to_sym
 
 S3 = math.sqrt(3.0)
 
@@ -69,8 +69,14 @@ def test_adapted_jacobian_is_the_hand_typed_matrix():
 
 
 def test_to_adapted_rejects_adapted_chart():
-    with pytest.raises(ChartMismatch):
-        to_adapted(Configuration.adapted(0, 1, 1, 1, 0, 0, 0))
+    # an adapted-chart Configuration cannot be built, so it never reaches to_adapted
+    with pytest.raises(ChartMismatch, match="original chart, not 'adapted'"):
+        Configuration(ADAPTED, (0, 1, 1, 1, 0, 0, 0))
+
+
+def test_to_adapted_refuses_an_adapted_point():
+    with pytest.raises(ChartMismatch, match="original-chart Configuration, got AdaptedPoint"):
+        to_adapted(AdaptedPoint())
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +190,7 @@ def test_frame_fields_are_left_invariant():
 
 
 def test_coordinate_x_field_is_not_left_invariant():
-    rep = check_left_invariance(coordinate_field(ADAPTED, 0), samples=20)
+    rep = check_left_invariance(from_sym(coordinate_field(ADAPTED, 0)), samples=20)
     assert not rep.field_ok
 
 
@@ -198,7 +204,7 @@ def test_left_invariance_without_samples_is_refused(samples):
 def test_constant_vertical_fields_are_left_invariant():
     f = coordinate_field(ADAPTED, 4) + 2 * coordinate_field(ADAPTED, 5) \
         - 3 * coordinate_field(ADAPTED, 6)
-    rep = check_left_invariance(f, samples=50)
+    rep = check_left_invariance(from_sym(f), samples=50)
     assert rep.field_ok
 
 
@@ -223,7 +229,7 @@ def test_constant_vertical_sections_commute():
 
 def test_mixed_bracket_leaves_ev_at_origin():
     n = [to_sym(f) for f in nilpotent_frame()]
-    w = lie_bracket(n[0], n[1])(np.zeros(7))  # [N1, N2] = d/dy1
+    w = field_at(lie_bracket(n[0], n[1]), np.zeros(7))  # [N1, N2] = d/dy1
     assert nilpotent._in_span_residual(w, np.zeros(7)) == pytest.approx(1.0)
 
 
@@ -233,7 +239,7 @@ def test_escape_clause_vanishing_xi():
     n = [to_sym(f) for f in nilpotent_frame()]
     xi = x * n[0]
     b = lie_bracket(xi, n[1])
-    assert nilpotent._in_span_residual(b(np.zeros(7)), np.zeros(7)) < 1e-15
+    assert nilpotent._in_span_residual(field_at(b, np.zeros(7)), np.zeros(7)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +256,3 @@ def test_pushforward_of_frame_matches_nilpotent_frame(q0):
     brackets = mechanism.controllability(q0).gbar[4:]
     for col, slot in enumerate((4, 5, 6)):
         assert np.abs(T @ brackets[col] - np.eye(7)[slot]).max() < 1e-9
-
-
-def test_point_json_round_trip():
-    p = AdaptedPoint(0.5, 1, 2, 3, -0.25, 0.125, 7)
-    assert AdaptedPoint.from_json(p.to_json()) == p
-    q = Configuration.original(0.5, -1, 0.25, 3, 1, 2, 3)
-    assert Configuration.from_json(q.to_json()) == q

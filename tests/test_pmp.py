@@ -18,13 +18,47 @@ from trident47.nilpotent import (AdaptedPoint, centre, from_adapted, group_ident
                                  nilpotent_frame_matrix)
 from trident47.pmp import (BracketMotionParams, FibreState, SolutionConstants,
                            base_rhs, bracket_displacement, bracket_motion,
-                           closed_form_base, closed_form_fibre, example_constants,
-                           example_momenta, example_solution, fibre_rhs,
-                           integrate_extremal, normalize_arclength,
-                           random_solution_constants, read_trajectory_csv,
+                           closed_form_base, example_constants, example_momenta,
+                           example_solution, integrate_extremal, random_solution_constants,
                            write_trajectory_csv)
 
+from trajectory_io import read_trajectory_csv, save_solution_constants
+
 S3 = math.sqrt(3.0)
+
+
+# ---------------------------------------------------------------------------
+# local oracles: the momentum system, its closed form and arc-length
+# normalization as functions of one state, and trajectory equality
+
+
+def fibre_rhs(h) -> np.ndarray:
+    """Right-hand side of the momentum system (it does not depend on the state)."""
+    a = h.array if isinstance(h, FibreState) else np.asarray(h, dtype=float)
+    return np.array(pmp._fibre_rates(a.tolist()))
+
+
+def closed_form_fibre(c, t: float) -> FibreState:
+    """Exact momenta at time t of the extremal of c (constants or h0)."""
+    return FibreState.from_array(pmp.exp_map(pmp._covector(c), t)[7:])
+
+
+def normalize_arclength(h0: FibreState) -> FibreState:
+    """Scale (h1..h4) to unit norm; the bracket momenta are untouched."""
+    n = h0.horizontal_norm()
+    if n == 0.0:
+        raise ZeroHorizontalMomentum("cannot normalize zero horizontal momentum")
+    return FibreState(h0.h1 / n, h0.h2 / n, h0.h3 / n, h0.h4 / n, h0.h5, h0.h6, h0.h7)
+
+
+def same_trajectory(a, b) -> bool:
+    """Equal charts and equal times, states, momenta and controls (None only with None)."""
+    def same(u, v):
+        if u is None or v is None:
+            return u is None and v is None
+        return u.shape == v.shape and bool(np.all(u == v))
+    return a.chart == b.chart and all(same(getattr(a, k), getattr(b, k))
+                                      for k in ("times", "states", "momenta", "controls"))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +524,7 @@ def test_closed_form_matches_rk4_as_k_goes_to_zero(K):
     path = pmp.exp_map(c.initial_fibre_state().array, ode.times)
     assert np.array_equal(path, np.hstack([closed.states, closed.momenta]))
     by_covector = pmp.closed_form_trajectory(c.initial_fibre_state(), T=2.0, dt=1e-3)
-    assert by_covector == closed
+    assert same_trajectory(by_covector, closed)
 
 
 def test_exp_map_is_continuous_into_k_zero():
@@ -751,7 +785,7 @@ def test_examples_arclength_identity_symbolic():
 
 def test_example1_phi_value():
     q = example_solution(1, 1.0)
-    assert q.coord("phi") == pytest.approx(371.0 / 200.0, abs=1e-15)
+    assert q.values[3] == pytest.approx(371.0 / 200.0, abs=1e-15)  # phi
 
 
 def test_examples_start_at_origin():
@@ -761,9 +795,9 @@ def test_examples_start_at_origin():
 
 def test_example3_at_pi():
     q = example_solution(3, math.pi)
-    assert abs(q.coord("x")) < 1e-12
-    assert q.coord("l1") == pytest.approx(math.sqrt(30.0) / 12.0 * (-2.0) + math.pi / 2.0,
-                                          abs=1e-12)
+    assert abs(q.values[0]) < 1e-12  # x
+    assert q.values[4] == pytest.approx(math.sqrt(30.0) / 12.0 * (-2.0) + math.pi / 2.0,  # l1
+                                        abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -813,10 +847,11 @@ def test_bracket_motion_amplitude_to_zero():
 def test_original_gait_moves_along_bracket_direction():
     # scaled by 1/(pi A^2), the net original-chart displacement approaches
     # the bracket field [X1,X2] at the start point, with O(A) relative error
+    from sympy_forms import field_at, slice_bracket_fields
     from trident47 import mechanism
 
     q0 = mechanism.reference_configuration()
-    x12 = mechanism.slice_bracket_fields()[0](q0.values)
+    x12 = field_at(slice_bracket_fields()[0], q0.values)
     errs = []
     for A in (0.1, 0.05):
         traj = bracket_motion(BracketMotionParams(amplitude=A), "original")
@@ -872,9 +907,20 @@ def test_nilpotent_gait_refuses_an_original_chart_start():
     for start in (reference_configuration(), Configuration.original(0, 0, 0, 0, 1, 1, 1)):
         with pytest.raises(ChartMismatch, match="adapted-chart start"):
             bracket_motion(BracketMotionParams(partner=2), "nilpotent", q_start=start)
-    adapted = Configuration.adapted(*to_adapted(reference_configuration()).array)
+    adapted = to_adapted(reference_configuration())
     traj = bracket_motion(BracketMotionParams(partner=2), "nilpotent", q_start=adapted)
     assert traj.chart == "adapted" and np.array_equal(traj.states[0], adapted.array)
+
+
+def test_original_gait_refuses_an_adapted_point_start():
+    # an AdaptedPoint has no chart tag; the original gait asks for a Configuration
+    from trident47.errors import ChartMismatch
+    from trident47.mechanism import reference_configuration
+    from trident47.nilpotent import to_adapted
+
+    for start in (to_adapted(reference_configuration()), AdaptedPoint()):
+        with pytest.raises(ChartMismatch, match="original-chart start"):
+            bracket_motion(BracketMotionParams(partner=2), "original", q_start=start)
 
 
 def test_original_gait_checks_the_singular_distance_at_every_stage():
@@ -1104,7 +1150,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     back = read_trajectory_csv(path)
-    assert back == traj.to_original()
+    assert same_trajectory(back, traj.to_original())
     header = path.read_text().splitlines()[0]
     assert header == "t,x,y,theta,phi,l1,l2,l3,h1,h2,h3,h4,h5,h6,h7,u1,u2,u3,u4"
 
@@ -1114,7 +1160,7 @@ def test_trajectory_csv_roundtrip_without_momenta(tmp_path):
     path = tmp_path / "gait.csv"
     write_trajectory_csv(traj, path)
     back = read_trajectory_csv(path)
-    assert back == traj
+    assert same_trajectory(back, traj)
     assert back.momenta is None and back.controls is not None
 
 
@@ -1127,7 +1173,7 @@ def test_controls_equal_momenta_when_present():
 def test_solution_constants_json_roundtrip(tmp_path):
     c = example_constants(3)
     path = tmp_path / "c.json"
-    pmp.save_solution_constants(c, path)
+    save_solution_constants(c, path)
     back = pmp.load_solution_constants(path)
     assert back == c
     keys = set(json.loads(path.read_text()))

@@ -16,11 +16,12 @@ import pytest
 import sympy as sp
 
 from trident47 import fields, mechanism, nilpotent, polyfield, symmetry
-from trident47.errors import DivisionByZero
-from trident47.fields import ADAPTED, ORIGINAL, DENOM_EPS, VectorFieldSym, coords
-from trident47.mechanism import horizontal_frame_slice, slice_bracket_fields
+from trident47.charts import ADAPTED, ORIGINAL, random_points
+from trident47.fields import VectorFieldSym, coords
 
-from sympy_forms import to_sym
+import sympy_forms
+from sympy_forms import (DENOM_EPS, DivisionByZero, field_at, horizontal_frame_slice,
+                         slice_bracket_fields, to_sym)
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,7 +88,7 @@ def _reference_frame_matrix(arr):
 
 def _reference_transitivity_rank(samples, seed):
     ws = [w.field for w in symmetry.w_fields().values()]
-    points = fields.random_points(ADAPTED, samples, np.random.default_rng(seed)) * 2.0
+    points = random_points(ADAPTED, samples, np.random.default_rng(seed)) * 2.0
     return min((_reference_rank(np.stack([_reference_call(w, p) for w in ws]),
                                 mechanism.RANK_TOL) for p in points), default=7)
 
@@ -137,7 +138,7 @@ def _adapted_fields():
 
 
 def _slice_points(n, rng):
-    pts = fields.random_points(ORIGINAL, n, rng)
+    pts = random_points(ORIGINAL, n, rng)
     pts[:, 3] = rng.uniform(-math.pi, math.pi, n)  # phi over a whole turn
     return pts
 
@@ -147,19 +148,19 @@ def _slice_points(n, rng):
 
 
 def test_field_arrays_are_the_per_point_reference_on_n_and_w_fields(rng):
-    pts = fields.random_points(ADAPTED, 300, rng) * 2.0
+    pts = random_points(ADAPTED, 300, rng) * 2.0
     for X in _adapted_fields():
         want = np.array([_reference_call(X, p) for p in pts])
         assert np.array_equal(X(pts), want)
         assert np.array_equal(X(pts[0]), want[0])
         for k, c in enumerate(to_sym(X).components):
-            assert np.array_equal(fields.evaluate(c, pts, ADAPTED), want[:, k])
-            assert fields.evaluate(c, pts[1], ADAPTED) == want[1, k]
+            assert np.array_equal(sympy_forms.evaluate(c, pts, ADAPTED), want[:, k])
+            assert sympy_forms.evaluate(c, pts[1], ADAPTED) == want[1, k]
 
 
 def test_evaluate_returns_a_float_for_one_point():
     x = coords(ADAPTED)[0]
-    val = fields.evaluate(x / 2, (0.5, 0, 0, 0, 0, 0, 0), ADAPTED)
+    val = sympy_forms.evaluate(x / 2, (0.5, 0, 0, 0, 0, 0, 0), ADAPTED)
     assert type(val) is float and val == 0.25
 
 
@@ -169,18 +170,19 @@ def _within_two_ulp_of_scale(got, want):
 
 
 def test_v_fields_and_trig_expressions_agree_within_two_ulp(rng):
-    pts = fields.random_points(ADAPTED, 300, rng) * 2.0
+    pts = random_points(ADAPTED, 300, rng) * 2.0
     vs = [v.field for v in symmetry.v_fields()] + [symmetry.so3_combination(0.3, -0.9, 1.7).field]
     for X in vs:
         assert _within_two_ulp_of_scale(X(pts), np.array([_reference_call(X, p) for p in pts]))
     spts = _slice_points(300, rng)
     for X in horizontal_frame_slice() + slice_bracket_fields():
-        assert _within_two_ulp_of_scale(X(spts), np.array([_reference_call(X, p) for p in spts]))
+        assert _within_two_ulp_of_scale(field_at(X, spts),
+                                        np.array([_reference_call(X, p) for p in spts]))
     x, y, th, ph, l1, l2, l3 = coords(ORIGINAL)
     for e in (sp.sin(th) ** 2 * x + sp.cos(ph) / l2, sp.cos(x * y) ** 3 - sp.sin(l1 + l3),
               sp.sin(th) * sp.cos(th) / (l1 + l3 + 2)):
         want = np.array([_reference_evaluate(e, p, ORIGINAL) for p in spts])
-        assert _within_two_ulp_of_scale(fields.evaluate(e, spts, ORIGINAL), want)
+        assert _within_two_ulp_of_scale(sympy_forms.evaluate(e, spts, ORIGINAL), want)
 
 
 def test_a_singular_row_raises_division_by_zero_naming_it(rng):
@@ -188,17 +190,17 @@ def test_a_singular_row_raises_division_by_zero_naming_it(rng):
     pts[3, 5] = 0.0  # l2 = 0
     for X in horizontal_frame_slice()[:1] + slice_bracket_fields():
         with pytest.raises(DivisionByZero, match=re.escape(f"row 3, ({float(pts[3, 0])!r}, ")):
-            X(pts)
-    assert np.array_equal(horizontal_frame_slice()[1](pts), np.tile(np.eye(7)[4], (6, 1)))
+            field_at(X, pts)
+    assert np.array_equal(field_at(horizontal_frame_slice()[1], pts), np.tile(np.eye(7)[4], (6, 1)))
     with pytest.raises(DivisionByZero, match="row 0"):
-        fields.evaluate(1 / coords(ORIGINAL)[5], pts[3], ORIGINAL)
+        sympy_forms.evaluate(1 / coords(ORIGINAL)[5], pts[3], ORIGINAL)
 
 
 def test_points_must_be_seven_wide():
     x1 = horizontal_frame_slice()[0]
     for bad in (np.ones(6), np.ones((3, 8)), np.ones((2, 3, 7))):
         with pytest.raises(ValueError, match="R\\^7"):
-            x1(bad)
+            field_at(x1, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +217,7 @@ def test_fields_equal_fallback_skips_singular_rows(rng):
     far = VectorFieldSym(ORIGINAL, (1 / l2 + 10**9 * tiny, 0, 0, 0, 0, 0, 0))
     for Y, want in ((close, True), (far, False)):
         assert _reference_fallback(Y.components[0] - X.components[0], pts, ORIGINAL, 1e-9) == want
-        assert fields.fields_equal(X, Y, samples=8, rng=_FixedPoints(pts)) == want
+        assert sympy_forms.fields_equal(X, Y, samples=8, rng=_FixedPoints(pts)) == want
 
 
 def test_fields_equal_fallback_raises_without_a_regular_row():
@@ -226,17 +228,17 @@ def test_fields_equal_fallback_raises_without_a_regular_row():
     with pytest.raises(DivisionByZero, match="could not sample"):
         _reference_fallback(Y.components[0] - X.components[0], pts, ORIGINAL, 1e-9)
     with pytest.raises(DivisionByZero, match="could not sample"):
-        fields.fields_equal(X, Y, samples=4, rng=_FixedPoints(pts))
+        sympy_forms.fields_equal(X, Y, samples=4, rng=_FixedPoints(pts))
 
 
 def test_fields_equal_fallback_is_the_reference_on_random_differences(rng):
     th = coords(ORIGINAL)[2]
     hidden_zero = sp.sin(th) ** 2 + sp.cos(th) ** 2 - 1
-    pts = fields.random_points(ORIGINAL, 50, np.random.default_rng(5))
+    pts = random_points(ORIGINAL, 50, np.random.default_rng(5))
     for e in (hidden_zero, hidden_zero + sp.Rational(1, 10**6),
               *slice_bracket_fields()[0].components[1:4]):
         X = VectorFieldSym(ORIGINAL, (e, 0, 0, 0, 0, 0, 0))
-        got = fields.fields_equal(X, fields.zero_field(ORIGINAL), rng=np.random.default_rng(5))
+        got = sympy_forms.fields_equal(X, sympy_forms.zero_field(ORIGINAL), rng=np.random.default_rng(5))
         assert got == _reference_fallback(sp.expand(e), pts, ORIGINAL, 1e-9)
 
 
@@ -328,7 +330,7 @@ def test_rank_of_a_stack_is_the_rank_of_each_matrix(rng):
 
 
 def test_frame_matrix_stack_is_the_per_point_frame(rng):
-    pts = fields.random_points(ADAPTED, 25, rng) * 2.0
+    pts = random_points(ADAPTED, 25, rng) * 2.0
     stack = nilpotent.nilpotent_frame_matrix(pts)
     assert stack.shape == (25, 4, 7)
     for p, F in zip(pts, stack):

@@ -19,7 +19,7 @@ from trident47.symmetry import (SymmetryField, check_symmetry_conditions,
                                 symmetry_flow, transitivity_rank, v_fields, w_fields,
                                 w_structure_report)
 
-from sympy_forms import from_sym, to_sym
+from sympy_forms import field_at, from_sym, to_sym
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +365,7 @@ def _rk4_flow(field, p, t, dt):
                                      for c in field.components]), modules="numpy")
 
     def rhs(y, J):
-        return field(y), np.asarray(jac(*y), dtype=float) @ J
+        return field_at(field, y), np.asarray(jac(*y), dtype=float) @ J
 
     n = max(1, int(math.ceil(abs(t) / dt)))
     h = t / n
