@@ -48,7 +48,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     """Comma-separated finite numbers; nan and inf are invalid input."""
     vals = tuple(float(v) for v in text.split(","))
     if not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"non-finite value in {text!r}")
+        raise argparse.ArgumentTypeError(f"non-finite value in {text!r}")
     return vals
 
 
@@ -85,7 +85,7 @@ _positive_int = _bounded_int(1)
 def _parse_point(text: str) -> tuple[float, ...]:
     vals = _parse_floats(text)
     if len(vals) != 7:
-        raise ValueError("--point needs 7 comma-separated numbers")
+        raise argparse.ArgumentTypeError("--point needs 7 comma-separated numbers")
     return vals
 
 
@@ -262,7 +262,7 @@ def cmd_symmetry_check(args) -> int:
         "others_vanish": wrep["others_vanish"],
     }
     ok &= wrep["others_vanish"]
-    report["w_transitivity_rank"] = symmetry.transitivity_rank(seed=args.seed)
+    report["w_transitivity_rank"] = symmetry.transitivity_rank()
     ok &= report["w_transitivity_rank"] == 7
 
     frame = nilpotent.extended_frame()

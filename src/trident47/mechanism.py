@@ -96,21 +96,11 @@ def wheel_coords(x, y, th, ph, l1, l2, l3):
             x + (1.0 + l3) * np.cos(a3), y + (1.0 + l3) * np.sin(a3))
 
 
-def wheel_positions(q: Configuration) -> np.ndarray:
-    """Planar positions of the three wheels, one row per wheel."""
-    return np.reshape(wheel_coords(*q.values), (3, 2))
-
-
 def vertex_coords(x, y, th):
     """The root-block vertices (v1x, v1y, v2x, v2y, v3x, v3y), unit circumradius."""
     a1, a3 = th + ALPHA1, th + ALPHA3
     return (x + np.cos(a1), y + np.sin(a1), x + np.cos(th), y + np.sin(th),
             x + np.cos(a3), y + np.sin(a3))
-
-
-def root_vertices(q: Configuration) -> np.ndarray:
-    """Planar positions of the three root-block vertices, one row per vertex."""
-    return np.reshape(vertex_coords(*q.values[:3]), (3, 2))
 
 
 def pfaff_matrix(q: Configuration) -> np.ndarray:

@@ -14,7 +14,8 @@ other brackets zero.  R^7 with the polynomial product ``group_mul`` is the
 corresponding simply connected group; the frame is left-invariant for it.
 
 The frame and its brackets are exact ``polyfield.PolyField``s, loaded when a
-certificate first asks for them; nothing here loads sympy.
+certificate first asks for them; nothing here loads sympy.  The path-geometry
+conditions are certified exactly; only the left-invariance residual is sampled.
 """
 from __future__ import annotations
 
@@ -25,9 +26,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .charts import ADAPTED, random_points
+from .charts import ADAPTED
 from .errors import ChartMismatch
-from .mechanism import MAX_SAMPLES, RANK_TOL, Configuration, _rank
+from .mechanism import MAX_SAMPLES, Configuration
 
 if TYPE_CHECKING:
     from .polyfield import PolyField
@@ -126,19 +127,10 @@ def centre(x):
 def n1_vertical(x, l1, l2, l3):
     """The y-part of N1, c'(x) - l = (1 + sqrt(3)x/2 - l1, 1 - l2, 1 - sqrt(3)x/2 - l3).
 
-    Works on floats or arrays and returns a tuple, so the numeric frame and
-    the Hamiltonian right-hand side read N1 from this one formula.
+    Works on floats or arrays and returns a tuple, so the Hamiltonian
+    right-hand side and the symmetry flows read N1 from this one formula.
     """
     return 1.0 + _S3 / 2.0 * x - l1, 1.0 - l2, 1.0 - _S3 / 2.0 * x - l3
-
-
-def nilpotent_frame_matrix(arr) -> np.ndarray:
-    """Numeric frame: rows N1..N4 at adapted coordinates arr, (4, 7), or (n, 4, 7) for (n, 7)."""
-    arr = np.asarray(arr, dtype=float)
-    F = np.zeros((*arr.shape[:-1], 4, 7))
-    F[..., 0, 0] = F[..., 1, 1] = F[..., 2, 2] = F[..., 3, 3] = 1.0
-    F[..., 0, 4:] = np.stack(n1_vertical(*np.moveaxis(arr[..., :4], -1, 0)), axis=-1)
-    return F
 
 
 def group_identity() -> AdaptedPoint:
@@ -202,77 +194,32 @@ def check_left_invariance(X: PolyField, samples: int = 1000, seed: int = 0,
     return LeftInvarianceReport(field_ok=worst < tol, max_residual=worst, samples=samples)
 
 
-def _in_span_residual(w: np.ndarray, at: np.ndarray) -> float:
-    """Distance of w from E + V at a point: the y-components must match
-    w_x times the y-components of N1 there (the leg part is free)."""
-    return float(np.max(np.abs(w[4:7] - w[0] * np.array(n1_vertical(*at[:4])))))
-
-
 @dataclass(frozen=True)
 class PathGeometryReport:
     frame_rank_ok: bool
     v_brackets_in_ev: bool
     mixed_brackets_outside: bool
-    min_mixed_residual: float
-    samples: int
 
     @property
     def all_ok(self) -> bool:
         return self.frame_rank_ok and self.v_brackets_in_ev and self.mixed_brackets_outside
 
 
-def check_path_geometry_conditions(samples: int = 25, seed: int = 0) -> PathGeometryReport:
-    """Structural checks of the splitting E = <N1>, V = <N2,N3,N4>.
+def check_path_geometry_conditions() -> PathGeometryReport:
+    """Structural checks of the splitting E = <N1>, V = <N2,N3,N4>, read off the bracket table.
 
-    (1) E and V stay transversal (the frame has rank 4 at random points).
-    (2) Brackets of V-sections with random affine coefficients land in
-        E + V (their bracket is again vertical: checked exactly).
-    (3) For generic sections xi in E and nu in V that do not vanish at a
-        point, [xi, nu] at that point leaves E + V.
+    (1) E and V are transversal: the frame has rank 4 at every point.
+    (2) V is involutive: [N_i, N_j] = 0 for i, j in 2..4, so the bracket of
+        two V-sections a^i N_i and b^j N_j is a^i N_i(b^j) N_j - b^j N_j(a^i) N_i.
+    (3) Mixed brackets leave E + V: [f N1, b^k N_k] = f b^k [N1, N_k] modulo
+        E + V, and the extended frame has rank 7 at every point, so the
+        bracket is outside E + V wherever f and b do not vanish.
     """
-    from .polyfield import ONE, UNIT, PolyField, lie_bracket
-    rng = np.random.default_rng(seed)
-    n = nilpotent_frame()
-
-    def affine_coeff():  # the integers (c0, c) of c0 + c . coords
-        return rng.integers(-3, 4, size=8)
-
-    def affine_poly(c):
-        return {ONE: (int(c[0]), 0), **{m: (int(ci), 0) for m, ci in zip(UNIT, c[1:])}}
-
-    def vertical_section(coeffs):  # sum_k coeffs[k] N_{k+2}
-        return PolyField(({}, *map(affine_poly, coeffs), {}, {}, {}))
-
-    pts = random_points(ADAPTED, samples, rng) * 2.0
-    rank_ok = bool(np.all(_rank(nilpotent_frame_matrix(pts), RANK_TOL) == 4))
-
-    # vertical fields close among themselves: x- and y-components vanish
-    v_ok = True
-    for _ in range(4):
-        b = lie_bracket(*(vertical_section([affine_coeff() for _ in range(3)]) for _ in range(2)))
-        v_ok &= not any(b.components[idx] for idx in (0, 4, 5, 6))
-
-    min_res = math.inf
-    outside_ok = True
-    for p in pts[: min(10, len(pts))]:
-        while True:
-            f = affine_coeff()
-            coeffs = [affine_coeff() for _ in range(3)]
-            fval = f[0] + f[1:] @ p
-            avals = [c[0] + c[1:] @ p for c in coeffs]
-            if abs(fval) > 0.1 and np.linalg.norm(avals) > 0.1:
-                break
-        w = lie_bracket(n[0] * affine_poly(f), vertical_section(coeffs))(p)
-        res = _in_span_residual(w, p)
-        expected = abs(fval) * float(np.linalg.norm(avals, ord=np.inf))
-        min_res = min(min_res, res)
-        if res < 0.5 * expected or res < 1e-9:
-            outside_ok = False
-
+    from .polyfield import lie_bracket, triangular_rank
+    legs = nilpotent_frame()[1:]
     return PathGeometryReport(
-        frame_rank_ok=rank_ok,
-        v_brackets_in_ev=v_ok,
-        mixed_brackets_outside=outside_ok,
-        min_mixed_residual=min_res,
-        samples=samples,
+        frame_rank_ok=triangular_rank(nilpotent_frame()) == 4,
+        v_brackets_in_ev=all(lie_bracket(a, b).is_zero()
+                             for i, a in enumerate(legs) for b in legs[i + 1:]),
+        mixed_brackets_outside=triangular_rank(extended_frame()) == 7,
     )

@@ -179,3 +179,14 @@ def combine(*terms) -> dict:
 def lie_bracket(X: PolyField, Y: PolyField) -> PolyField:
     """[X,Y]^i = sum_j (X^j dY^i/dx_j - Y^j dX^i/dx_j), exactly."""
     return PolyField(tuple(_collect([*_along(X, Y, i, 1), *_along(Y, X, i, -1)]) for i in range(7)))
+
+
+def triangular_rank(fields) -> int:
+    """The rank the fields certifiably have at every point: the longest prefix
+    in which field i has no component before index i and a nonzero constant
+    one at index i, a triangular matrix with constant diagonal.  Independent
+    fields in another order certify less.
+    """
+    fields = list(fields)[:7]
+    return next((i for i, f in enumerate(fields)
+                 if any(f.components[:i]) or set(f.components[i]) != {ONE}), len(fields))

@@ -16,7 +16,8 @@ with the centre curve c(x) = (x + sqrt(3)x^2/4, x, x - sqrt(3)x^2/4), a
 linear system with x constant, so its time-t flow rotates l and y - c(x) by
 R = exp(t hat(a)) (Rodrigues' formula).  The flows, fixed points and
 invariance report are numpy.  The certificates (structure constants solved
-exactly, symmetry conditions, transitivity) work on exact
+exactly, symmetry conditions, transitivity read off the w-fields'
+coefficients) are exact and draw no sample: they work on
 ``polyfield.PolyField``s, loaded on first use; nothing here loads sympy.
 """
 from __future__ import annotations
@@ -28,9 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .charts import ADAPTED, random_points
 from .errors import NotASymmetry, ZeroCombination
-from .mechanism import RANK_TOL, _rank
 from .nilpotent import AdaptedPoint, centre, n1_vertical, nilpotent_frame
 
 if TYPE_CHECKING:
@@ -239,14 +238,13 @@ def w_structure_report() -> dict:
     return {"nontrivial": nontrivial, "others_vanish": trivial_ok}
 
 
-def transitivity_rank(samples: int = 20, seed: int = 0) -> int:
-    """Minimum rank of the 7x7 matrices of w-field values at random points (7 for none).
-
-    One call evaluates each w-field at every point, and one ranks the stack.
+def transitivity_rank() -> int:
+    """The rank of the w-fields at every point, certified exactly: they are
+    triangular with diagonal -1, 1, ..., 1, so it is 7 and the w-algebra acts
+    transitively.
     """
-    points = random_points(ADAPTED, samples, np.random.default_rng(seed)) * 2.0
-    stack = np.stack([w.field(points) for w in w_fields().values()], axis=1)
-    return int(_rank(stack, RANK_TOL).min(initial=7))
+    from .polyfield import triangular_rank
+    return triangular_rank(w.field for w in w_fields().values())
 
 
 @dataclass(frozen=True)
@@ -268,6 +266,10 @@ def flow_invariance_report(v: SymmetryField, states: np.ndarray, times: np.ndarr
     of sub-Riemannian arc length.
     """
     states, times, tangents = (np.asarray(a, dtype=float) for a in (states, times, tangents))
+    n = times.size
+    if n < 2 or times.shape != (n,) or states.shape != (n, 7) or tangents.shape != (n, 7):
+        raise ValueError(f"a curve needs n >= 2 times with (n, 7) states and tangents, got "
+                         f"shapes {times.shape}, {states.shape} and {tangents.shape}")
     if not all(np.isfinite(a).all() for a in (states, times, tangents)):
         raise ValueError("states, times and tangents must be finite")
     R = _rotation(v, s, dt)

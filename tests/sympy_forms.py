@@ -11,6 +11,9 @@ only the tests' oracles need on top of it.
 * The original chart's slice frame as the paper prints it
   (``horizontal_frame_slice``, ``slice_bracket_fields``): the symbolic
   oracle for ``mechanism.closed_form_gbar``.
+* Sampling (``random_points``) and the numeric frame N1..N4
+  (``nilpotent_frame_matrix``), for the tests' sampled oracles: the
+  program's structural certificates are exact and draw no points.
 * ``to_sym`` writes a ``polyfield.PolyField`` as a ``fields.VectorFieldSym``
   (each coefficient a + b sqrt(3) as the two terms a m + b sqrt(3) m of its
   monomial m), so the sympy engine can check the exact one; ``from_sym``
@@ -23,10 +26,11 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 
-from trident47.charts import ADAPTED, ORIGINAL, random_points
+from trident47.charts import ADAPTED, ORIGINAL
 from trident47.errors import ChartMismatch, TridentError
 from trident47.fields import (SQRT3, Expr, VectorFieldSym, coordinate_field, coords,
                               is_zero_expr, lie_bracket)
+from trident47.nilpotent import n1_vertical
 from trident47.polyfield import PolyField
 
 #: a quotient denominator smaller than this (in absolute value) at an
@@ -34,8 +38,32 @@ from trident47.polyfield import PolyField
 DENOM_EPS = 1e-12
 
 
+#: sampling boxes of the sampled oracles; legs kept positive in the original
+#: chart so no denominator vanishes
+_SAMPLE_BOX = {
+    ORIGINAL: [(-1.0, 1.0)] * 4 + [(0.5, 2.0)] * 3,
+    ADAPTED: [(-1.0, 1.0)] * 7,
+}
+
+
 class DivisionByZero(TridentError):
     """A quotient denominator is (numerically) zero at the evaluation point."""
+
+
+def random_points(chart: str, n: int, rng=None) -> np.ndarray:
+    """n sample points in the chart's standard box (legs positive)."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    box = np.array(_SAMPLE_BOX[chart])
+    return rng.uniform(box[:, 0], box[:, 1], size=(n, 7))
+
+
+def nilpotent_frame_matrix(arr) -> np.ndarray:
+    """Numeric frame: rows N1..N4 at adapted coordinates arr, (4, 7), or (n, 4, 7) for (n, 7)."""
+    arr = np.asarray(arr, dtype=float)
+    F = np.zeros((*arr.shape[:-1], 4, 7))
+    F[..., 0, 0] = F[..., 1, 1] = F[..., 2, 2] = F[..., 3, 3] = 1.0
+    F[..., 0, 4:] = np.stack(n1_vertical(*np.moveaxis(arr[..., :4], -1, 0)), axis=-1)
+    return F
 
 
 @functools.lru_cache(maxsize=8192)

@@ -175,16 +175,14 @@ def test_group_law_columns_match_per_point_calls():
     assert np.array_equal(both, np.stack([_reference_group_mul(p, q) for p, q in zip(ps, qs)]))
 
 
-@pytest.mark.parametrize("columns, per_point, reference", [
-    (lambda s: mechanism.wheel_coords(*s), mechanism.wheel_positions,
-     _reference_wheel_positions),
-    (lambda s: mechanism.vertex_coords(*s[:3]), mechanism.root_vertices,
-     _reference_root_vertices),
+@pytest.mark.parametrize("columns, reference", [
+    (lambda s: mechanism.wheel_coords(*s), _reference_wheel_positions),
+    (lambda s: mechanism.vertex_coords(*s[:3]), _reference_root_vertices),
 ], ids=["wheels", "vertices"])
-def test_mechanism_geometry_columns_match_per_point_calls(columns, per_point, reference):
+def test_mechanism_geometry_columns_match_per_point_calls(columns, reference):
     pts = _points(4, box=4.0)
     cols = np.stack(columns(np.array(pts).T), axis=-1)
-    calls = np.stack([per_point(Configuration.original(*p)).ravel() for p in pts])
+    calls = np.array([columns(Configuration.original(*p).values) for p in pts])
     assert np.array_equal(cols, calls)
     assert np.array_equal(cols, np.stack([reference(p).ravel() for p in pts]))
 

@@ -180,22 +180,39 @@ def test_symmetry_check_detects_perturbation(tmp_path):
     assert "error" in bad and bad["residual_norm"] > 0.0
 
 
-def test_invalid_point_exits_2(tmp_path):
-    # argparse rejects the malformed value and exits with the bad-input code
-    with pytest.raises(SystemExit) as err:
-        main(["controllability", "--point", "1,2,3", "--out", str(tmp_path / "r.json")])
-    assert err.value.code == 2
+def test_invalid_point_exits_2(tmp_path, capsys):
+    # argparse rejects the malformed value, with its message, and exits with the bad-input code
+    for point in ("1,2,3", "1,2"):
+        with pytest.raises(SystemExit) as err:
+            main(["controllability", "--point", point, "--out", str(tmp_path / "r.json")])
+        assert err.value.code == 2
+        assert "--point needs 7 comma-separated numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", ["0,0,1.5707963267948966,1.5707963267948966,1,1,1",
+                                   "0,0,1.0,-1.5119510507162652,1.2,0.8,0.7"],
+                         ids=["right-angle-joint", "generic"])
+def test_controllability_on_sigma_exits_2(tmp_path, point):
+    # on Sigma, where [X1, d/dl2] = 0, the growth drops and Gbar loses a rank:
+    # today's answer is an error report, not a growth vector
+    out = tmp_path / "sigma.json"
+    assert main(["controllability", "--point", point, "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert "Gbar has rank 6 < 7" in report["error"]
+    assert "growth" not in report
 
 
 @pytest.mark.parametrize("option, value", [("--point", "nan,0,1.5707963,0,1,1,1"),
                                            ("--point", "0,inf,1.5707963,0,1,1,1"),
+                                           ("--point", "0,0,1,nan,1,1,1"),
                                            ("--dynamic-f", "1,nan")])
-def test_non_finite_input_exits_2(tmp_path, option, value):
+def test_non_finite_input_exits_2(tmp_path, capsys, option, value):
     out = tmp_path / "r.json"
     with pytest.raises(SystemExit) as err:
         main(["controllability", option, value, "--out", str(out)])
     assert err.value.code == 2
     assert not out.exists()
+    assert f"non-finite value in {value!r}" in capsys.readouterr().err
 
 
 def test_missing_fixture_exits_2(tmp_path):

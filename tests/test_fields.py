@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 import trident47
 from trident47 import nilpotent
-from trident47.charts import random_points
 from trident47.errors import ChartMismatch
 from trident47.fields import (ADAPTED, ORIGINAL, SQRT3, VectorFieldSym,
                               coordinate_field, coords, lie_bracket)
 
 from sympy_forms import (DivisionByZero, differentiate, evaluate, field_at, fields_equal,
-                         horizontal_frame_slice, slice_bracket_fields, to_sym, zero_field)
+                         horizontal_frame_slice, random_points, slice_bracket_fields, to_sym,
+                         zero_field)
 
 
 def fd_derivative(e, i, point, chart=ORIGINAL, step=1e-6):

@@ -14,9 +14,10 @@ from trident47.errors import ChartMismatch, SingularConfiguration
 from trident47.fields import SQRT3, VectorFieldSym, coords, lie_bracket
 from trident47.mechanism import (Configuration, check_dynamic_pair, controllability,
                                  horizontal_frame, pfaff_matrix, pfaffian_signature,
-                                 serialize_matrix, wheel_positions)
+                                 serialize_matrix, wheel_coords)
 
-from sympy_forms import field_at, fields_equal, horizontal_frame_slice, slice_bracket_fields
+from sympy_forms import (field_at, fields_equal, horizontal_frame_slice, nilpotent_frame_matrix,
+                         slice_bracket_fields)
 
 S3 = math.sqrt(3.0)
 
@@ -36,7 +37,7 @@ def random_valid(rng, on_slice=True):
 
 
 def test_wheel_positions_at_q0(q0):
-    w = wheel_positions(q0)
+    w = np.reshape(wheel_coords(*q0.values), (3, 2))
     assert np.allclose(w[1], (0.0, 2.0), atol=1e-15)         # second wheel straight up
     assert np.allclose(w[0], (S3, -1.0), atol=1e-14)          # first anchor at -2pi/3
     assert np.allclose(w[2], (-S3, -1.0), atol=1e-14)
@@ -47,11 +48,11 @@ def test_wheel_positions_periodic_in_theta(rng):
     vals = list(q.values)
     vals[2] += 2.0 * math.pi
     shifted = Configuration(ORIGINAL, tuple(vals))
-    assert np.allclose(wheel_positions(q), wheel_positions(shifted), atol=1e-12)
+    assert np.allclose(wheel_coords(*q.values), wheel_coords(*shifted.values), atol=1e-12)
 
 
 def test_wheel_positions_rejects_adapted_chart():
-    # adapted coordinates never reach wheel_positions: a Configuration refuses them
+    # adapted coordinates never reach the wheel positions: a Configuration refuses them
     with pytest.raises(ChartMismatch, match="original chart, not 'adapted'"):
         Configuration(ADAPTED, (0, 1, 1, 1, 0, 0, 0))
     with pytest.raises(ChartMismatch):
@@ -348,7 +349,6 @@ def test_signature_zero_from_bracket_table_oracle(rng):
     # brackets pair the first frame field with the others, so every matrix
     # A_k has nonzero entries in its first row/column only and the 4x4
     # Pfaffian a01*a23 - a02*a13 + a03*a12 vanishes identically.
-    from trident47.nilpotent import nilpotent_frame_matrix
     for _ in range(20):
         p = rng.uniform(-2.0, 2.0, 7)
         F = nilpotent_frame_matrix(p)

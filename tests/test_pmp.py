@@ -14,14 +14,14 @@ import pytest
 import trident47
 from trident47 import pmp
 from trident47.errors import ZeroHorizontalMomentum
-from trident47.nilpotent import (AdaptedPoint, centre, from_adapted, group_identity,
-                                 nilpotent_frame_matrix)
+from trident47.nilpotent import AdaptedPoint, centre, from_adapted, group_identity
 from trident47.pmp import (BracketMotionParams, FibreState, SolutionConstants,
                            base_rhs, bracket_displacement, bracket_motion,
                            closed_form_base, example_constants, example_momenta,
                            example_solution, integrate_extremal, random_solution_constants,
                            write_trajectory_csv)
 
+from sympy_forms import nilpotent_frame_matrix
 from trajectory_io import read_trajectory_csv, save_solution_constants
 
 S3 = math.sqrt(3.0)

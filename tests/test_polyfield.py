@@ -79,12 +79,12 @@ def test_the_certificates_brackets_are_the_sympy_brackets(tmp_path, monkeypatch)
         assert main(["symmetry-check", "--samples", "5", "--out", str(tmp_path / "s.json")]) == 0
         assert main(["symmetry-check", "--samples", "5", "--perturb", "0.01",
                      "--out", str(tmp_path / "p.json")]) == 1
-        nilpotent.check_path_geometry_conditions(20, 1)
+        nilpotent.check_path_geometry_conditions()
     finally:
         nilpotent.extended_frame.cache_clear()
     # N1 x N_k; so(3) table; [v, N_j] for v1..v3; [w1, w_j]; the 18 other w pairs;
-    # the perturbed v1's [v, N1]; path geometry's 4 vertical and at least 10 mixed
-    assert len(formed) >= 3 + 3 + 12 + 3 + 18 + 1 + 14
+    # the perturbed v1's [v, N1]; path geometry's 3 pairs of N2..N4
+    assert len(formed) >= 3 + 3 + 12 + 3 + 18 + 1 + 3
     for X, Y in formed:
         assert _sympy_bracket_agrees(X, Y)
 
@@ -209,16 +209,40 @@ def test_coefficients_in_a_basis_with_sqrt3_pivots():
     assert err.value.residual is outside
 
 
-def test_path_geometry_reports_are_pinned():
-    # the reports of the sympy implementation this engine replaced: its rng
-    # draws are unchanged and its residuals are the same floats
-    pinned = {0: 9.087657821321166, 1: 15.671898640049559, 2: 14.604309042658713,
-              3: 2.6213674547611614, 4: 3.5852016335539307}
-    assert nilpotent.check_path_geometry_conditions() == nilpotent.PathGeometryReport(
-        True, True, True, pinned[0], 25)
-    for seed, residual in pinned.items():
-        assert nilpotent.check_path_geometry_conditions(seed=seed) == \
-            nilpotent.PathGeometryReport(True, True, True, residual, 25)
+def test_triangular_rank_certifies_less_on_broken_inputs():
+    n1, n2, n3, n4 = nilpotent.nilpotent_frame()
+    ws = [w.field for w in symmetry.w_fields().values()]
+    x = {UNIT[0]: (1, 0)}
+    assert polyfield.triangular_rank((n1, n2, n3, n4)) == 4
+    assert polyfield.triangular_rank((n1, n3, n2, n4)) == 1  # independent, but reordered
+    assert polyfield.triangular_rank((n2, n1, n3, n4)) == 0
+    assert polyfield.triangular_rank(ws) == 7
+    assert polyfield.triangular_rank([ws[0] * x, *ws[1:]]) == 0  # w1 * x vanishes at x = 0
+    assert polyfield.triangular_rank([*ws, n1]) == 7  # no more than 7 on R^7
+    assert polyfield.triangular_rank([]) == 0
+
+
+def test_path_geometry_reports_are_pinned(monkeypatch):
+    # exact, so one report: no sample count, seed or residual; each condition can fail
+    report = nilpotent.PathGeometryReport
+    assert nilpotent.check_path_geometry_conditions() == report(True, True, True)
+    n1, n2, n3, n4 = nilpotent.nilpotent_frame()
+    extended = nilpotent.extended_frame()
+    twisted = n2 + coordinate_field(3) * {UNIT[2]: (1, 0)}  # d/dl1 + l2 d/dl3: [., N3] = -N4
+    for frame, ext, want in (((n2, n1, n3, n4), extended, report(False, False, True)),
+                             ((n1, twisted, n3, n4), extended, report(True, False, True)),
+                             ((n1, n2, n3, n4), (*extended[:6], n4), report(True, True, False))):
+        monkeypatch.setattr(nilpotent, "nilpotent_frame", lambda frame=frame: frame)
+        monkeypatch.setattr(nilpotent, "extended_frame", lambda ext=ext: ext)
+        assert nilpotent.check_path_geometry_conditions() == want
+        assert not want.all_ok
+
+
+def test_transitivity_rank_fails_on_a_degenerate_w_set(monkeypatch):
+    ws = dict(symmetry.w_fields())
+    ws["w1"] = symmetry.SymmetryField("x*w1", ws["w1"].field * {UNIT[0]: (1, 0)})
+    monkeypatch.setattr(symmetry, "w_fields", lambda: ws)
+    assert symmetry.transitivity_rank() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +262,6 @@ def test_numeric_paths_load_neither_the_exact_fields_nor_sympy():
             "symmetry.symmetry_flow(v, p, 0.8)\n"
             "states = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 7))\n"
             "symmetry.flow_invariance_report(v, states, np.linspace(0.0, 1.0, 5), states, 0.8)\n"
-            "nilpotent.nilpotent_frame_matrix(states)\n"
             "loaded = [m for m in ('sympy', 'fractions', 'trident47.polyfield')\n"
             "          if m in sys.modules]\n"
             "sys.exit(f'loaded {loaded}' if loaded else 0)\n")

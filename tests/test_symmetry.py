@@ -12,14 +12,14 @@ import trident47
 from trident47 import nilpotent, pmp, polyfield
 from trident47.errors import NotASymmetry, ZeroCombination
 from trident47.fields import ADAPTED, SQRT3, VectorFieldSym, coordinate_field, coords
-from trident47.nilpotent import AdaptedPoint, nilpotent_frame_matrix
+from trident47.nilpotent import AdaptedPoint
 from trident47.symmetry import (SymmetryField, check_symmetry_conditions,
                                 fixed_point_set, flow_invariance_report,
                                 flow_with_jacobian, so3_combination, so3_structure,
                                 symmetry_flow, transitivity_rank, v_fields, w_fields,
                                 w_structure_report)
 
-from sympy_forms import field_at, from_sym, to_sym
+from sympy_forms import field_at, from_sym, nilpotent_frame_matrix, to_sym
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +311,15 @@ def test_non_finite_symmetry_inputs_are_rejected(bad):
         args[which].flat[3] = bad
         with pytest.raises(ValueError):
             flow_invariance_report(v, *args, s=0.5)
+        # unequal lengths, and curves of fewer than 2 samples: no (0.0, 0.0) pass
+        for n in (0, 1, 4):
+            args = [states, times, tangents]
+            args[which] = args[which][:n]
+            with pytest.raises(ValueError, match="n >= 2 times"):
+                flow_invariance_report(v, *args, s=0.5)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n >= 2 times"):
+            flow_invariance_report(v, states[:n], times[:n], tangents[:n], s=0.5)
 
 
 def _run_orbit_script(*argv):
@@ -432,7 +441,7 @@ def test_w_algebra_closure():
 
 
 def test_w_orbit_is_full():
-    assert transitivity_rank(samples=30) == 7
+    assert transitivity_rank() == 7
 
 
 def test_w12_is_vertical_coordinate_field():
