@@ -273,20 +273,14 @@ def check_dynamic_pair(q: Configuration, f: float) -> DynamicPairResult:
 
 @dataclass(frozen=True)
 class SignatureResult:
-    """Unordered signature (p, r) of the Pfaffian quadratic form.
+    """Signature (p, r) of the Pfaffian quadratic form, stored as given.
 
-    Stored with p >= r; (p, r) and (r, p) are the same signature because
-    the 4-form line used to read off the Pfaffian carries no orientation.
+    ``pfaffian_signature`` builds only (0, 0).
     """
 
     p: int
     r: int
     eig_tol: float
-
-    def __post_init__(self):
-        a, b = sorted((int(self.p), int(self.r)), reverse=True)
-        object.__setattr__(self, "p", a)
-        object.__setattr__(self, "r", b)
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.p, self.r)

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .charts import ADAPTED
 from .errors import ChartMismatch
 from .mechanism import MAX_SAMPLES, Configuration
 
@@ -179,8 +178,6 @@ def check_left_invariance(X: PolyField, samples: int = 1000, seed: int = 0,
     factor, so dL_g is exact: the identity plus column 0's y rows
     (sqrt(3)/2 gx - gl1, -gl2, -sqrt(3)/2 gx - gl3).
     """
-    if X.chart != ADAPTED:
-        raise ChartMismatch("left invariance is defined on the adapted chart")
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"left invariance needs at least one sample and at most "
                          f"{MAX_SAMPLES}, got {samples}")

@@ -361,7 +361,7 @@ def _fibre_path(h0, times: np.ndarray, h: float) -> np.ndarray:
 
 
 def _accumulate(column, rates, h: float) -> None:
-    """Fill column[1:] by RK4 steps from column[0], given the four stage rates of each step.
+    """Fill column[1:] (one column or a block) by RK4 steps from column[0], given stage-major rates.
 
     The increments are summed left to right, so each sample is bit for bit
     the classical step y + h/6 (k1 + 2 k2 + 2 k3 + k4).
@@ -386,17 +386,13 @@ def _base_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarray:
     n, block = len(times) - 1, max(1, _BLOCK_SAMPLES // np.size(q0[0]))
     path = np.empty((n + 1, 7) + np.shape(q0[0]))
     path[0] = q0
-
-    def accumulate(rows, columns, rates):
-        for j, *stages in zip(columns, *rates):
-            _accumulate(rows[:, j], stages, h)
-
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(0, n, block):
-            us, rows = stage_controls(k, min(block, n - k)), path[k:k + block + 1]
-            accumulate(rows, range(4), us)
-            qs = _stage_inputs(rows[:-1, :4].swapaxes(0, 1), np.asarray(us), h)
-            accumulate(rows, range(4, 7), [_base_rates(qi, u)[4:] for qi, u in zip(qs, us)])
+            us, rows = np.asarray(stage_controls(k, min(block, n - k))), path[k:k + block + 1]
+            _accumulate(rows[:, :4], us.swapaxes(1, 2), h)  # (stage, step, u1..u4)
+            qs = _stage_inputs(rows[:-1, :4].swapaxes(0, 1), us, h)
+            rates = [_base_rates(qi, u)[4:] for qi, u in zip(qs, us)]
+            _accumulate(rows[:, 4:], np.swapaxes(rates, 1, 2), h)
     return path
 
 
@@ -408,11 +404,10 @@ def _original_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarra
     so those columns are summed as in ``_base_path``, a block of
     ``_BLOCK_SAMPLES`` steps at a time; phi's rate reads phi itself, so it
     steps in a scalar loop fed each stage's u1, l2, L and a.  The guard sees
-    every stage input of a block at once.  At the first one in the step
-    loop's order (step, then stage) that is off the regular set or has an
-    infinite heading, the gait raises what that stage of a step loop on
-    ``frame_x1`` would: ``check_regular``'s SingularConfiguration, or else
-    math's ValueError.
+    every stage input of a block at once.  At the first one in step, then
+    stage, order that is off the regular set or has an infinite heading,
+    the gait raises ``check_regular``'s SingularConfiguration, or else a
+    ValueError naming the stage time.
     """
     n, half, sixth = len(times) - 1, 0.5 * h, h / 6.0
     path = np.empty((n + 1, 7))
@@ -458,12 +453,9 @@ def _original_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarra
                 rows[j, 3] = p
             if stop < 4 * m:
                 step, stage = divmod(stop, 4)
-                for i, (u1, l2i, Li, ai) in enumerate(phi_in[step].reshape(4, 4)[:stage].tolist()):
-                    q = p + (half, half, h)[i - 1] * rate if i else p  # math's ValueError if inf
-                    rate = u1 * phi_rate(cos(q), sin(q), l2i, Li, ai)
-                check_regular(times.item(k + step) + (0.0, half, half, h)[stage],
-                              l1.item(stage, step), l2.item(stage, step), l3.item(stage, step))
-                _x1_rotation(thetas.item(stage, step))  # the guard passed: theta is infinite
+                t = times.item(k + step) + (0.0, half, half, h)[stage]
+                check_regular(t, l1.item(stage, step), l2.item(stage, step), l3.item(stage, step))
+                raise ValueError(f"the heading is not finite near t = {t:.6g} during the gait")
             for j, d in enumerate(_x1_planar(*_x1_rotation(thetas), a)):  # x and y
                 _accumulate(rows[:, j], u[..., 0] * d, h)
     _refuse_overflow(times, path)
@@ -663,8 +655,8 @@ def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
     steps in a scalar loop, and the singular-set guard checks a block's
     stage inputs at once.  A gait that leaves the regular set (l2 or
     L = l1 + l3 + 2 through zero, or within SINGULAR_EPS of it) raises
-    SingularConfiguration naming the first such stage; one that overflows
-    is a ValueError.
+    SingularConfiguration naming the first such stage; one whose heading is
+    not finite, or that overflows, is a ValueError.
     """
     n = params.steps_per_cycle * params.cycles
     h = params.period / params.steps_per_cycle

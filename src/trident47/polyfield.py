@@ -23,7 +23,6 @@ from operator import add
 
 import numpy as np
 
-from .charts import ADAPTED
 from .errors import NotASymmetry
 
 _S3 = math.sqrt(3.0)
@@ -81,7 +80,6 @@ class PolyField:
     """A polynomial vector field: seven maps {exponents: (a, b)}, zero terms dropped."""
 
     components: tuple[dict, ...]
-    chart = ADAPTED
 
     def __post_init__(self):
         if len(self.components) != 7:

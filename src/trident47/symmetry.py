@@ -272,6 +272,8 @@ def flow_invariance_report(v: SymmetryField, states: np.ndarray, times: np.ndarr
                          f"shapes {times.shape}, {states.shape} and {tangents.shape}")
     if not all(np.isfinite(a).all() for a in (states, times, tangents)):
         raise ValueError("states, times and tangents must be finite")
+    if not (np.diff(times) > 0.0).all():
+        raise ValueError("the times of a curve must increase strictly")
     R = _rotation(v, s, dt)
     x, xdot = states[:, 0], tangents[:, :1]
     legs_dot = tangents[:, 1:4] @ R.T

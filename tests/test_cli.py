@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import trident47
 from trident47 import pmp
 from trident47.cli import build_parser, main
+from trident47.mechanism import MAX_SAMPLES
 
 from trajectory_io import read_trajectory_csv, save_solution_constants
 
@@ -64,6 +65,26 @@ def test_controllability_sweep(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["sweep"]["growth_counts"] == {"[4, 7]": 100}
+
+
+def test_sweep_draws_every_shape_from_one_generator(tmp_path, monkeypatch):
+    # one default_rng(seed) stream: the legs as one (N, 3) draw, then phi as one (N,) draw
+    from trident47 import mechanism
+
+    controllability, points = mechanism.controllability, []
+
+    def record(q, rank_tol):
+        points.append(q.values)
+        return controllability(q, rank_tol=rank_tol)
+
+    monkeypatch.setattr(mechanism, "controllability", record)
+    assert main(["controllability", "--sweep", "50", "--seed", "4",
+                 "--out", str(tmp_path / "sweep.json")]) == 0
+    rng = np.random.default_rng(4)
+    legs = rng.uniform(0.5, 2.0, (50, 3))
+    phis = rng.uniform(-0.3, 0.3, 50)
+    assert points[1:] == [(0.0, 0.0, math.pi / 2.0, phi, *shape)
+                          for phi, shape in zip(phis.tolist(), legs.tolist())]
 
 
 def test_controllability_singular_point_exits_2(tmp_path):
@@ -182,11 +203,14 @@ def test_symmetry_check_detects_perturbation(tmp_path):
 
 def test_invalid_point_exits_2(tmp_path, capsys):
     # argparse rejects the malformed value, with its message, and exits with the bad-input code
-    for point in ("1,2,3", "1,2"):
+    for point, message in (("1,2,3", "--point needs 7 comma-separated numbers"),
+                           ("1,2", "--point needs 7 comma-separated numbers"),
+                           ("1,abc", "expected comma-separated numbers, got '1,abc'")):
         with pytest.raises(SystemExit) as err:
             main(["controllability", "--point", point, "--out", str(tmp_path / "r.json")])
         assert err.value.code == 2
-        assert "--point needs 7 comma-separated numbers" in capsys.readouterr().err
+        stderr = capsys.readouterr().err
+        assert message in stderr and "invalid" not in stderr  # not "invalid <function> value"
 
 
 @pytest.mark.parametrize("point", ["0,0,1.5707963267948966,1.5707963267948966,1,1,1",
@@ -202,17 +226,33 @@ def test_controllability_on_sigma_exits_2(tmp_path, point):
     assert "growth" not in report
 
 
+# tokens that float() or int() cannot read: the option's subcommand, and what its type expects
+_UNREADABLE = {
+    ("--dynamic-f", "1,abc"): (["controllability"], "comma-separated numbers"),
+    ("--sweep", "abc"): (["controllability"], f"an integer in [0, {MAX_SAMPLES}]"),
+    ("--samples", "1.5"): (["symmetry-check"], f"an integer in [1, {MAX_SAMPLES}]"),
+    ("--T", "abc"): (["geodesic", "--constants", "example2.json"], "a finite number > 0"),
+    ("--perturb", "abc"): (["symmetry-check"], "a finite number"),
+}
+
+
 @pytest.mark.parametrize("option, value", [("--point", "nan,0,1.5707963,0,1,1,1"),
                                            ("--point", "0,inf,1.5707963,0,1,1,1"),
                                            ("--point", "0,0,1,nan,1,1,1"),
-                                           ("--dynamic-f", "1,nan")])
+                                           ("--dynamic-f", "1,nan"), *_UNREADABLE])
 def test_non_finite_input_exits_2(tmp_path, capsys, option, value):
     out = tmp_path / "r.json"
+    command, expected = _UNREADABLE.get((option, value), (["controllability"], None))
     with pytest.raises(SystemExit) as err:
-        main(["controllability", option, value, "--out", str(out)])
+        main([*command, option, value, "--out", str(out)])
     assert err.value.code == 2
     assert not out.exists()
-    assert f"non-finite value in {value!r}" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    if expected is None:
+        assert f"non-finite value in {value!r}" in stderr
+    else:
+        assert f"argument {option}: expected {expected}, got {value!r}" in stderr
+        assert "invalid" not in stderr  # argparse's "invalid <function> value" names no type
 
 
 def test_missing_fixture_exits_2(tmp_path):

@@ -309,12 +309,6 @@ def test_signature_across_sweep(rng):
             assert pfaffian_signature(q).as_tuple() == (0, 0)
 
 
-def test_signature_is_unordered():
-    a = mechanism.SignatureResult(p=1, r=2, eig_tol=1e-9)
-    b = mechanism.SignatureResult(p=2, r=1, eig_tol=1e-9)
-    assert a.as_tuple() == b.as_tuple() == (2, 1)
-
-
 def _pfaffian4(a):
     # Pfaffian of a 4x4 antisymmetric matrix
     return a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]

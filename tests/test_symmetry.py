@@ -320,6 +320,10 @@ def test_non_finite_symmetry_inputs_are_rejected(bad):
     for n in (0, 1):
         with pytest.raises(ValueError, match="n >= 2 times"):
             flow_invariance_report(v, states[:n], times[:n], tangents[:n], s=0.5)
+    # times that do not increase measure no arc length: no 0.0 length change pass
+    for flat_or_back in (np.zeros(5), np.linspace(1.0, 0.0, 5)):
+        with pytest.raises(ValueError, match="increase strictly"):
+            flow_invariance_report(v, states, flat_or_back, tangents, s=0.5)
 
 
 def _run_orbit_script(*argv):
