@@ -64,6 +64,8 @@ _numbers = _argtype(lambda text: tuple(map(float, text.split(","))), lambda vals
 _finite = _argtype(float, math.isfinite, "a finite number")
 #: a finite number > 0 (tolerances, T, dt and the gait's A and omega)
 _positive_finite = _argtype(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
+#: a generator seed (numpy's default_rng takes no negative one)
+_seed = _argtype(int, lambda v: v >= 0, "a non-negative integer")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--dynamic-f", type=_parse_floats, default=(1.0, 2.0, -0.5))
     c.add_argument("--sweep", type=_bounded_int(0), default=0,
                    help="random valid-shape sweep size")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--out", default=None, help="report path (stdout if omitted)")
     c.set_defaults(func=cmd_controllability)
 
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--point", type=_parse_point, default=None,
                    help="start point (default: adapted origin)")
     g.add_argument("--chart", choices=(ORIGINAL, ADAPTED), default=ADAPTED)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0, help="only echoed into the report's spec")
     g.add_argument("--out", required=True, help="trajectory CSV path")
     g.set_defaults(func=cmd_geodesic)
 
@@ -320,13 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--omega", type=_positive_finite, default=2.0 * math.pi / 50.0)
     b.add_argument("--partner", type=int, choices=(2, 3, 4), default=2)
     b.add_argument("--cycles", type=int, default=1)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_seed, default=0, help="only echoed into the report's spec")
     b.add_argument("--out", required=True, help="output path prefix")
     b.set_defaults(func=cmd_bracket_motion)
 
     s = sub.add_parser("symmetry-check", help="verify the symmetry algebra")
     s.add_argument("--samples", type=_positive_int, default=200)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--perturb", type=_finite, default=0.0,
                    help="self-test: add EPS * d/dl2 to v1 and watch it fail")
     s.add_argument("--out", default=None)

@@ -37,4 +37,4 @@ class ZeroCombination(TridentError):
 
 
 class ZeroHorizontalMomentum(TridentError):
-    """Arc-length normalization of an all-zero horizontal momentum."""
+    """Solution constants whose horizontal momentum h1..h4 is all zero (no geodesic)."""

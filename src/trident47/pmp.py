@@ -16,24 +16,23 @@ K^2 t^2, exact for every K, 0 included, and real or complex (complex-step
 derivatives pass through).  Three worked example solutions are built in,
 including their original-chart formulas.
 
-What stays numeric is fixed-step RK4 on these equations (``_fibre_rates``,
-``_base_rates``) and on the original gait's field X1 (``mechanism.frame_x1``),
-each path bit for bit the classical step loop y + h/6 (k1 + 2 k2 + 2 k3 + k4)
-that the tests keep as their reference.  The fibre system steps h1..h4 as
-four unrolled columns (``_fibre_path``); the base system runs in whole-array
-passes (``_base_path``), and so does the original gait but for phi, the one
-column stepped in a scalar loop (``_original_path``).  Every ``time_grid``
-has at most ``MAX_STEPS`` steps, a non-finite start is refused, and a path
-that overflows is refused once.  CSV rows go through one writer,
-``write_csv_rows``, fed whole columns and formatting each distinct column of
-a block once.  Of files the module reads only solution-constants fixtures,
-and it loads no sympy.
+What stays numeric is fixed-step RK4, bit for bit the classical step loop
+y + h/6 (k1 + 2 k2 + 2 k3 + k4) that the tests keep as their reference:
+the fibre system steps h1..h4 as four unrolled columns (``_fibre_path``),
+the base system runs in whole-array passes (``_base_path``), and so does
+the original system X1, d/dl1..d/dl3 but for phi, stepped in a scalar loop
+(``_original_path``).  ``drive`` runs every control law, the start's point
+type picking the system; ``bracket_motion`` is the sinusoid law from the
+reference configuration.  Grids have at most ``MAX_STEPS`` steps, and a
+non-finite start or an overflowing path is refused.  Of files the module
+reads only solution-constants fixtures, and it loads no sympy.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -458,7 +457,6 @@ def _original_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarra
                 raise ValueError(f"the heading is not finite near t = {t:.6g} during the gait")
             for j, d in enumerate(_x1_planar(*_x1_rotation(thetas), a)):  # x and y
                 _accumulate(rows[:, j], u[..., 0] * d, h)
-    _refuse_overflow(times, path)
     check_regular(times.item(-1), *path[-1, 4:].tolist())  # earlier samples were stage inputs
     return path
 
@@ -617,15 +615,24 @@ class BracketMotionParams:
                              "with a finite period 2*pi/omega")
         if self.partner not in (2, 3, 4):
             raise ValueError("partner index must be 2, 3 or 4")
+        try:
+            n = operator.index(self.cycles) * operator.index(self.steps_per_cycle)
+        except TypeError:
+            raise ValueError("cycle count and steps per cycle must be integers") from None
         if self.cycles < 1 or self.steps_per_cycle < 1:
             raise ValueError("cycle count and steps per cycle must be at least 1")
-        if self.cycles * self.steps_per_cycle > MAX_STEPS:
-            raise ValueError(f"cycles * steps_per_cycle = {self.cycles * self.steps_per_cycle} "
-                             f"exceeds the step cap of {MAX_STEPS}")
+        if n > MAX_STEPS:
+            raise ValueError(f"cycles * steps_per_cycle = {n} exceeds the step cap of {MAX_STEPS}")
 
     @property
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
+
+    @property
+    def grid(self) -> tuple[np.ndarray, float]:
+        """Times and step of ``cycles`` periods at ``steps_per_cycle`` steps each."""
+        times = np.linspace(0.0, self.cycles * self.period, self.cycles * self.steps_per_cycle + 1)
+        return times, self.period / self.steps_per_cycle
 
     def controls(self, t) -> np.ndarray:
         """u1 = -A w sin(wt), u_partner = A w cos(wt), others 0: (4,) + shape(t) for times t."""
@@ -636,57 +643,48 @@ class BracketMotionParams:
         return u
 
 
-def bracket_motion(params: BracketMotionParams, system: str = "nilpotent",
-                   q_start=None) -> Trajectory:
-    """Integrate the bracket gait on either the nilpotent or original system.
+def drive(q_start, controls, grid) -> Trajectory:
+    """RK4 of the control law ``controls`` from q_start over ``grid`` = (times, h).
 
-    One cycle of u1 = -A w sin(wt), u_i = A w cos(wt) produces a net
-    displacement along the bracket of the driven pair; on the nilpotent
-    system the flat coordinates return to their start exactly and the only
-    net motion is pi*A^2 along the corresponding y-direction.  A q_start
-    that is not the system's point type, an ``AdaptedPoint`` on the nilpotent
-    system and a ``Configuration`` on the original, raises ChartMismatch.
-
-    ``params.controls`` takes arrays of times: one call gives the controls
-    column, and each block of steps one at t + h/2 (k2, k3) and one at t + h
-    (k4), the grid value bit for bit wherever t + h is the next grid time.
-    Either system is RK4 run in whole-array passes over those blocks, bit
-    for bit the classical step loop's path; on the original system only phi
-    steps in a scalar loop, and the singular-set guard checks a block's
-    stage inputs at once.  A gait that leaves the regular set (l2 or
-    L = l1 + l3 + 2 through zero, or within SINGULAR_EPS of it) raises
-    SingularConfiguration naming the first such stage; one whose heading is
-    not finite, or that overflows, is a ValueError.
+    The start's type picks the system: an ``AdaptedPoint`` runs N1..N4, a
+    ``Configuration`` X1, d/dl1..d/dl3 under ``_original_path``'s guard of
+    the singular set; any other start is a ChartMismatch.  A non-finite start
+    or path is a ValueError.  ``controls`` maps times t to u1..u4, (4,) +
+    shape(t): one call gives the controls column, and each block of steps
+    one at t + h/2 (k2, k3) and one at t + h (k4).
     """
-    n = params.steps_per_cycle * params.cycles
-    h = params.period / params.steps_per_cycle
-    times = np.linspace(0.0, params.cycles * params.period, n + 1)
+    if isinstance(q_start, AdaptedPoint):
+        path, q0, chart = _base_path, tuple(q_start.array.tolist()), ADAPTED
+    elif isinstance(q_start, Configuration):
+        path, q0, chart = _original_path, q_start.values, ORIGINAL
+    else:
+        raise ChartMismatch(f"a {type(q_start).__name__} is not an AdaptedPoint or a Configuration")
+    if not np.isfinite(q0).all():
+        raise ValueError("the start point q0 must be finite")
+    times, h = grid
     with np.errstate(over="ignore", invalid="ignore"):  # the path's overflow is refused below
-        controls = params.controls(times)
+        column = controls(times)
 
     def stage_controls(k, m):  # u1..u4 at the four stages of steps k..k+m-1
-        t = times[k:k + m]
-        mids = params.controls(t + 0.5 * h)
-        return [controls[:, k:k + m], mids, mids, params.controls(t + h)]
+        mids = controls(times[k:k + m] + 0.5 * h)
+        return [column[:, k:k + m], mids, mids, controls(times[k:k + m] + h)]
 
-    if system == "nilpotent":
-        if q_start is None:
-            q_start = to_adapted(reference_configuration())
-        if not isinstance(q_start, AdaptedPoint):
-            raise ChartMismatch("nilpotent-system gait needs an adapted-chart start")
-        states = _base_path(tuple(q_start.array.tolist()), stage_controls, times, h)
-        _refuse_overflow(times, states)
-        chart = ADAPTED
-    elif system == "original":
-        if q_start is None:
-            q_start = reference_configuration()
-        if not isinstance(q_start, Configuration):
-            raise ChartMismatch("original-system gait needs an original-chart start")
-        states = _original_path(q_start.values, stage_controls, times, h)
-        chart = ORIGINAL
-    else:
+    states = path(q0, stage_controls, times, h)
+    _refuse_overflow(times, states)
+    return Trajectory(chart, times, states, None, column.T, None)
+
+
+def bracket_motion(params: BracketMotionParams, system: str = "nilpotent") -> Trajectory:
+    """``drive`` of the sinusoid law ``params`` from the reference configuration.
+
+    One cycle of u1 = -A w sin(wt), u_i = A w cos(wt) moves the system along
+    the bracket of the driven pair; on the nilpotent system the only net
+    motion is pi*A^2 along the corresponding y-direction.
+    """
+    if system not in ("nilpotent", "original"):
         raise ValueError("system must be 'nilpotent' or 'original'")
-    return Trajectory(chart, times, states, None, controls.T, None)
+    q = reference_configuration()
+    return drive(q if system == "original" else to_adapted(q), params.controls, params.grid)
 
 
 def bracket_displacement(traj: Trajectory) -> np.ndarray:

@@ -233,6 +233,7 @@ _UNREADABLE = {
     ("--samples", "1.5"): (["symmetry-check"], f"an integer in [1, {MAX_SAMPLES}]"),
     ("--T", "abc"): (["geodesic", "--constants", "example2.json"], "a finite number > 0"),
     ("--perturb", "abc"): (["symmetry-check"], "a finite number"),
+    ("--seed", "-1"): (["controllability", "--sweep", "10"], "a non-negative integer"),
 }
 
 

@@ -6,7 +6,6 @@ import pathlib
 import subprocess
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,7 +13,8 @@ import pytest
 import trident47
 from trident47 import pmp
 from trident47.errors import ZeroHorizontalMomentum
-from trident47.nilpotent import AdaptedPoint, centre, from_adapted, group_identity
+from trident47.mechanism import Configuration, reference_configuration
+from trident47.nilpotent import AdaptedPoint, centre, from_adapted, group_identity, to_adapted
 from trident47.pmp import (BracketMotionParams, FibreState, SolutionConstants,
                            base_rhs, bracket_displacement, bracket_motion,
                            closed_form_base, example_constants, example_momenta,
@@ -266,7 +266,7 @@ def test_bracket_motion_is_the_reference_gait_bit_for_bit(system, seed):
     q = Configuration.original(*(np.array(reference_configuration().values)
                                  + rng.uniform(-0.1, 0.1, 7)))
     start = to_adapted(q) if system == "nilpotent" else q
-    traj = bracket_motion(params, system, q_start=start)
+    traj = pmp.drive(start, params.controls, params.grid)
     times, states, controls = _reference_gait(params, system, start)
     _assert_same_bits(traj.times, times)
     _assert_same_bits(traj.states, states)
@@ -303,7 +303,7 @@ def test_array_passes_are_the_reference_across_block_edges(n):
                                         + np.linspace(0.2, -0.2, 7)))
     for system, start in (("nilpotent", AdaptedPoint.from_array(np.linspace(0.2, -0.2, 7))),
                           ("original", original)):
-        gait = bracket_motion(params, system, q_start=start)
+        gait = pmp.drive(start, params.controls, params.grid)
         _, states, controls = _reference_gait(params, system, start)
         _assert_same_bits(gait.states, states)
         _assert_same_bits(gait.controls, controls)
@@ -315,29 +315,29 @@ def test_gait_controls_are_one_array_call_per_block(system):
     # steps adds one call at the midpoints (k2 and k3) and one at t + h (k4)
     calls = []
 
-    class Counted(BracketMotionParams):
-        def controls(self, t):
-            calls.append(t)
-            return super().controls(t)
+    def counted(t):
+        calls.append(t)
+        return params.controls(t)
 
-    params = Counted(amplitude=0.2, omega=2.5, partner=4, cycles=3, steps_per_cycle=700)
-    traj = bracket_motion(params, system)
+    params = BracketMotionParams(amplitude=0.2, omega=2.5, partner=4, cycles=3,
+                                 steps_per_cycle=700)
+    q = reference_configuration()
+    traj = pmp.drive(to_adapted(q) if system == "nilpotent" else q, counted, params.grid)
     n = params.cycles * params.steps_per_cycle
     assert all(isinstance(t, np.ndarray) for t in calls)
     assert len(calls) == 1 + 2 * math.ceil(n / pmp._BLOCK_SAMPLES) == 7
-    _assert_same_bits(traj.controls, BracketMotionParams.controls(params, traj.times).T)
+    _assert_same_bits(traj.controls, params.controls(traj.times).T)
 
 
 def test_gait_steers_the_nilpotent_system_along_an_extremal():
     # controls given as h1..h4 of exp_map drive the nilpotent system along that extremal
     h0 = np.array([0.6, -0.3, 0.5, 0.2, 0.7, -0.4, 0.9])
 
-    class Extremal(BracketMotionParams):
-        def controls(self, t):
-            return np.moveaxis(pmp.exp_map(h0, t)[..., 7:11], -1, 0)
+    def extremal(t):
+        return np.moveaxis(pmp.exp_map(h0, t)[..., 7:11], -1, 0)
 
-    traj = bracket_motion(Extremal(omega=2.0 * math.pi, steps_per_cycle=2000), "nilpotent",
-                          q_start=AdaptedPoint())
+    traj = pmp.drive(AdaptedPoint(), extremal,
+                     BracketMotionParams(omega=2.0 * math.pi, steps_per_cycle=2000).grid)
     path = pmp.exp_map(h0, traj.times)
     assert np.abs(traj.states - path[:, :7]).max() <= 1e-9
     assert np.array_equal(traj.controls, path[:, 7:11])
@@ -866,9 +866,9 @@ def test_original_gait_raises_when_leg_collapses():
     from trident47.mechanism import Configuration
 
     start = Configuration.original(0, 0, math.pi / 2, 0, 1.0, 0.05, 1.0)
+    params = BracketMotionParams(amplitude=0.4, partner=3)
     with pytest.raises(SingularConfiguration):
-        bracket_motion(BracketMotionParams(amplitude=0.4, partner=3), "original",
-                       q_start=start)
+        pmp.drive(start, params.controls, params.grid)
 
 
 def test_original_gait_raises_when_span_collapses():
@@ -877,9 +877,9 @@ def test_original_gait_raises_when_span_collapses():
     from trident47.mechanism import Configuration
 
     start = Configuration.original(0, 0, math.pi / 2, 0, -0.95, 1.0, -0.95)
+    params = BracketMotionParams(amplitude=0.3, partner=2)
     with pytest.raises(SingularConfiguration, match="L = l1 \\+ l3 \\+ 2"):
-        bracket_motion(BracketMotionParams(amplitude=0.3, partner=2), "original",
-                       q_start=start)
+        pmp.drive(start, params.controls, params.grid)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -887,6 +887,7 @@ def test_original_gait_raises_when_span_collapses():
     {"omega": math.nan}, {"omega": math.inf}, {"omega": 0.0}, {"omega": -1.0},
     {"omega": 1e-310}, {"steps_per_cycle": 0}, {"cycles": 0},
     {"cycles": pmp.MAX_STEPS // 2000 + 1}, {"cycles": 2, "steps_per_cycle": pmp.MAX_STEPS},
+    {"cycles": 1.5}, {"steps_per_cycle": 100.5},
 ])
 def test_bracket_motion_params_are_validated(kwargs):
     with pytest.raises(ValueError):
@@ -899,28 +900,44 @@ def test_bracket_motion_params_accept_the_step_cap():
 
 
 def test_nilpotent_gait_refuses_an_original_chart_start():
-    # the reference configuration's values are not adapted coordinates
+    # the reference configuration's bare values, as an array or a tuple, are not adapted
+    # coordinates; only an AdaptedPoint starts the nilpotent system
     from trident47.errors import ChartMismatch
-    from trident47.mechanism import Configuration, reference_configuration
-    from trident47.nilpotent import to_adapted
 
-    for start in (reference_configuration(), Configuration.original(0, 0, 0, 0, 1, 1, 1)):
-        with pytest.raises(ChartMismatch, match="adapted-chart start"):
-            bracket_motion(BracketMotionParams(partner=2), "nilpotent", q_start=start)
+    params = BracketMotionParams(partner=2)
+    for start in (reference_configuration().array, reference_configuration().values):
+        with pytest.raises(ChartMismatch, match="is not an AdaptedPoint or a Configuration"):
+            pmp.drive(start, params.controls, params.grid)
     adapted = to_adapted(reference_configuration())
-    traj = bracket_motion(BracketMotionParams(partner=2), "nilpotent", q_start=adapted)
+    traj = pmp.drive(adapted, params.controls, params.grid)
     assert traj.chart == "adapted" and np.array_equal(traj.states[0], adapted.array)
 
 
 def test_original_gait_refuses_an_adapted_point_start():
-    # an AdaptedPoint has no chart tag; the original gait asks for a Configuration
+    # adapted coordinates never start the original system: their bare values are refused,
+    # an AdaptedPoint starts the nilpotent system, and only a Configuration the original one
     from trident47.errors import ChartMismatch
-    from trident47.mechanism import reference_configuration
-    from trident47.nilpotent import to_adapted
 
-    for start in (to_adapted(reference_configuration()), AdaptedPoint()):
-        with pytest.raises(ChartMismatch, match="original-chart start"):
-            bracket_motion(BracketMotionParams(partner=2), "original", q_start=start)
+    params = BracketMotionParams(partner=2)
+    for point in (to_adapted(reference_configuration()), AdaptedPoint()):
+        with pytest.raises(ChartMismatch, match="is not an AdaptedPoint or a Configuration"):
+            pmp.drive(point.array, params.controls, params.grid)
+        traj = pmp.drive(point, params.controls, params.grid)
+        assert traj.chart == "adapted" and np.array_equal(traj.states[0], point.array)
+    q = reference_configuration()
+    traj = pmp.drive(q, params.controls, params.grid)
+    assert traj.chart == "original" and np.array_equal(traj.states[0], q.array)
+
+
+@pytest.mark.parametrize("start", [
+    Configuration.original(math.nan, 0, math.pi / 2, 0, 1, 1, 1),
+    Configuration.original(0, 0, math.pi / 2, 0, 1, math.nan, 1),
+    AdaptedPoint(x=math.nan), AdaptedPoint(y1=math.inf),
+], ids=["original-nan-x", "original-nan-l2", "adapted-nan-x", "adapted-inf-y1"])
+def test_drive_refuses_a_non_finite_start(start):
+    params = BracketMotionParams()
+    with pytest.raises(ValueError, match="^the start point q0 must be finite$"):
+        pmp.drive(start, params.controls, params.grid)
 
 
 def test_original_gait_checks_the_singular_distance_at_every_stage():
@@ -930,48 +947,48 @@ def test_original_gait_checks_the_singular_distance_at_every_stage():
     from trident47.mechanism import Configuration
 
     start = Configuration.original(0, 0, math.pi / 2, 0, 1.0, 5e-10, 1.0)
+    params = BracketMotionParams(partner=2)
     with pytest.raises(SingularConfiguration, match="l2 = 5e-10 is numerically zero"):
-        bracket_motion(BracketMotionParams(partner=2), "original", q_start=start)
+        pmp.drive(start, params.controls, params.grid)
 
 
 def test_original_gait_checks_its_last_sample():
     # one step whose stage inputs all equal the start: only the end point has L < 0
     from trident47.errors import SingularConfiguration
 
-    class KickAtEnd(BracketMotionParams):
-        def controls(self, t):
-            u = np.zeros((4,) + np.shape(t))
-            u[1] = np.where(t == self.period, -30.0 / self.period, 0.0)  # l1: 1 -> -4
-            return u
+    params = BracketMotionParams(steps_per_cycle=1)
+
+    def kick_at_end(t):
+        u = np.zeros((4,) + np.shape(t))
+        u[1] = np.where(t == params.period, -30.0 / params.period, 0.0)  # l1: 1 -> -4
+        return u
 
     with pytest.raises(SingularConfiguration, match="L = l1 \\+ l3 \\+ 2 crossed zero near t = 50 "):
-        bracket_motion(KickAtEnd(steps_per_cycle=1), "original")
+        pmp.drive(reference_configuration(), kick_at_end, params.grid)
 
 
-@dataclass(frozen=True)
-class _Kicked(BracketMotionParams):
-    """The gait's controls, with u_i set to v at the exact stage times t of ``kicks`` (t, i, v)."""
-
-    kicks: tuple = ()
-
-    def controls(self, t):
-        u = super().controls(t)
-        for time, i, value in self.kicks:
+def _kicked_gait(params, *kicks):
+    """The original gait of params from the reference configuration, with u_i set to v at the
+    exact stage times t of ``kicks`` (t, i, v)."""
+    def controls(t):
+        u = params.controls(t)
+        for time, i, value in kicks:
             u[i] = np.where(t == time, value, u[i])
         return u
+
+    return pmp.drive(reference_configuration(), controls, params.grid)
 
 
 def _stage_time(params, k, stage):
     """The time at which the gait evaluates stage 1..4 of step k, as its stage controls do."""
-    h = params.period / params.steps_per_cycle
-    t = np.linspace(0.0, params.cycles * params.period,
-                    params.cycles * params.steps_per_cycle + 1)[k:k + 1]
+    times, h = params.grid
+    t = times[k:k + 1]
     return (t, t + 0.5 * h, t + 0.5 * h, t + h)[stage - 1].item()
 
 
 # partner 2 drives l1 only, so l2 = 1 moves only where it is kicked; 1,500 steps of
 # h = 1/30 make two blocks, and step 1100 is in the second
-_KICK_PARAMS = dict(partner=2, steps_per_cycle=1500)
+_KICK_PARAMS = BracketMotionParams(partner=2, steps_per_cycle=1500)
 
 
 def test_original_gait_guard_fires_at_the_first_crossing_stage():
@@ -979,24 +996,21 @@ def test_original_gait_guard_fires_at_the_first_crossing_stage():
     # at t is 0), the k3 input l2 + h/2 (-3/h) = -0.5 is the first across zero
     from trident47.errors import SingularConfiguration
 
-    params = _Kicked(**_KICK_PARAMS)
-    t = _stage_time(params, 1100, 3)
-    params = _Kicked(**_KICK_PARAMS, kicks=((t, 2, -3.0 * 30.0),))
+    t = _stage_time(_KICK_PARAMS, 1100, 3)
     with pytest.raises(SingularConfiguration,
                        match="^l2 crossed zero near t = 36.6833 during the gait$"):
-        bracket_motion(params, "original")
+        _kicked_gait(_KICK_PARAMS, (t, 2, -3.0 * 30.0))
 
 
 def test_original_gait_guard_fires_at_a_k4_stage_within_the_singular_distance():
     # the k3 input l2 + h/2 k2 is about 0.5; the k4 input l2 + h k3 is about 5e-10 > 0
     from trident47.errors import SingularConfiguration
 
-    params = _Kicked(**_KICK_PARAMS)
+    params = _KICK_PARAMS
     h = params.period / params.steps_per_cycle
-    params = _Kicked(**_KICK_PARAMS, kicks=((_stage_time(params, 1100, 2), 2, (5e-10 - 1.0) / h),))
     with pytest.raises(SingularConfiguration,
                        match="^l2 = 5.000000413701855e-10 is numerically zero$"):
-        bracket_motion(params, "original")
+        _kicked_gait(params, (_stage_time(params, 1100, 2), 2, (5e-10 - 1.0) / h))
 
 
 def test_original_gait_infinite_heading_before_a_singular_stage_is_a_value_error():
@@ -1004,7 +1018,7 @@ def test_original_gait_infinite_heading_before_a_singular_stage_is_a_value_error
     # naming that stage's time; the guard is checked first at each stage
     from trident47.errors import SingularConfiguration
 
-    params = _Kicked(**_KICK_PARAMS)
+    params = _KICK_PARAMS
     heading = (_stage_time(params, 1100, 2), 0, math.inf)
 
     def crossing(k):
@@ -1012,14 +1026,14 @@ def test_original_gait_infinite_heading_before_a_singular_stage_is_a_value_error
 
     with pytest.raises(SingularConfiguration,
                        match="^l2 crossed zero near t = 36.7167 during the gait$"):
-        bracket_motion(_Kicked(**_KICK_PARAMS, kicks=(crossing(1101),)), "original")
+        _kicked_gait(params, crossing(1101))
     with pytest.raises(ValueError, match="^the heading is not finite near t = 36.6833 during "
                                          "the gait$") as err:  # not the guard's, nor an overflow
-        bracket_motion(_Kicked(**_KICK_PARAMS, kicks=(heading, crossing(1101))), "original")
+        _kicked_gait(params, heading, crossing(1101))
     assert type(err.value) is ValueError
     with pytest.raises(SingularConfiguration,
                        match="^l2 crossed zero near t = 36.6833 during the gait$"):
-        bracket_motion(_Kicked(**_KICK_PARAMS, kicks=(heading, crossing(1100))), "original")
+        _kicked_gait(params, heading, crossing(1100))
 
 
 def test_original_converges_to_nilpotent_quadratically():
