@@ -53,14 +53,17 @@ def main() -> None:
     print("observed convergence orders:", [f"{o:.2f}" for o in orders])
 
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "sweep.csv", "w") as fh:
-        fh.write("A,area_rule,nilpotent_dy,difference_norm\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-    with open(outdir / "sweep.json", "w") as fh:
-        json.dump({"rows": rows, "orders": orders, "partner": args.partner},
-                  fh, indent=2, sort_keys=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        with open(outdir / "sweep.csv", "w") as fh:
+            fh.write("A,area_rule,nilpotent_dy,difference_norm\n")
+            for row in rows:
+                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        with open(outdir / "sweep.json", "w") as fh:
+            json.dump({"rows": rows, "orders": orders, "partner": args.partner},
+                      fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        ap.error(str(exc))
     print(f"wrote {outdir}/sweep.csv and {outdir}/sweep.json")
 
 

@@ -75,9 +75,6 @@ def main() -> None:
             break
 
     traj = pmp.closed_form_trajectory(FibreState.from_array(h), args.T, args.dt)
-    outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    pmp.write_trajectory_csv(traj, outdir / "shooting_trajectory.csv")
     report = {
         "target": [float(v) for v in target],
         "momenta": [float(v) for v in h],
@@ -87,8 +84,14 @@ def main() -> None:
         "residual_history": history,
         "energy": pmp.hamiltonian(h),
     }
-    with open(outdir / "shooting_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    outdir = pathlib.Path(args.outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        pmp.write_trajectory_csv(traj, outdir / "shooting_trajectory.csv")
+        with open(outdir / "shooting_report.json", "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        ap.error(str(exc))
     print(f"momenta: {np.array2string(h, precision=6)}")
     print(f"wrote {outdir}/shooting_trajectory.csv and shooting_report.json")
 

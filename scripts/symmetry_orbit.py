@@ -34,9 +34,6 @@ def main() -> None:
     ap.add_argument("--outdir", default="out")
     args = ap.parse_args()
 
-    outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     c = pmp.example_constants(args.example)
     traj = pmp.integrate_extremal(c.initial_fibre_state(), nilpotent.group_identity(),
                                   T=args.T, dt=args.dt)
@@ -50,12 +47,12 @@ def main() -> None:
 
     report = {"example": args.example, "axis": list(args.axis), "T": args.T,
               "flows": {}}
+    curves = {}
     for s in args.flow_values:
         rep = symmetry.flow_invariance_report(v, states, times, tangents, s, dt=1e-2)
         flowed = symmetry.symmetry_flow(v, states, s, dt=1e-2)
         endpoint = flowed[-1]
-        curve = pmp.Trajectory(ADAPTED, times, flowed)
-        pmp.write_trajectory_csv(curve, outdir / f"orbit_s{s:g}.csv")
+        curves[f"orbit_s{s:g}.csv"] = pmp.Trajectory(ADAPTED, times, flowed)
         report["flows"][f"s={s:g}"] = {
             "horizontality_residual": rep.horizontality_residual,
             "relative_length_change": rep.relative_length_change,
@@ -71,8 +68,15 @@ def main() -> None:
     print(f"endpoint orbit radius: {max(orbit):.4f} "
           f"(equal-length curves to rotated endpoints)")
 
-    with open(outdir / "orbit_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    outdir = pathlib.Path(args.outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, curve in curves.items():
+            pmp.write_trajectory_csv(curve, outdir / name)
+        with open(outdir / "orbit_report.json", "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        ap.error(str(exc))
     print(f"wrote {outdir}/orbit_report.json and flowed-curve CSVs")
 
 

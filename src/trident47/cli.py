@@ -76,6 +76,11 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return vals
 
 
+#: the dynamic pairs' drift factors f: finite nonzero numbers (``_parse_floats``' errors pass)
+_drift_factors = _argtype(_parse_floats, lambda vals: 0.0 not in vals,
+                          "comma-separated nonzero numbers")
+
+
 def _bounded_int(low: int):
     """Parser of an integer in [low, MAX_SAMPLES]: a sweep size, sample or iteration count."""
     return _argtype(int, lambda v: low <= v <= mechanism.MAX_SAMPLES,
@@ -298,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--tol-rank", type=_positive_finite, default=mechanism.RANK_TOL,
                    help="growth-vector rank cutoff only; the signature's precondition "
                         "and the dynamic pairs use mechanism.RANK_TOL")
-    c.add_argument("--dynamic-f", type=_parse_floats, default=(1.0, 2.0, -0.5))
+    c.add_argument("--dynamic-f", type=_drift_factors, default=(1.0, 2.0, -0.5))
     c.add_argument("--sweep", type=_bounded_int(0), default=0,
                    help="random valid-shape sweep size")
     c.add_argument("--seed", type=_seed, default=0)
@@ -341,7 +346,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ChartMismatch, ZeroHorizontalMomentum, FileNotFoundError) as exc:
+    except (ValueError, ChartMismatch, ZeroHorizontalMomentum, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except TridentError as exc:

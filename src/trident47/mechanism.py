@@ -12,10 +12,10 @@ Pfaffian constraint one-forms whose common kernel is the rank-4 horizontal
 distribution spanned by the frame X1..X4 built here.
 
 The numeric analyses run on one closed-form matrix (``closed_form_gbar``),
-whose first row is X1's one formula (``frame_x1``); its terms take floats or
-arrays, so the original gait reads the same formula over whole blocks of
-stages.  The module imports no sympy: the printed symbolic slice frame, the
-oracle for ``closed_form_gbar``, lives with the tests.  The leg fields X2..X4
+whose row 0 is X1's one definition; its terms take floats or arrays, so the
+original gait reads the same formula over whole blocks of stages.  The
+module imports no sympy; its oracles, the printed symbolic slice frame and
+the constraint matrix, live with the tests.  The leg fields X2..X4
 commute, so every Pfaffian of the constraint annihilator is 0.0: the
 signature is (0, 0), and only its rank-7 precondition is computed.
 """
@@ -103,25 +103,6 @@ def vertex_coords(x, y, th):
             x + np.cos(a3), y + np.sin(a3))
 
 
-def pfaff_matrix(q: Configuration) -> np.ndarray:
-    """The 3x7 matrix of constraint one-forms in the basis (dx..dl3).
-
-    Row k is the no-side-slip one-form of wheel k, obtained by pairing the
-    wheel-velocity equations with the direction normal to the wheel plane.
-    The dl_i columns vanish identically: changing a leg length alone never
-    slips a wheel sideways.
-    """
-    x, y, th, ph, l1, l2, l3 = q.values
-    m = np.zeros((3, 7))
-    m[0] = (-math.sin(th + ALPHA1), math.cos(th + ALPHA1),
-            1.0 + l1, 0.0, 0.0, 0.0, 0.0)
-    m[1] = (-math.sin(th + ph), math.cos(th + ph),
-            math.cos(ph) + l2, l2, 0.0, 0.0, 0.0)
-    m[2] = (-math.sin(th + ALPHA3), math.cos(th + ALPHA3),
-            1.0 + l3, 0.0, 0.0, 0.0, 0.0)
-    return m
-
-
 def _check_regular(l1: float, l2: float, l3: float) -> None:
     if abs(l2) < SINGULAR_EPS:
         raise SingularConfiguration(f"l2 = {l2} is numerically zero")
@@ -134,7 +115,8 @@ def _x1_shape(l1, l3):
     """X1's shape terms L = l1 + l3 + 2 and a = sqrt(3)(l1 - l3)/(3L), then its dtheta, -1/L.
 
     a is X1's dy-coefficient on the slice; floats or arrays, as are the
-    other terms below, so the gait and ``frame_x1`` read X1 from one formula.
+    other terms below, so the gait and ``closed_form_gbar`` read X1 from one
+    formula.
     """
     L = l1 + l3 + 2.0
     return L, _SQRT3 * (l1 - l3) / (3.0 * L), -1.0 / L
@@ -164,28 +146,14 @@ def _x1_phi_rate(cp, sp, l2, L, a):
     return (a * sp + cp) / l2 + (cp + l2) / (l2 * L)
 
 
-def frame_x1(theta: float, phi: float, l1: float, l2: float, l3: float):
-    """The components (dx, dy, dtheta, dphi) of X1, a tuple of floats; the rest are zero.
-
-    X1 is the slice frame field (x = y = 0, theta = pi/2, unit
-    dx-coefficient) with its (x, y) part rotated by delta = theta - pi/2:
-    the constraints are SE(2)-equivariant, so X1 depends on the heading and
-    the shape only.  The only denominators are l2 and L = l1 + l3 + 2,
-    which ``_check_regular`` keeps away from zero.  The terms it is built
-    from (``_x1_shape``, ``_x1_rotation``, ``_x1_planar``, ``_x1_phi_rate``)
-    also take arrays.
-    """
-    L, a, dtheta = _x1_shape(l1, l3)
-    return (*_x1_planar(*_x1_rotation(theta), a), dtheta,
-            _x1_phi_rate(math.cos(phi), math.sin(phi), l2, L, a))
-
-
 def closed_form_gbar(theta: float, phi: float, l1: float, l2: float, l3: float) -> np.ndarray:
     """Gbar = (X1, X2, X3, X4, [X1,X2], [X1,X3], [X1,X4]) as the rows of a 7x7 array.
 
-    Row 0 is ``frame_x1``, from its terms; X2..X4 are the leg coordinate
-    fields d/dl1, d/dl2, d/dl3.  The leg fields are constant, so
-    [X1, d/dl_k] = -dX1/dl_k, differentiated here from the terms of ``frame_x1``.
+    Row 0 is X1's one definition: the slice field (x = y = 0, theta = pi/2,
+    unit dx-coefficient) with its (x, y) part turned by theta - pi/2, since
+    the constraints are SE(2)-equivariant.  X2..X4 are the leg fields
+    d/dl1, d/dl2, d/dl3; they are constant, so [X1, d/dl_k] = -dX1/dl_k,
+    differentiated here from X1's ``_x1_*`` terms.
     """
     L, a, dtheta = _x1_shape(l1, l3)
     c, s = _x1_rotation(theta)
@@ -206,11 +174,6 @@ def closed_form_gbar(theta: float, phi: float, l1: float, l2: float, l3: float) 
 def _gbar(q: Configuration) -> np.ndarray:
     _check_regular(*q.legs())
     return closed_form_gbar(*q.values[2:])
-
-
-def horizontal_frame(q: Configuration) -> np.ndarray:
-    """A basis X1..X4 of the horizontal distribution at q (rows of a 4x7 array)."""
-    return _gbar(q)[:4]
 
 
 def _rank(m: np.ndarray, tol: float):

@@ -14,8 +14,9 @@ other brackets zero.  R^7 with the polynomial product ``group_mul`` is the
 corresponding simply connected group; the frame is left-invariant for it.
 
 The frame and its brackets are exact ``polyfield.PolyField``s, loaded when a
-certificate first asks for them; nothing here loads sympy.  The path-geometry
-conditions are certified exactly; only the left-invariance residual is sampled.
+certificate first asks for them; nothing here loads sympy.  Their bracket
+table is the whole path geometry of the splitting E = <N1>, V = <N2,N3,N4>
+(the tests assert it exactly); only the left-invariance residual is sampled.
 """
 from __future__ import annotations
 
@@ -86,11 +87,6 @@ def adapted_to_original(x, l1, l2, l3, y1, y2, y3):
 def from_adapted(p: AdaptedPoint) -> Configuration:
     """Adapted chart -> original chart, the exact inverse of to_adapted."""
     return Configuration.original(*adapted_to_original(*p.array))
-
-
-def adapted_jacobian() -> np.ndarray:
-    """Constant 7x7 Jacobian of to_adapted: the map is linear, so column j is the image of e_j."""
-    return np.array(original_to_adapted(*np.eye(7))) + 0.0
 
 
 @functools.lru_cache(maxsize=1)
@@ -189,34 +185,3 @@ def check_left_invariance(X: PolyField, samples: int = 1000, seed: int = 0,
     rhs = X(np.stack(group_law(g.T, p.T), axis=1))
     worst = float(np.max(np.abs(lhs - rhs)))
     return LeftInvarianceReport(field_ok=worst < tol, max_residual=worst, samples=samples)
-
-
-@dataclass(frozen=True)
-class PathGeometryReport:
-    frame_rank_ok: bool
-    v_brackets_in_ev: bool
-    mixed_brackets_outside: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.frame_rank_ok and self.v_brackets_in_ev and self.mixed_brackets_outside
-
-
-def check_path_geometry_conditions() -> PathGeometryReport:
-    """Structural checks of the splitting E = <N1>, V = <N2,N3,N4>, read off the bracket table.
-
-    (1) E and V are transversal: the frame has rank 4 at every point.
-    (2) V is involutive: [N_i, N_j] = 0 for i, j in 2..4, so the bracket of
-        two V-sections a^i N_i and b^j N_j is a^i N_i(b^j) N_j - b^j N_j(a^i) N_i.
-    (3) Mixed brackets leave E + V: [f N1, b^k N_k] = f b^k [N1, N_k] modulo
-        E + V, and the extended frame has rank 7 at every point, so the
-        bracket is outside E + V wherever f and b do not vanish.
-    """
-    from .polyfield import lie_bracket, triangular_rank
-    legs = nilpotent_frame()[1:]
-    return PathGeometryReport(
-        frame_rank_ok=triangular_rank(nilpotent_frame()) == 4,
-        v_brackets_in_ev=all(lie_bracket(a, b).is_zero()
-                             for i, a in enumerate(legs) for b in legs[i + 1:]),
-        mixed_brackets_outside=triangular_rank(extended_frame()) == 7,
-    )

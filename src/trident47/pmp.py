@@ -33,6 +33,7 @@ import csv
 import json
 import math
 import operator
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -151,18 +152,22 @@ class SolutionConstants:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SolutionConstants":
-        """Read the eight constants; a missing or non-finite one is a ValueError."""
+        """Read the eight constants, each an int or float (not a bool) with a finite float.
+
+        A missing, non-numeric or non-finite one is a ValueError naming every such key.
+        """
         keys = ("C5", "C6", "C7", "C11", "C12", "C13", "C14", "C15")
         if not isinstance(obj, dict):
             raise ValueError("solution constants must be a JSON object")
-        try:
-            values = {k: float(obj[k]) for k in keys if k in obj}
-        except TypeError as exc:
-            raise ValueError(f"solution constants must be numbers: {exc}") from None
-        bad = [k for k in keys if not math.isfinite(values.get(k, math.nan))]
+        def number(v) -> bool:  # abs(nan) <= max is False; a huge int compares exactly
+            return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and abs(v) <= sys.float_info.max)
+
+        bad = [k for k in keys if not number(obj.get(k))]
         if bad:
-            raise ValueError(f"missing or non-finite solution constants: {', '.join(bad)}")
-        return cls(**values)
+            raise ValueError(f"missing, non-numeric or non-finite solution constants: "
+                             f"{', '.join(bad)}")
+        return cls(**{k: float(obj[k]) for k in keys})
 
 
 def random_solution_constants(rng, k_min: float = 0.1, k_max: float = 3.0) -> SolutionConstants:

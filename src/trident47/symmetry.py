@@ -199,22 +199,6 @@ def _flow(R: np.ndarray, p: AdaptedPoint | np.ndarray) -> AdaptedPoint | np.ndar
     return AdaptedPoint.from_array(out) if isinstance(p, AdaptedPoint) else out
 
 
-def flow_with_jacobian(v: SymmetryField, p: AdaptedPoint, t: float,
-                       dt: float = 1e-3) -> tuple[AdaptedPoint, np.ndarray]:
-    """Flow a point exactly and return the differential of the flow map.
-
-    The differential is [[1, 0, 0], [0, R, 0], [(I - R) c'(x), 0, R]] with
-    c'(x) = (1 + sqrt(3)x/2, 1, 1 - sqrt(3)x/2), the y-part of N1 at l = 0;
-    dt is only checked, as in ``symmetry_flow``.
-    """
-    R = _rotation(v, t, dt)
-    J = np.zeros((7, 7))
-    J[0, 0] = 1.0
-    J[1:4, 1:4] = J[4:7, 4:7] = R
-    J[4:7, 0] = _shear_column(R, np.array([p.x]))[0]
-    return _flow(R, p), J
-
-
 def _shear_column(R: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The flow differential's x-column in the y rows, (I - R) c'(x), one row per x in (n,)."""
     zero = np.zeros(len(x))
@@ -258,12 +242,13 @@ def flow_invariance_report(v: SymmetryField, states: np.ndarray, times: np.ndarr
                            dt: float = 1e-3) -> FlowInvarianceReport:
     """Push a horizontal curve through Fl^s_v and measure what it preserves.
 
-    Tangents go through the exact differential of ``flow_with_jacobian``,
-    on whole arrays; their N1..N4 coefficients are (x-dot, l-dot) and their
-    distance from the horizontal bundle is |y-dot - x-dot N1_y| at the
-    flowed point.  dt is only checked, so both figures measure round-off:
-    the worst horizontal distance relative to speed and the relative change
-    of sub-Riemannian arc length.
+    Tangents go through the flow's exact differential
+    [[1, 0, 0], [0, R, 0], [(I - R) c'(x), 0, R]], with c'(x) the y-part of
+    N1 at l = 0, on whole arrays; their N1..N4 coefficients are (x-dot,
+    l-dot) and their distance from the horizontal bundle is
+    |y-dot - x-dot N1_y| at the flowed point.  dt is only checked, so both
+    figures measure round-off: the worst horizontal distance relative to
+    speed and the relative change of sub-Riemannian arc length.
     """
     states, times, tangents = (np.asarray(a, dtype=float) for a in (states, times, tangents))
     n = times.size

@@ -226,9 +226,11 @@ def test_controllability_on_sigma_exits_2(tmp_path, point):
     assert "growth" not in report
 
 
-# tokens that float() or int() cannot read: the option's subcommand, and what its type expects
+# tokens that float() or int() cannot read, or that the option's type refuses: the option's
+# subcommand, and what its type expects
 _UNREADABLE = {
     ("--dynamic-f", "1,abc"): (["controllability"], "comma-separated numbers"),
+    ("--dynamic-f", "2,0"): (["controllability"], "comma-separated nonzero numbers"),
     ("--sweep", "abc"): (["controllability"], f"an integer in [0, {MAX_SAMPLES}]"),
     ("--samples", "1.5"): (["symmetry-check"], f"an integer in [1, {MAX_SAMPLES}]"),
     ("--T", "abc"): (["geodesic", "--constants", "example2.json"], "a finite number > 0"),
@@ -256,10 +258,21 @@ def test_non_finite_input_exits_2(tmp_path, capsys, option, value):
         assert "invalid" not in stderr  # argparse's "invalid <function> value" names no type
 
 
-def test_missing_fixture_exits_2(tmp_path):
+def test_missing_fixture_exits_2(tmp_path, capsys):
     code = main(["geodesic", "--constants", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
+    # a directory for a fixture or a report, or a file for a folder, is bad input too
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for argv in (["geodesic", "--constants", str(tmp_path), "--out", str(tmp_path / "g.csv")],
+                 ["controllability", "--out", str(tmp_path)],
+                 ["bracket-motion", "--out", str(afile / "gait")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
 def test_controllability_does_not_import_sympy(tmp_path):
@@ -371,14 +384,14 @@ def test_geodesic_step_cap_exits_2(tmp_path, capsys, example2_fixture, T, dt):
 
 def test_geodesic_non_finite_constant_exits_2(tmp_path, capsys):
     fixture = tmp_path / "nan.json"
-    obj = pmp.example_constants(2).to_json()
-    obj["C5"] = "nan"
-    fixture.write_text(json.dumps(obj))
     out = tmp_path / "x.csv"
-    assert main(["geodesic", "--constants", str(fixture), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "C5" in err and "Traceback" not in err
-    assert not out.exists()
+    # a string, a bool and an int beyond the float range are no finite constant either
+    for value in ("nan", True, "0.5", "abc", 10**400):
+        fixture.write_text(json.dumps(dict(pmp.example_constants(2).to_json(), C5=value)))
+        assert main(["geodesic", "--constants", str(fixture), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith("solution constants: C5") and "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("option, value", [("--A", "nan"), ("--A", "inf"), ("--A", "0"),

@@ -243,3 +243,34 @@ def test_only_fields_imports_sympy():
         if any(n.split(".")[0] == "sympy" for n in names):
             importers.add(path.name)
     assert importers == {"fields.py"}
+
+
+def _public_definitions(path):
+    """The module-level public ``def`` and ``class`` names of a source file."""
+    return [node.name for node in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _referenced_names(path):
+    """Every name a file reads as a Name, an Attribute or an import; strings do not count."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (a.name.rpartition(".")[2] for a in node.names)
+
+
+def test_every_public_name_has_a_program_caller():
+    # a public def or class of the package that only the tests reach belongs in the tests;
+    # the program is src/, the scripts, the benchmark and the acceptance gate
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    program = [*(repo / "src").rglob("*.py"), *(repo / "scripts").glob("*.py"),
+               *(repo / "perfbench").glob("*.py"), repo / "tests" / "test_acceptance.py"]
+    referenced = set().union(*map(_referenced_names, program))
+    unreferenced = [f"{path.stem}.{name}"
+                    for path in sorted((repo / "src" / "trident47").glob("*.py"))
+                    for name in _public_definitions(path) if name not in referenced]
+    assert unreferenced == []

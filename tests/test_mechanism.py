@@ -12,14 +12,33 @@ from trident47 import mechanism
 from trident47.charts import ADAPTED, ORIGINAL
 from trident47.errors import ChartMismatch, SingularConfiguration
 from trident47.fields import SQRT3, VectorFieldSym, coords, lie_bracket
-from trident47.mechanism import (Configuration, check_dynamic_pair, controllability,
-                                 horizontal_frame, pfaff_matrix, pfaffian_signature,
-                                 serialize_matrix, wheel_coords)
+from trident47.mechanism import (ALPHA1, ALPHA3, Configuration, check_dynamic_pair,
+                                 controllability, pfaffian_signature, serialize_matrix,
+                                 wheel_coords)
 
 from sympy_forms import (field_at, fields_equal, horizontal_frame_slice, nilpotent_frame_matrix,
                          slice_bracket_fields)
 
 S3 = math.sqrt(3.0)
+
+
+def pfaff_matrix(q: Configuration) -> np.ndarray:
+    """The 3x7 matrix of constraint one-forms in the basis (dx..dl3): the frame's oracle.
+
+    Row k is the no-side-slip one-form of wheel k, obtained by pairing the
+    wheel-velocity equations with the direction normal to the wheel plane.
+    The dl_i columns vanish identically: changing a leg length alone never
+    slips a wheel sideways.
+    """
+    x, y, th, ph, l1, l2, l3 = q.values
+    m = np.zeros((3, 7))
+    m[0] = (-math.sin(th + ALPHA1), math.cos(th + ALPHA1),
+            1.0 + l1, 0.0, 0.0, 0.0, 0.0)
+    m[1] = (-math.sin(th + ph), math.cos(th + ph),
+            math.cos(ph) + l2, l2, 0.0, 0.0, 0.0)
+    m[2] = (-math.sin(th + ALPHA3), math.cos(th + ALPHA3),
+            1.0 + l3, 0.0, 0.0, 0.0, 0.0)
+    return m
 
 
 def random_valid(rng, on_slice=True):
@@ -83,19 +102,19 @@ def test_frame_annihilated_by_constraints(rng):
         for _ in range(25):
             q = random_valid(rng, on_slice)
             m = pfaff_matrix(q)
-            f = horizontal_frame(q)
+            f = controllability(q).gbar[:4]
             assert np.abs(m @ f.T).max() < 1e-10
 
 
 def test_frame_at_q0(q0):
-    f = horizontal_frame(q0)
+    f = controllability(q0).gbar[:4]
     assert np.allclose(f[0], (1.0, 0.0, -0.25, 1.5, 0.0, 0.0, 0.0), atol=1e-12)
     assert np.array_equal(f[1:], np.eye(7)[4:])
 
 
 def test_frame_y_component_vanishes_for_symmetric_legs():
     q = Configuration.original(0.0, 0.0, math.pi / 2.0, 0.0, 2.0, 1.0, 2.0)
-    f = horizontal_frame(q)
+    f = controllability(q).gbar[:4]
     assert abs(f[0, 1]) < 1e-12  # (l1 - l3) sqrt(3) / (3 L) = 0
 
 
@@ -103,17 +122,10 @@ def test_numeric_frame_matches_slice_closed_form(rng):
     x1 = horizontal_frame_slice()[0]
     for _ in range(20):
         q = random_valid(rng, on_slice=True)
-        assert np.allclose(horizontal_frame(q)[0], field_at(x1, q.values), atol=1e-10)
+        assert np.allclose(controllability(q).gbar[0], field_at(x1, q.values), atol=1e-10)
 
 
-def test_frame_x1_is_the_first_row_of_gbar(rng):
-    for on_slice in (True, False):
-        shape = random_valid(rng, on_slice).values[2:]
-        row = mechanism.closed_form_gbar(*shape)[0].tolist()
-        assert row == [*mechanism.frame_x1(*shape), 0.0, 0.0, 0.0]
-
-
-def test_frame_x1_terms_on_arrays_are_frame_x1_on_floats(rng):
+def test_x1_terms_on_arrays_are_gbar_row_0_on_floats(rng):
     # the original gait evaluates X1's terms over whole blocks of stages
     n = 1000
     theta, phi = rng.uniform(-10.0, 10.0, (2, n))
@@ -123,16 +135,17 @@ def test_frame_x1_terms_on_arrays_are_frame_x1_on_floats(rng):
     cp, sp = (np.array([f(v) for v in phi.tolist()]) for f in (math.cos, math.sin))
     arrays = np.stack([*mechanism._x1_planar(*mechanism._x1_rotation(theta), a), dtheta,
                        mechanism._x1_phi_rate(cp, sp, l2, L, a)], axis=1)
-    floats = np.array([mechanism.frame_x1(*q) for q in zip(*(c.tolist()
-                                                           for c in (theta, phi, l1, l2, l3)))])
-    assert arrays.shape == floats.shape and arrays.tobytes() == floats.tobytes()
+    floats = np.array([mechanism.closed_form_gbar(*q)[0, :4]
+                       for q in zip(*(c.tolist() for c in (theta, phi, l1, l2, l3)))])
+    # closed_form_gbar turns -0.0 into 0.0; tobytes tells them apart
+    assert arrays.shape == floats.shape and (arrays + 0.0).tobytes() == floats.tobytes()
 
 
 def test_singular_configurations_raise():
     with pytest.raises(SingularConfiguration):
-        horizontal_frame(Configuration.original(0, 0, math.pi / 2, 0, 1, 1e-12, 1))
+        controllability(Configuration.original(0, 0, math.pi / 2, 0, 1, 1e-12, 1))
     with pytest.raises(SingularConfiguration):
-        horizontal_frame(Configuration.original(0, 0, math.pi / 2, 0, -3, 1, 1))  # L = 0
+        controllability(Configuration.original(0, 0, math.pi / 2, 0, -3, 1, 1))  # L = 0
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +267,12 @@ def test_gauged_frame_rotates_with_heading(rng):
     # planar part of X1 and keeps the shape part
     for _ in range(10):
         q = random_valid(rng, on_slice=True)
-        base = horizontal_frame(q)[0]
+        base = controllability(q).gbar[0]
         delta = rng.uniform(-2.0, 2.0)
         vals = list(q.values)
         vals[0], vals[1] = rng.uniform(-3.0, 3.0, 2)
         vals[2] += delta
-        rotated = horizontal_frame(Configuration(ORIGINAL, tuple(vals)))[0]
+        rotated = controllability(Configuration(ORIGINAL, tuple(vals))).gbar[0]
         c, s = math.cos(delta), math.sin(delta)
         assert np.allclose(rotated[0], c * base[0] - s * base[1], atol=1e-9)
         assert np.allclose(rotated[1], s * base[0] + c * base[1], atol=1e-9)
@@ -288,7 +301,7 @@ def test_dynamic_pair_span_invariance(q0):
         res = check_dynamic_pair(q0, f)
         assert (res.rank_v0, res.rank_v1, res.transversal) == (3, 6, True)
     # scaling X2..X4 by nonzero constants does not change span ranks either
-    frame = horizontal_frame(q0)
+    frame = controllability(q0).gbar[:4]
     scaled = np.diag([2.0, -0.7, 11.0]) @ frame[1:4]
     assert mechanism._rank(scaled, 1e-9) == mechanism._rank(frame[1:4], 1e-9) == 3
 
@@ -451,7 +464,6 @@ def test_numeric_analyses_do_not_import_sympy():
             "mechanism.controllability(q)\n"
             "mechanism.pfaffian_signature(q)\n"
             "mechanism.check_dynamic_pair(q, 2.0)\n"
-            "mechanism.horizontal_frame(q)\n"
             "sys.exit('sympy' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(trident47.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trident47 import fields, mechanism, nilpotent
+from trident47 import fields, mechanism, polyfield
 from trident47.errors import ChartMismatch
 from trident47.fields import ADAPTED, ORIGINAL, coordinate_field, lie_bracket
 from trident47.mechanism import Configuration
-from trident47.nilpotent import (AdaptedPoint, adapted_jacobian, centre, check_left_invariance,
-                                 check_path_geometry_conditions, extended_frame,
+from trident47.nilpotent import (AdaptedPoint, centre, check_left_invariance, extended_frame,
                                  from_adapted, group_identity, group_inverse, group_mul,
                                  n1_vertical, nilpotent_frame, to_adapted)
+from trident47.polyfield import triangular_rank
 
 from sympy_forms import field_at, fields_equal, from_sym, nilpotent_frame_matrix, to_sym
 
@@ -42,17 +42,8 @@ def test_round_trip_identity(rng):
         assert np.abs(back.array - q.array).max() < 1e-12
 
 
-def test_from_adapted_matches_matrix_inverse_oracle(rng):
-    # invert the affine block numerically and compare against the closed form
-    T = adapted_jacobian()
-    Tinv = np.linalg.inv(T)
-    for _ in range(20):
-        p = AdaptedPoint.from_array(rng.uniform(-3.0, 3.0, 7))
-        assert np.abs(from_adapted(p).array - Tinv @ p.array).max() < 1e-12
-
-
 def _reference_adapted_jacobian():
-    """The hand-typed rows that adapted_jacobian() replaced by the chart map's columns."""
+    """The constant Jacobian of to_adapted, its rows typed by hand from the chart map."""
     T = np.zeros((7, 7))
     T[0, 0] = 1.0
     T[1, 4] = T[2, 5] = T[3, 6] = 1.0
@@ -62,9 +53,15 @@ def _reference_adapted_jacobian():
     return T
 
 
-def test_adapted_jacobian_is_the_hand_typed_matrix():
-    # tobytes tells -0.0 from 0.0
-    assert adapted_jacobian().tobytes() == _reference_adapted_jacobian().tobytes()
+def test_from_adapted_matches_matrix_inverse_oracle(rng):
+    # the maps are linear: to_adapted is the hand-typed matrix, from_adapted its numeric inverse
+    T = _reference_adapted_jacobian()
+    Tinv = np.linalg.inv(T)
+    for _ in range(20):
+        q = Configuration(ORIGINAL, tuple(rng.uniform(-3.0, 3.0, 7)))
+        assert np.abs(to_adapted(q).array - T @ q.array).max() < 1e-12
+        p = AdaptedPoint.from_array(rng.uniform(-3.0, 3.0, 7))
+        assert np.abs(from_adapted(p).array - Tinv @ p.array).max() < 1e-12
 
 
 def test_to_adapted_rejects_adapted_chart():
@@ -212,11 +209,14 @@ def test_constant_vertical_fields_are_left_invariant():
 
 
 def test_path_geometry_conditions():
-    rep = check_path_geometry_conditions()
-    assert rep.frame_rank_ok
-    assert rep.v_brackets_in_ev
-    assert rep.mixed_brackets_outside
-    assert rep.all_ok
+    # the splitting E = <N1>, V = <N2,N3,N4>, read off the bracket table at every point:
+    # E and V are transversal, V is involutive, and the mixed brackets leave E + V
+    frame = nilpotent_frame()
+    assert triangular_rank(frame) == 4
+    legs = frame[1:]
+    assert all(polyfield.lie_bracket(a, b).is_zero()
+               for i, a in enumerate(legs) for b in legs[i + 1:])
+    assert triangular_rank(extended_frame()) == 7
 
 
 def test_constant_vertical_sections_commute():
@@ -245,10 +245,10 @@ def test_escape_clause_vanishing_xi():
 
 
 def test_pushforward_of_frame_matches_nilpotent_frame(q0):
-    T = adapted_jacobian()
+    T = _reference_adapted_jacobian()
     p0 = to_adapted(q0)
     n = nilpotent_frame()
-    frame = mechanism.horizontal_frame(q0)
+    frame = mechanism.controllability(q0).gbar[:4]
     for i in range(4):
         assert np.abs(T @ frame[i] - n[i](p0.array)).max() < 1e-9
     brackets = mechanism.controllability(q0).gbar[4:]

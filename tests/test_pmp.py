@@ -164,7 +164,7 @@ def _reference_controls(params, t):
 
 
 def _reference_gait(params, system, q_start):
-    from trident47.mechanism import Configuration, horizontal_frame
+    from trident47.mechanism import Configuration, controllability
 
     if system == "nilpotent":
         def rhs(t, q):
@@ -172,7 +172,7 @@ def _reference_gait(params, system, q_start):
     else:
         def rhs(t, q):
             return (_reference_controls(params, t)
-                    @ horizontal_frame(Configuration("original", tuple(q))))
+                    @ controllability(Configuration("original", tuple(q))).gbar[:4])
     n = params.steps_per_cycle * params.cycles
     h = params.period / params.steps_per_cycle
     times = np.linspace(0.0, params.cycles * params.period, n + 1)
@@ -1195,9 +1195,14 @@ def test_solution_constants_json_roundtrip(tmp_path):
 
 def test_solution_constants_reject_non_finite_and_missing():
     good = example_constants(2).to_json()
-    for key, value in (("C5", "nan"), ("C12", float("inf")), ("C15", "-inf")):
-        with pytest.raises(ValueError, match=key):
-            SolutionConstants.from_json(dict(good, **{key: value}))
+    # JSON numbers only: a bool, a numeric string or an int beyond the float range is refused,
+    # and one error names every bad key, in fixture order, and only those
+    for bad in ({"C5": "nan"}, {"C12": float("inf")}, {"C15": "-inf"}, {"C5": True},
+                {"C11": "0.5"}, {"C13": "abc"}, {"C6": 10**400},
+                {"C5": True, "C7": None, "C11": "0.5", "C15": -10**400}):
+        with pytest.raises(ValueError) as err:
+            SolutionConstants.from_json(dict(good, **bad))
+        assert str(err.value).split(": ")[-1].split(", ") == [k for k in good if k in bad]
     partial = dict(good)
     del partial["C7"]
     with pytest.raises(ValueError, match="C7"):
@@ -1205,6 +1210,9 @@ def test_solution_constants_reject_non_finite_and_missing():
     for bad in (5, [good], dict(good, C13=[1.0])):
         with pytest.raises(ValueError):
             SolutionConstants.from_json(bad)
+    c = SolutionConstants.from_json(dict(good, C5=2, C12=0))
+    assert (c.C5, c.C12) == (2.0, 0.0) and type(c.C5) is type(c.C12) is float
+
 
 
 @pytest.mark.parametrize("T, dt", [(math.inf, 1e-3), (1.0, math.nan), (math.nan, 1e-3),
@@ -1336,3 +1344,17 @@ def test_scripts_reject_invalid_inputs(tmp_path, script, argv):
     assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
     assert "error:" in proc.stderr and not out.exists()
     assert "iter" not in proc.stdout  # refused before any Levenberg-Marquardt work
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("amplitude_sweep.py", ["--amplitudes", "0.1", "0.05"]),
+    ("symmetry_orbit.py", ["--T", "0.5", "--flow-values", "0.5"]),
+    ("shooting.py", ["--dt", "0.01"]),
+])
+def test_scripts_refuse_an_outdir_that_is_a_file(tmp_path, script, argv):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    proc = _run_script(script, *argv, "--outdir", str(afile))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert "error:" in proc.stderr and str(afile) in proc.stderr
+    assert afile.read_text() == "kept\n" and [p.name for p in tmp_path.iterdir()] == ["afile"]

@@ -9,15 +9,14 @@ import pytest
 import sympy as sp
 
 import trident47
-from trident47 import nilpotent, pmp, polyfield
+from trident47 import nilpotent, pmp, polyfield, symmetry
 from trident47.errors import NotASymmetry, ZeroCombination
 from trident47.fields import ADAPTED, SQRT3, VectorFieldSym, coordinate_field, coords
 from trident47.nilpotent import AdaptedPoint
 from trident47.symmetry import (SymmetryField, check_symmetry_conditions,
-                                fixed_point_set, flow_invariance_report,
-                                flow_with_jacobian, so3_combination, so3_structure,
-                                symmetry_flow, transitivity_rank, v_fields, w_fields,
-                                w_structure_report)
+                                fixed_point_set, flow_invariance_report, so3_combination,
+                                so3_structure, symmetry_flow, transitivity_rank, v_fields,
+                                w_fields, w_structure_report)
 
 from sympy_forms import field_at, from_sym, nilpotent_frame_matrix, to_sym
 
@@ -351,7 +350,6 @@ def test_numeric_symmetry_path_does_not_import_sympy(tmp_path):
             "v = symmetry.so3_combination(0.3184848170829566, -0.9045200484068716, 1.7)\n"
             "p = symmetry.fixed_point_set((1.0, -2.0, 0.5), x=0.3, k=0.7)\n"
             "symmetry.symmetry_flow(v, p, 0.8)\n"
-            "symmetry.flow_with_jacobian(v, p, 0.8)\n"
             "q = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 7))\n"
             "symmetry.flow_invariance_report(v, q, np.linspace(0.0, 1.0, 5), q[::-1], 0.8)\n"
             "numeric = 'sympy' in sys.modules\n"
@@ -393,6 +391,22 @@ def _rk4_flow(field, p, t, dt):
     return y, J
 
 
+def flow_with_jacobian(v, p, t, dt=1e-3):
+    """Flow one point exactly and return the flow map's differential, one point at a time.
+
+    The differential is [[1, 0, 0], [0, R, 0], [(I - R) c'(x), 0, R]] with
+    c'(x) = (1 + sqrt(3)x/2, 1, 1 - sqrt(3)x/2), the y-part of N1 at l = 0;
+    dt is only checked, as in ``symmetry_flow``.  The per-point reference
+    of ``flow_invariance_report``'s array pass.
+    """
+    R = symmetry._rotation(v, t, dt)
+    J = np.zeros((7, 7))
+    J[0, 0] = 1.0
+    J[1:4, 1:4] = J[4:7, 4:7] = R
+    J[4:7, 0] = symmetry._shear_column(R, np.array([p.x]))[0]
+    return symmetry._flow(R, p), J
+
+
 def test_exact_flow_matches_rk4_oracle(rng):
     for v, t in ((v_fields()[0], 1.5), (so3_combination(0.6, -0.8, 0.4), -0.9),
                  (so3_combination(1.0, 0.5, -1.5), 0.7)):
@@ -403,19 +417,6 @@ def test_exact_flow_matches_rk4_oracle(rng):
         assert np.abs(out.array - y_ref).max() < 1e-9
         assert np.array_equal(flowed.array, out.array)
         assert np.abs(J - J_ref).max() < 1e-9
-
-
-def test_flow_with_jacobian_builds_its_rotation_once(monkeypatch, rng):
-    from trident47 import symmetry
-
-    calls = []
-    rotation = symmetry._rotation
-    monkeypatch.setattr(symmetry, "_rotation", lambda *args: calls.append(args) or rotation(*args))
-    v, p = so3_combination(0.6, -0.8, 0.4), AdaptedPoint.from_array(rng.uniform(-1.0, 1.0, 7))
-    flowed, J = flow_with_jacobian(v, p, 0.9)
-    assert len(calls) == 1
-    assert flowed.array.tobytes() == symmetry_flow(v, p, 0.9).array.tobytes()
-    assert len(calls) == 2
 
 
 def test_flow_of_axisless_field_is_rejected():
