@@ -9,7 +9,6 @@ first-order approximation property made quantitative.
 Writes sweep.csv (one row per amplitude) and sweep.json (fitted orders).
 """
 import argparse
-import json
 import math
 import pathlib
 
@@ -41,6 +40,8 @@ def main() -> None:
         except (ValueError, TridentError) as exc:
             ap.error(f"amplitude {A:g}: {exc}")
         diff = float(np.linalg.norm(d_nil - d_orig))
+        if diff == 0.0:
+            ap.error(f"amplitude {A:g}: |orig - nil| underflows to 0, so no order can be fitted")
         area = math.pi * A * A
         dy = float(d_nil[2 + args.partner])  # y-slot driven by the chosen pair
         rows.append((A, area, dy, diff))
@@ -55,14 +56,11 @@ def main() -> None:
     outdir = pathlib.Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "sweep.csv", "w") as fh:
-            fh.write("A,area_rule,nilpotent_dy,difference_norm\n")
-            for row in rows:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-        with open(outdir / "sweep.json", "w") as fh:
-            json.dump({"rows": rows, "orders": orders, "partner": args.partner},
-                      fh, indent=2, sort_keys=True)
-    except OSError as exc:
+        pmp.write_artifacts({
+            outdir / "sweep.csv": (["A", "area_rule", "nilpotent_dy", "difference_norm"],
+                                   list(zip(*rows))),
+            outdir / "sweep.json": {"rows": rows, "orders": orders, "partner": args.partner}})
+    except (OSError, ValueError) as exc:
         ap.error(str(exc))
     print(f"wrote {outdir}/sweep.csv and {outdir}/sweep.json")
 

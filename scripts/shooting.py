@@ -10,7 +10,6 @@ a demonstration of local controllability through normal extremals, not a
 general solver.  The solved extremal is written on a --dt grid.
 """
 import argparse
-import json
 import pathlib
 
 import numpy as np
@@ -87,10 +86,9 @@ def main() -> None:
     outdir = pathlib.Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        pmp.write_trajectory_csv(traj, outdir / "shooting_trajectory.csv")
-        with open(outdir / "shooting_report.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-    except OSError as exc:
+        pmp.write_artifacts({outdir / "shooting_trajectory.csv": pmp.trajectory_table(traj),
+                             outdir / "shooting_report.json": report})
+    except (OSError, ValueError) as exc:
         ap.error(str(exc))
     print(f"momenta: {np.array2string(h, precision=6)}")
     print(f"wrote {outdir}/shooting_trajectory.csv and shooting_report.json")

@@ -13,7 +13,6 @@ several parameter values, verifies horizontality and length preservation,
 and writes the flowed curves plus a JSON report.
 """
 import argparse
-import json
 import pathlib
 
 import numpy as np
@@ -33,7 +32,10 @@ def main() -> None:
     ap.add_argument("--dt", type=_positive_finite, default=2e-3)
     ap.add_argument("--outdir", default="out")
     args = ap.parse_args()
+    if len({f"{s:g}" for s in args.flow_values}) < len(args.flow_values):
+        ap.error("argument --flow-values: the values must differ at 6 significant digits")
 
+    outdir = pathlib.Path(args.outdir)
     c = pmp.example_constants(args.example)
     traj = pmp.integrate_extremal(c.initial_fibre_state(), nilpotent.group_identity(),
                                   T=args.T, dt=args.dt)
@@ -51,12 +53,12 @@ def main() -> None:
     for s in args.flow_values:
         rep = symmetry.flow_invariance_report(v, states, times, tangents, s, dt=1e-2)
         flowed = symmetry.symmetry_flow(v, states, s, dt=1e-2)
-        endpoint = flowed[-1]
-        curves[f"orbit_s{s:g}.csv"] = pmp.Trajectory(ADAPTED, times, flowed)
+        curves[outdir / f"orbit_s{s:g}.csv"] = pmp.trajectory_table(
+            pmp.Trajectory(ADAPTED, times, flowed))
         report["flows"][f"s={s:g}"] = {
             "horizontality_residual": rep.horizontality_residual,
             "relative_length_change": rep.relative_length_change,
-            "endpoint": [float(x) for x in endpoint],
+            "endpoint": [float(x) for x in flowed[-1]],
         }
         print(f"s={s:4.1f}: horizontality {rep.horizontality_residual:.2e}, "
               f"length change {rep.relative_length_change:.2e}")
@@ -68,14 +70,10 @@ def main() -> None:
     print(f"endpoint orbit radius: {max(orbit):.4f} "
           f"(equal-length curves to rotated endpoints)")
 
-    outdir = pathlib.Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, curve in curves.items():
-            pmp.write_trajectory_csv(curve, outdir / name)
-        with open(outdir / "orbit_report.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-    except OSError as exc:
+        pmp.write_artifacts({**curves, outdir / "orbit_report.json": report})
+    except (OSError, ValueError) as exc:
         ap.error(str(exc))
     print(f"wrote {outdir}/orbit_report.json and flowed-curve CSVs")
 

@@ -15,13 +15,13 @@ precondition breach.
 
 No subcommand loads sympy: ``symmetry-check`` certifies on exact
 polynomial fields (``polyfield``).  Every CSV, traces included, is computed
-on whole arrays and written by the one row writer ``pmp.write_csv_rows``.
+on whole arrays, and a job writes all its files in one ``pmp.write_artifacts``
+call: a job that cannot write one leaves every output path as it was.
 """
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import sys
 from dataclasses import astuple
@@ -98,12 +98,11 @@ def _parse_point(text: str) -> tuple[float, ...]:
 
 
 def _write_json(path, obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    from . import pmp
     if path is None:
-        print(text)
+        pmp._encode(sys.stdout, obj)
     else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        pmp.write_artifacts({path: obj})
 
 
 def cmd_controllability(args) -> int:
@@ -172,7 +171,6 @@ def cmd_geodesic(args) -> int:
         traj = pmp.Trajectory(ADAPTED, traj.times, states, traj.momenta,
                               traj.controls, traj.diagnostics)
 
-    pmp.write_trajectory_csv(traj, args.out)
     sidecar = {
         "closed_form_max_deviation": worst,
         "closed_form_branch": "oscillating" if constants.K > 0 else "constant-controls",
@@ -180,7 +178,8 @@ def cmd_geodesic(args) -> int:
         "diagnostics": traj.diagnostics.to_json(),
         "spec": spec,
     }
-    _write_json(args.out + ".diagnostics.json", sidecar)
+    pmp.write_artifacts({args.out: pmp.trajectory_table(traj),
+                         args.out + ".diagnostics.json": sidecar})
     return EXIT_OK
 
 
@@ -196,11 +195,6 @@ def cmd_bracket_motion(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    pmp.write_trajectory_csv(nil, f"{args.out}_nilpotent.csv")
-    pmp.write_trajectory_csv(orig, f"{args.out}_original.csv")
-    _write_trace_csv(nil.to_original(), f"{args.out}_nilpotent_trace.csv")
-    _write_trace_csv(orig, f"{args.out}_original_trace.csv")
-
     names = ("dx", "dl1", "dl2", "dl3", "dy1", "dy2", "dy3")
     d_nil = pmp.bracket_displacement(nil)
     d_orig = pmp.bracket_displacement(orig)
@@ -213,18 +207,21 @@ def cmd_bracket_motion(args) -> int:
         "difference_norm": float(np.linalg.norm(d_nil - d_orig)),
         "spec": spec,
     }
-    _write_json(f"{args.out}_displacement.json", report)
+    pmp.write_artifacts({f"{args.out}_nilpotent.csv": pmp.trajectory_table(nil),
+                         f"{args.out}_original.csv": pmp.trajectory_table(orig),
+                         f"{args.out}_nilpotent_trace.csv": _trace_table(nil.to_original()),
+                         f"{args.out}_original_trace.csv": _trace_table(orig),
+                         f"{args.out}_displacement.json": report})
     return EXIT_OK
 
 
-def _write_trace_csv(traj, path) -> None:
+def _trace_table(traj) -> tuple[list, tuple]:
     """Planar traces of the block centre, vertices and wheels of an original-chart path."""
-    from . import pmp
     header = ["t", "cx", "cy"]
     header += [f"{kind}{i}{axis}" for kind in "vw" for i in (1, 2, 3) for axis in "xy"]
     x, y, th, ph, l1, l2, l3 = traj.states.T
-    pmp.write_csv_rows(path, header, (traj.times, x, y, *mechanism.vertex_coords(x, y, th),
-                                      *mechanism.wheel_coords(x, y, th, ph, l1, l2, l3)))
+    return header, (traj.times, x, y, *mechanism.vertex_coords(x, y, th),
+                    *mechanism.wheel_coords(x, y, th, ph, l1, l2, l3))
 
 
 def cmd_symmetry_check(args) -> int:

@@ -17,7 +17,7 @@ from trident47 import pmp
 from trident47.cli import build_parser, main
 from trident47.mechanism import MAX_SAMPLES
 
-from trajectory_io import read_trajectory_csv, save_solution_constants
+from trajectory_io import read_trajectory_csv, save_solution_constants, tree_bytes
 
 
 @pytest.fixture
@@ -156,6 +156,9 @@ def test_bracket_motion_outputs(tmp_path):
     prefix = str(tmp_path / "bm")
     code = main(["bracket-motion", "--out", prefix, "--cycles", "1"])
     assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [  # and no staging file
+        "bm_displacement.json", "bm_nilpotent.csv", "bm_nilpotent_trace.csv",
+        "bm_original.csv", "bm_original_trace.csv"]
     report = json.loads((tmp_path / "bm_displacement.json").read_text())
     assert report["nilpotent"]["dy1"] == pytest.approx(math.pi * 0.16, abs=1e-6)
     assert abs(report["nilpotent"]["dy2"]) < 1e-9
@@ -347,6 +350,22 @@ def test_bracket_motion_overflow_exits_2_without_artifacts(tmp_path, capsys, arg
     err = capsys.readouterr().err
     assert cause in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, directory, kept", [
+    (["bracket-motion", "--out", "d/gait"], "d/gait_original.csv", "d/gait_nilpotent.csv"),
+    (["geodesic", "--constants", "{fixture}", "--T", "1", "--out", "d/g.csv"],
+     "d/g.csv.diagnostics.json", "d/g.csv"),
+], ids=["bracket-motion", "geodesic"])
+def test_a_job_refused_for_one_path_leaves_every_output_path_as_it_was(
+        tmp_path, monkeypatch, capsys, example2_fixture, argv, directory, kept):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / directory).mkdir(parents=True)
+    (tmp_path / kept).write_text("old\n")
+    before = tree_bytes(tmp_path)
+    assert main([a.format(fixture=example2_fixture) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{directory}'\n"
+    assert tree_bytes(tmp_path) == before
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])

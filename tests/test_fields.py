@@ -5,14 +5,14 @@ import pathlib
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trident47
 from trident47 import nilpotent
 from trident47.errors import ChartMismatch
 from trident47.fields import (ADAPTED, ORIGINAL, SQRT3, VectorFieldSym,
-                              coordinate_field, coords, lie_bracket)
+                              coordinate_field, coords, is_zero_expr, lie_bracket)
 
 from sympy_forms import (DivisionByZero, differentiate, evaluate, field_at, fields_equal,
                          horizontal_frame_slice, random_points, slice_bracket_fields, to_sym,
@@ -186,11 +186,15 @@ def _simplify(e):
     return sp.simplify(sp.sympify(e))
 
 
+# Idempotent up to value: a second simplify may change the form, never the value, and
+# the value is all fields.is_zero_expr relies on.  On the pinned example sympy 1.14 gives
+# sqrt(2)*(1 + sqrt(3))*sin(1/2 + pi/4), then (sqrt(2) + sqrt(6))*sin(1/2 + pi/4).
 @settings(max_examples=60, deadline=None)
 @given(expressions)
+@example((1 + SQRT3) * (sp.sin(sp.Rational(1, 2)) + sp.cos(sp.Rational(1, 2))))
 def test_simplify_is_idempotent(e):
     once = _simplify(e)
-    assert _simplify(once) == once
+    assert is_zero_expr(_simplify(once) - once)
 
 
 @settings(max_examples=60, deadline=None)

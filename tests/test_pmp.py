@@ -22,7 +22,7 @@ from trident47.pmp import (BracketMotionParams, FibreState, SolutionConstants,
                            write_trajectory_csv)
 
 from sympy_forms import nilpotent_frame_matrix
-from trajectory_io import read_trajectory_csv, save_solution_constants
+from trajectory_io import read_trajectory_csv, save_solution_constants, tree_bytes
 
 S3 = math.sqrt(3.0)
 
@@ -1066,7 +1066,7 @@ def _reference_csv_bytes(tmp_path, header, columns) -> bytes:
 
 def _csv_bytes(tmp_path, header, columns) -> bytes:
     path = tmp_path / "written.csv"
-    pmp.write_csv_rows(path, header, columns)
+    pmp.write_artifacts({path: (header, columns)})
     return path.read_bytes()
 
 
@@ -1137,8 +1137,40 @@ def test_csv_writer_is_the_per_value_writer_on_shared_and_constant_columns(tmp_p
 def test_csv_writer_refuses_unequal_columns_before_opening(tmp_path):
     path = tmp_path / "short.csv"
     with pytest.raises(ValueError, match=r"unequal lengths \[3, 2, 3\]"):
-        pmp.write_csv_rows(path, ["a", "b", "c"], [np.zeros(3), np.zeros(2), np.zeros(3)])
+        pmp.write_artifacts({path: (["a", "b", "c"], [np.zeros(3), np.zeros(2), np.zeros(3)])})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("error, name, payload", [
+    (IsADirectoryError, "dir.json", {"x": 1}),  # refused before the first write
+    (FileNotFoundError, "missing/b.csv", (["a"], [[1.0]])),  # refused while staging
+    (ValueError, "nan.json", {"x": math.nan}),  # refused while encoding
+], ids=["directory", "missing directory", "nan"])
+def test_write_artifacts_writes_all_of_its_files_or_none(tmp_path, error, name, payload):
+    (tmp_path / "kept.csv").write_text("old\n")
+    (tmp_path / "dir.json").mkdir()
+    before = tree_bytes(tmp_path)
+    table = (["a"], [np.arange(3.0)])
+    with pytest.raises(error) as info:
+        pmp.write_artifacts({tmp_path / "new.csv": table, tmp_path / "kept.csv": table,
+                             tmp_path / name: payload})
+    assert tree_bytes(tmp_path) == before
+    if error is not ValueError:  # named as by open(path, "w"), not by its staging file
+        assert str(info.value).endswith(repr(str(tmp_path / name)))
+
+
+def test_write_artifacts_leaves_no_staging_file_and_the_mode_of_open(tmp_path):
+    with open(tmp_path / "plain", "w"):
+        pass
+    (tmp_path / "a.csv").write_text("old\n")
+    pmp.write_artifacts({tmp_path / "a.csv": (["a", "b"], [[1.0, 0.5], [-0.0, 2.0]]),
+                         tmp_path / "b.json": {"y": [1.5, None], "x": 1}})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.json", "plain"]
+    assert (tmp_path / "a.csv").read_bytes() == b"a,b\r\n1,-0\r\n0.5,2\r\n"
+    assert (tmp_path / "b.json").read_text() == json.dumps({"x": 1, "y": [1.5, None]},
+                                                           indent=2) + "\n"
+    mode = (tmp_path / "plain").stat().st_mode
+    assert (tmp_path / "a.csv").stat().st_mode == (tmp_path / "b.json").stat().st_mode == mode
 
 
 def test_csv_writer_memory_does_not_grow_with_the_rows(tmp_path, rng):
@@ -1148,7 +1180,7 @@ def test_csv_writer_memory_does_not_grow_with_the_rows(tmp_path, rng):
         columns = list(rng.standard_normal((19, blocks * pmp.CSV_BLOCK_ROWS)))
         tracemalloc.start()
         try:
-            pmp.write_csv_rows(tmp_path / "big.csv", [f"c{i}" for i in range(19)], columns)
+            pmp.write_artifacts({tmp_path / "big.csv": ([f"c{i}" for i in range(19)], columns)})
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1337,6 +1369,11 @@ def test_shooting_reaches_the_target_at_its_defaults(tmp_path):
     ("amplitude_sweep.py", ["--omega", "inf"]), ("amplitude_sweep.py", ["--omega", "1e-310"]),
     ("amplitude_sweep.py", ["--amplitudes", "1e300"]),
     ("shooting.py", ["--T", "1e300", "--dt", "1e300"]),
+    # equal at 6 significant digits: the curves and report entries they name would collide
+    ("symmetry_orbit.py", ["--flow-values", "0.1234561", "0.1234564", "0.5"]),
+    ("symmetry_orbit.py", ["--flow-values", "0.5", "1", "0.5"]),
+    # both gaps underflow to 0, so no order can be fitted
+    ("amplitude_sweep.py", ["--amplitudes", "1e-200", "1e-201"]),
 ])
 def test_scripts_reject_invalid_inputs(tmp_path, script, argv):
     out = tmp_path / "out"
@@ -1358,3 +1395,14 @@ def test_scripts_refuse_an_outdir_that_is_a_file(tmp_path, script, argv):
     assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
     assert "error:" in proc.stderr and str(afile) in proc.stderr
     assert afile.read_text() == "kept\n" and [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+def test_orbit_script_refused_for_one_curve_leaves_the_outdir_as_it_was(tmp_path):
+    (tmp_path / "orbit_s1.csv").mkdir()
+    (tmp_path / "orbit_report.json").write_text("old\n")
+    before = tree_bytes(tmp_path)
+    proc = _run_script("symmetry_orbit.py", "--T", "0.5", "--flow-values", "0.5", "1",
+                       "--outdir", str(tmp_path))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert f"Is a directory: '{tmp_path / 'orbit_s1.csv'}'" in proc.stderr
+    assert tree_bytes(tmp_path) == before

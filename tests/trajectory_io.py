@@ -1,9 +1,9 @@
 """Readers and writers the tests need beside the program's own writers.
 
-The program writes trajectory CSV (``pmp.write_trajectory_csv``) and reads
+The program writes trajectory CSV (``pmp.write_artifacts``) and reads
 solution-constants fixtures (``pmp.load_solution_constants``); the tests
 read the CSV back and write fixtures, with the column names and JSON form
-the program uses.
+the program uses, and snapshot output directories.
 """
 import csv
 import json
@@ -30,3 +30,9 @@ def save_solution_constants(c, path) -> None:
     with open(path, "w") as fh:
         json.dump(c.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def tree_bytes(root) -> dict:
+    """Every path under root, relative, with its bytes (None for a directory)."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
