@@ -7,14 +7,18 @@ the displacement itself is the area-rule term pi*A^2, which is the
 first-order approximation property made quantitative.
 
 Writes sweep.csv (one row per amplitude) and sweep.json (fitted orders).
+An amplitude whose difference is below the RK4 rounding floor of its
+original path (about steps * eps * max(1, |q|)) is refused with exit 2: no
+order can be fitted to rounding.
 """
 import argparse
 import math
 import pathlib
+import sys
 
 import numpy as np
 
-from trident47 import pmp
+from trident47 import artifacts, pmp
 from trident47.cli import _positive_finite
 from trident47.errors import TridentError
 
@@ -36,16 +40,21 @@ def main() -> None:
             params = pmp.BracketMotionParams(amplitude=A, omega=args.omega,
                                              partner=args.partner)
             d_nil = pmp.bracket_displacement(pmp.bracket_motion(params, "nilpotent"))
-            d_orig = pmp.bracket_displacement(pmp.bracket_motion(params, "original"))
+            orig = pmp.bracket_motion(params, "original")
+            d_orig = pmp.bracket_displacement(orig)
         except (ValueError, TridentError) as exc:
             ap.error(f"amplitude {A:g}: {exc}")
         diff = float(np.linalg.norm(d_nil - d_orig))
-        if diff == 0.0:
-            ap.error(f"amplitude {A:g}: |orig - nil| underflows to 0, so no order can be fitted")
+        # RK4's rounding: about one ulp of the largest coordinate per step of the original path
+        steps = len(orig.times) - 1
+        floor = steps * sys.float_info.epsilon * max(1.0, np.abs(orig.states).max())
+        if not diff >= floor:
+            ap.error(f"amplitude {A:g}: |orig - nil| = {diff:.3e} is below the RK4 rounding "
+                     f"floor {floor:.1e}, so no order can be fitted")
         area = math.pi * A * A
         dy = float(d_nil[2 + args.partner])  # y-slot driven by the chosen pair
         rows.append((A, area, dy, diff))
-        print(f"A={A:6.3f}  pi*A^2={area:.6f}  nilpotent dy={dy:.6f}"
+        print(f"A={A:g}  pi*A^2={area:.6f}  nilpotent dy={dy:.6f}"
               f"  |orig-nil|={diff:.3e}")
 
     orders = []
@@ -56,7 +65,7 @@ def main() -> None:
     outdir = pathlib.Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        pmp.write_artifacts({
+        artifacts.write_artifacts({
             outdir / "sweep.csv": (["A", "area_rule", "nilpotent_dy", "difference_norm"],
                                    list(zip(*rows))),
             outdir / "sweep.json": {"rows": rows, "orders": orders, "partner": args.partner}})

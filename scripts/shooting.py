@@ -14,7 +14,7 @@ import pathlib
 
 import numpy as np
 
-from trident47 import pmp
+from trident47 import artifacts, pmp
 from trident47.cli import _finite, _positive_finite, _positive_int
 from trident47.pmp import FibreState
 
@@ -86,8 +86,8 @@ def main() -> None:
     outdir = pathlib.Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        pmp.write_artifacts({outdir / "shooting_trajectory.csv": pmp.trajectory_table(traj),
-                             outdir / "shooting_report.json": report})
+        artifacts.write_artifacts({outdir / "shooting_trajectory.csv": pmp.trajectory_table(traj),
+                                   outdir / "shooting_report.json": report})
     except (OSError, ValueError) as exc:
         ap.error(str(exc))
     print(f"momenta: {np.array2string(h, precision=6)}")

@@ -17,7 +17,7 @@ import pathlib
 
 import numpy as np
 
-from trident47 import nilpotent, pmp, symmetry
+from trident47 import artifacts, nilpotent, pmp, symmetry
 from trident47.charts import ADAPTED
 from trident47.cli import _finite, _positive_finite
 
@@ -72,7 +72,7 @@ def main() -> None:
 
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        pmp.write_artifacts({**curves, outdir / "orbit_report.json": report})
+        artifacts.write_artifacts({**curves, outdir / "orbit_report.json": report})
     except (OSError, ValueError) as exc:
         ap.error(str(exc))
     print(f"wrote {outdir}/orbit_report.json and flowed-curve CSVs")

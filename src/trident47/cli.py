@@ -3,7 +3,9 @@
 Four subcommands, each writing deterministic CSV/JSON artifacts:
 
 * ``controllability``: rank analysis, Pfaffian signature and dynamic-pair
-  regularity at a point, optionally over a random sweep of valid shapes.
+  regularity at a point, optionally over a random sweep of valid shapes
+  (``mechanism.sweep_growth``: one certified array pass, its worst
+  certificate reported as ``min_certificate``).
 * ``geodesic``: integrate a normal extremal from a constants fixture and
   cross-check the closed form; CSV trajectory plus a diagnostics sidecar.
 * ``bracket-motion``: the bracket gait on the nilpotent and the original
@@ -15,8 +17,11 @@ precondition breach.
 
 No subcommand loads sympy: ``symmetry-check`` certifies on exact
 polynomial fields (``polyfield``).  Every CSV, traces included, is computed
-on whole arrays, and a job writes all its files in one ``pmp.write_artifacts``
-call: a job that cannot write one leaves every output path as it was.
+on whole arrays, and a job writes all its files in one
+``artifacts.write_artifacts`` call: a job that cannot write one leaves every
+output path as it was.  A job imports only the modules it runs:
+``controllability`` at an original-chart point loads neither ``pmp`` nor
+``nilpotent``, and ``symmetry-check`` does not load ``pmp``.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ from dataclasses import astuple
 
 import numpy as np
 
-from . import mechanism
+from . import artifacts, mechanism
 from .charts import ADAPTED, ORIGINAL
 from .errors import (ChartMismatch, DegenerateGrowth, SingularConfiguration,
                      NotASymmetry, TridentError, ZeroHorizontalMomentum)
@@ -64,6 +69,8 @@ _numbers = _argtype(lambda text: tuple(map(float, text.split(","))), lambda vals
 _finite = _argtype(float, math.isfinite, "a finite number")
 #: a finite number > 0 (tolerances, T, dt and the gait's A and omega)
 _positive_finite = _argtype(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
+#: a relative singular-value cutoff: at 1 or above no singular value would count
+_unit_interval = _argtype(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 #: a generator seed (numpy's default_rng takes no negative one)
 _seed = _argtype(int, lambda v: v >= 0, "a non-negative integer")
 
@@ -98,11 +105,10 @@ def _parse_point(text: str) -> tuple[float, ...]:
 
 
 def _write_json(path, obj) -> None:
-    from . import pmp
     if path is None:
-        pmp._encode(sys.stdout, obj)
+        artifacts._encode(sys.stdout, obj)
     else:
-        pmp.write_artifacts({path: obj})
+        artifacts.write_artifacts({path: obj})
 
 
 def cmd_controllability(args) -> int:
@@ -116,8 +122,9 @@ def cmd_controllability(args) -> int:
     try:
         res = mechanism.controllability(q, rank_tol=args.tol_rank)
         sig = mechanism.pfaffian_signature(q)
-        pairs = {f"f={f:g}": list(astuple(mechanism.check_dynamic_pair(q, f)))
-                 for f in args.dynamic_f}
+        # the pair does not depend on f (``check_dynamic_pair``): one answer under every f= key
+        pair = list(astuple(mechanism.check_dynamic_pair(q, args.dynamic_f[0])))
+        pairs = {f"f={f:g}": pair for f in args.dynamic_f}
     except (SingularConfiguration, DegenerateGrowth) as exc:
         _write_json(args.out, {"error": str(exc), "spec": spec})
         return EXIT_BAD_INPUT
@@ -135,14 +142,13 @@ def cmd_controllability(args) -> int:
     ok = res.det_nonzero
 
     if args.sweep > 0:
-        growths = {}
         rng = np.random.default_rng(args.seed)
         legs = rng.uniform(0.5, 2.0, (args.sweep, 3))
-        for phi, shape in zip(rng.uniform(-0.3, 0.3, args.sweep).tolist(), legs.tolist()):
-            qs = Configuration.original(0.0, 0.0, math.pi / 2.0, phi, *shape)
-            g = mechanism.controllability(qs, rank_tol=args.tol_rank).growth
-            growths[str(list(g))] = growths.get(str(list(g)), 0) + 1
-        report["sweep"] = {"samples": args.sweep, "growth_counts": growths}
+        counts, worst = mechanism.sweep_growth(rng.uniform(-0.3, 0.3, args.sweep), legs,
+                                               args.tol_rank)
+        growths = {str(list(g)): n for g, n in counts.items()}
+        report["sweep"] = {"samples": args.sweep, "growth_counts": growths,
+                           "min_certificate": worst}
         ok = ok and set(growths) == {"[4, 7]"}
 
     _write_json(args.out, report)
@@ -178,8 +184,8 @@ def cmd_geodesic(args) -> int:
         "diagnostics": traj.diagnostics.to_json(),
         "spec": spec,
     }
-    pmp.write_artifacts({args.out: pmp.trajectory_table(traj),
-                         args.out + ".diagnostics.json": sidecar})
+    artifacts.write_artifacts({args.out: pmp.trajectory_table(traj),
+                               args.out + ".diagnostics.json": sidecar})
     return EXIT_OK
 
 
@@ -207,11 +213,11 @@ def cmd_bracket_motion(args) -> int:
         "difference_norm": float(np.linalg.norm(d_nil - d_orig)),
         "spec": spec,
     }
-    pmp.write_artifacts({f"{args.out}_nilpotent.csv": pmp.trajectory_table(nil),
-                         f"{args.out}_original.csv": pmp.trajectory_table(orig),
-                         f"{args.out}_nilpotent_trace.csv": _trace_table(nil.to_original()),
-                         f"{args.out}_original_trace.csv": _trace_table(orig),
-                         f"{args.out}_displacement.json": report})
+    artifacts.write_artifacts({f"{args.out}_nilpotent.csv": pmp.trajectory_table(nil),
+                               f"{args.out}_original.csv": pmp.trajectory_table(orig),
+                               f"{args.out}_nilpotent_trace.csv": _trace_table(nil.to_original()),
+                               f"{args.out}_original_trace.csv": _trace_table(orig),
+                               f"{args.out}_displacement.json": report})
     return EXIT_OK
 
 
@@ -297,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--point", type=_parse_point,
                    default=mechanism.reference_configuration().values)
     c.add_argument("--chart", choices=(ORIGINAL, ADAPTED), default=ORIGINAL)
-    c.add_argument("--tol-rank", type=_positive_finite, default=mechanism.RANK_TOL,
+    c.add_argument("--tol-rank", type=_unit_interval, default=mechanism.RANK_TOL,
                    help="growth-vector rank cutoff only; the signature's precondition "
                         "and the dynamic pairs use mechanism.RANK_TOL")
     c.add_argument("--dynamic-f", type=_drift_factors, default=(1.0, 2.0, -0.5))

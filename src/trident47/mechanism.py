@@ -13,14 +13,19 @@ distribution spanned by the frame X1..X4 built here.
 
 The numeric analyses run on one closed-form matrix (``closed_form_gbar``),
 whose row 0 is X1's one definition; its terms take floats or arrays, so the
-original gait reads the same formula over whole blocks of stages.  The
-module imports no sympy; its oracles, the printed symbolic slice frame and
-the constraint matrix, live with the tests.  The leg fields X2..X4
+original gait reads the same formula over whole blocks of stages, and the
+matrix itself takes a float point or a stack of them.  ``gbar_det`` is its
+determinant in closed form.  The per-point analyses decide ranks by SVD;
+the shape sweep (``sweep_growth``) certifies rank 7 by |det| / ||Gbar||_F^7
+and ranks by stacked SVD only the samples the certificate leaves undecided.
+The module imports no sympy; its oracles, the printed symbolic slice frame
+and the constraint matrix, live with the tests.  The leg fields X2..X4
 commute, so every Pfaffian of the constraint annihilator is 0.0: the
 signature is (0, 0), and only its rank-7 precondition is computed.
 """
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -122,18 +127,19 @@ def _x1_shape(l1, l3):
     return L, _SQRT3 * (l1 - l3) / (3.0 * L), -1.0 / L
 
 
-def _x1_rotation(theta):
-    """(cos, sin) of delta = theta - pi/2, the heading by which X1's (x, y) part turns.
-
-    Both come from ``math`` for a float and for an array alike, so the two
-    round alike on every machine.
-    """
-    delta = theta - math.pi / 2.0
-    if isinstance(delta, float):
-        return math.cos(delta), math.sin(delta)
-    values = delta.ravel().tolist()
-    return tuple(np.fromiter(map(f, values), float, len(values)).reshape(delta.shape)
+def _cos_sin(angle):
+    """(cos, sin) of a float or an array, both from ``math`` for either, so the two
+    round alike on every machine."""
+    if isinstance(angle, float):
+        return math.cos(angle), math.sin(angle)
+    values = angle.ravel().tolist()
+    return tuple(np.fromiter(map(f, values), float, len(values)).reshape(angle.shape)
                  for f in (math.cos, math.sin))
+
+
+def _x1_rotation(theta):
+    """(cos, sin) of delta = theta - pi/2, the heading by which X1's (x, y) part turns."""
+    return _cos_sin(theta - math.pi / 2.0)
 
 
 def _x1_planar(c, s, a):
@@ -146,29 +152,44 @@ def _x1_phi_rate(cp, sp, l2, L, a):
     return (a * sp + cp) / l2 + (cp + l2) / (l2 * L)
 
 
-def closed_form_gbar(theta: float, phi: float, l1: float, l2: float, l3: float) -> np.ndarray:
+def closed_form_gbar(theta, phi, l1, l2, l3) -> np.ndarray:
     """Gbar = (X1, X2, X3, X4, [X1,X2], [X1,X3], [X1,X4]) as the rows of a 7x7 array.
 
     Row 0 is X1's one definition: the slice field (x = y = 0, theta = pi/2,
     unit dx-coefficient) with its (x, y) part turned by theta - pi/2, since
     the constraints are SE(2)-equivariant.  X2..X4 are the leg fields
     d/dl1, d/dl2, d/dl3; they are constant, so [X1, d/dl_k] = -dX1/dl_k,
-    differentiated here from X1's ``_x1_*`` terms.
+    differentiated here from X1's ``_x1_*`` terms.  Floats give one 7x7
+    array.  phi, l1, l2, l3 as arrays of one shape S (theta a float or of
+    shape S too) give a stack of shape S + (7, 7), each matrix equal bit for
+    bit to the float call on its elements.
     """
     L, a, dtheta = _x1_shape(l1, l3)
     c, s = _x1_rotation(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
+    cp, sp = _cos_sin(phi)
     a1 = 2.0 * _SQRT3 * (l3 + 1.0) / (3.0 * L * L)    # da/dl1
     a3 = -2.0 * _SQRT3 * (l1 + 1.0) / (3.0 * L * L)   # da/dl3
     leg_term = (cp + l2) / (l2 * L * L)               # -d/dl1 = -d/dl3 of (cos phi + l2)/(l2 L)
-    g = np.zeros((7, 7))
+    g = np.zeros((7, 7) + getattr(phi, "shape", ()))  # a stack on the trailing axes, moved below
     g[0, :4] = (*_x1_planar(c, s, a), dtheta, _x1_phi_rate(cp, sp, l2, L, a))
     g[1, 4] = g[2, 5] = g[3, 6] = 1.0
     g[4, :4] = (a1 * s, -a1 * c, -1.0 / (L * L), leg_term - a1 * sp / l2)
     g[5, 3] = ((a * sp + cp) + cp / L) / (l2 * l2)
     g[6, :4] = (a3 * s, -a3 * c, -1.0 / (L * L), leg_term - a3 * sp / l2)
     g += 0.0  # -0.0 -> 0.0, so that serialized matrices do not depend on signs of zero
-    return g
+    return g.transpose(*range(2, g.ndim), 0, 1)
+
+
+def gbar_det(phi, l1, l2, l3):
+    """det Gbar in closed form, over floats or arrays; it does not depend on x, y or theta.
+
+    det = 2 sqrt3 (a sin phi + (1 + 1/L) cos phi) / (3 L^3 l2^2), with L and a
+    of ``_x1_shape``.  It vanishes off l2 = 0 and L = 0 only on Sigma, where
+    the growth drops to (4, 6).
+    """
+    L, a, _ = _x1_shape(l1, l3)
+    cp, sp = _cos_sin(phi)
+    return 2.0 * _SQRT3 * (a * sp + (1.0 + 1.0 / L) * cp) / (3.0 * L * L * L * l2 * l2)
 
 
 def _gbar(q: Configuration) -> np.ndarray:
@@ -207,6 +228,48 @@ def controllability(q: Configuration, rank_tol: float = RANK_TOL) -> Controllabi
     return ControllabilityResult(gbar=gbar, det=float(np.linalg.det(gbar)), growth=growth)
 
 
+#: samples per array pass of ``sweep_growth``: its memory is bounded at every sweep size
+SWEEP_CHUNK = 4096
+
+#: how far above the rank cutoff a certificate decides; far above the rounding of the
+#: certificate and of LAPACK's singular values (about 7 eps sigma1)
+_CERTIFICATE_MARGIN = 1e-12
+
+
+def sweep_growth(phis, legs, rank_tol: float) -> tuple[dict, float]:
+    """Growth counts of the slice points (0, 0, pi/2, phi, l1, l2, l3), and the worst certificate.
+
+    ``phis`` is (N,) and ``legs`` (N, 3).  Each sample's certificate is
+    c = |``gbar_det``| / ||Gbar||_F^7: sigma7/sigma1 >= |det| / sigma1^7 >= c,
+    and by interlacing the frame rows X1..X4 have sigma4/sigma1 >= sigma7/sigma1,
+    so c > rank_tol (plus a margin far above rounding) is growth (4, 7), the
+    decision ``controllability`` makes.  The other samples take one stacked
+    ``_rank`` of the frame and one of Gbar at rank_tol.  c is at most
+    7^-3.5 (about 1.1e-3, AM-GM on the singular values), so from that
+    rank_tol up every sample takes the SVD; below it the certificate spares
+    the stacked SVDs, which take most of an all-SVD sweep's time.  Works through
+    ``SWEEP_CHUNK`` samples at a time; returns ({(rank4, rank7): count}, min c).
+    A sample that ``controllability`` refuses raises SingularConfiguration.
+    """
+    counts, worst = collections.Counter(), math.inf
+    for start in range(0, len(phis), SWEEP_CHUNK):
+        phi, shape = phis[start:start + SWEEP_CHUNK], legs[start:start + SWEEP_CHUNK]
+        l1, l2, l3 = shape.T
+        singular = (np.abs(l2) < SINGULAR_EPS) | (np.abs(l1 + l3 + 2.0) < SINGULAR_EPS)
+        if singular.any():
+            _check_regular(*shape[np.argmax(singular)].tolist())
+        g = closed_form_gbar(math.pi / 2.0, phi, l1, l2, l3)
+        cert = np.abs(gbar_det(phi, l1, l2, l3)) / np.linalg.norm(g, axis=(-2, -1)) ** 7
+        worst = min(worst, float(cert.min()))
+        ranks = np.tile([4, 7], (len(phi), 1))
+        undecided = ~(cert > rank_tol + _CERTIFICATE_MARGIN)
+        if undecided.any():
+            ranks[undecided, 0] = _rank(g[undecided, :4], rank_tol)
+            ranks[undecided, 1] = _rank(g[undecided], rank_tol)
+        counts.update(map(tuple, ranks.tolist()))
+    return dict(counts), worst
+
+
 @dataclass(frozen=True)
 class DynamicPairResult:
     rank_v0: int
@@ -218,19 +281,18 @@ def check_dynamic_pair(q: Configuration, f: float) -> DynamicPairResult:
     """Regularity of the dynamic pair with drift f*X1 and inputs X2, X3, X4.
 
     V0 = span(X2,X3,X4), V1 = V0 + [f*X1, V0]; at regular points the ranks
-    are (3, 6) and V1 + <f*X1> fills the tangent space.  For constant f,
-    [f*X1, Xi] = f*[X1, Xi].  The ranks are taken at RANK_TOL.
+    are (3, 6) and V1 + <f*X1> fills the tangent space.  For a constant
+    f != 0, [f*X1, Xi] = f*[X1, Xi], so V1 and V1 + <f*X1> are the spans of
+    Gbar's rows 1-6 and of all its rows, whatever f is: the ranks are taken
+    at RANK_TOL on the unscaled rows, and f is only checked to be nonzero.
     """
     if f == 0.0:
         raise ValueError("f must be a nonzero constant")
     gbar = _gbar(q)
-    v0 = gbar[1:4]
-    v1 = np.vstack([v0, f * gbar[4:]])
-    full = np.vstack([v1, f * gbar[:1]])
     return DynamicPairResult(
-        rank_v0=_rank(v0, RANK_TOL),
-        rank_v1=_rank(v1, RANK_TOL),
-        transversal=_rank(full, RANK_TOL) == 7,
+        rank_v0=_rank(gbar[1:4], RANK_TOL),
+        rank_v1=_rank(gbar[1:], RANK_TOL),
+        transversal=_rank(gbar, RANK_TOL) == 7,
     )
 
 

@@ -24,23 +24,22 @@ the original system X1, d/dl1..d/dl3 but for phi, stepped in a scalar loop
 (``_original_path``).  ``drive`` runs every control law, the start's point
 type picking the system; ``bracket_motion`` is the sinusoid law from the
 reference configuration.  Grids have at most ``MAX_STEPS`` steps, and a
-non-finite start or an overflowing path is refused.  ``write_artifacts``
-writes every artifact file, all of a job's or none; of files the module
-reads only solution-constants fixtures, and it loads no sympy.
+non-finite start or an overflowing path is refused.  ``trajectory_table``
+gives a trajectory's CSV table for ``artifacts.write_artifacts``, the one
+writer; of files the module reads only solution-constants fixtures, and it
+loads no sympy.
 """
 from __future__ import annotations
 
-import csv
-import errno
 import json
 import math
 import operator
-import os
 import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import artifacts
 from .errors import ChartMismatch, SingularConfiguration
 from .charts import ADAPTED, ORIGINAL
 from .mechanism import (SINGULAR_EPS, Configuration, _check_regular, _x1_phi_rate, _x1_planar,
@@ -710,79 +709,6 @@ _BASE_COLUMNS = ("t", "x", "y", "theta", "phi", "l1", "l2", "l3")
 _MOMENTA_COLUMNS = tuple(f"h{i}" for i in range(1, 8))
 _CONTROL_COLUMNS = tuple(f"u{i}" for i in range(1, 5))
 
-#: rows per formatted block of a CSV artifact; bounds the writer's memory
-CSV_BLOCK_ROWS = 1024
-
-
-def write_artifacts(artifacts: dict) -> None:
-    """Write every output file of a job, all or none; each path maps to an ``_encode`` payload.
-
-    A directory path or columns of unequal length are refused before the
-    first write.  Each file streams to ``<path>.<pid>.part`` beside its
-    target (mode as ``open(path, "w")``), and the staged files replace their
-    targets once all were written; on any error they are removed.
-    """
-    for path, payload in artifacts.items():
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        if not isinstance(payload, dict) and len(set(lengths := list(map(len, payload[1])))) > 1:
-            raise ValueError(f"CSV columns have unequal lengths {lengths}")
-    staged = []
-    try:
-        for path, payload in artifacts.items():
-            try:
-                fh = open(f"{path}.{os.getpid()}.part", "x", newline="")
-            except (FileNotFoundError, NotADirectoryError, PermissionError) as exc:
-                exc.filename = str(path)  # the message of open(path, "w")
-                raise
-            with fh:
-                staged.append(fh.name)
-                _encode(fh, payload)
-        for path in artifacts:
-            os.replace(staged.pop(0), path)
-    except BaseException:
-        for part in staged:
-            os.remove(part)
-        raise
-
-
-def _encode(fh, payload) -> None:
-    """Write one artifact to an open text file: a dict as JSON, a ``(header,
-    columns)`` table of equal-length float columns as CSV at 17 significant digits.
-
-    Per block of CSV_BLOCK_ROWS rows, each distinct column is formatted
-    once, with one ``%`` on a "%.17g" template, and the rows are joined
-    from the per-column texts, so memory is bounded by the block, not the
-    table.  Columns whose block bytes are equal share one text (an
-    extremal's u1..u4 are its h1..h4), and a block column holding one value
-    bit for bit formats it once.  The bytes are those of csv.writer on
-    format(v, ".17g") (nan, inf and -0 included), and the floats written
-    are exactly the floats a reader gets back.
-    """
-    if isinstance(payload, dict):
-        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-        return
-    columns = [np.asarray(c) for c in payload[1]]
-    csv.writer(fh).writerow(payload[0])
-    for start in range(0, max(map(len, columns), default=0), CSV_BLOCK_ROWS):
-        texts, cells = {}, []
-        for c in columns:
-            block = c[start:start + CSV_BLOCK_ROWS]
-            key = (block.dtype.str, block.tobytes())
-            if key not in texts:
-                m, raw = len(block), key[1]
-                if raw == raw[:block.itemsize] * m:
-                    texts[key] = _format17(block[:1].tolist()) * m
-                else:
-                    texts[key] = _format17(block.tolist())
-            cells.append(texts[key])
-        fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
-
-
-def _format17(values: list) -> list[str]:
-    """format(v, ".17g") of each of a non-empty list of values, in one ``%``."""
-    return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
-
 
 def trajectory_table(traj: Trajectory) -> tuple[list, list]:
     """A trajectory's CSV table: original-chart columns, then h1..h7 and u1..u4 where held.
@@ -799,8 +725,8 @@ def trajectory_table(traj: Trajectory) -> tuple[list, list]:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write one trajectory CSV, ``trajectory_table`` through ``write_artifacts``."""
-    write_artifacts({path: trajectory_table(traj)})
+    """Write one trajectory CSV, ``trajectory_table`` through ``artifacts.write_artifacts``."""
+    artifacts.write_artifacts({path: trajectory_table(traj)})
 
 
 def load_solution_constants(path) -> SolutionConstants:

@@ -13,7 +13,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from trident47 import cli, mechanism, nilpotent, pmp
+from trident47 import artifacts, cli, mechanism, nilpotent, pmp
 from trident47.charts import ADAPTED, ORIGINAL
 from trident47.mechanism import Configuration
 from trident47.nilpotent import AdaptedPoint
@@ -209,7 +209,8 @@ def test_extremal_csv_with_momenta_and_controls_is_the_reference(tmp_path):
     c = pmp.example_constants(2)
     traj = pmp.integrate_extremal(c.initial_fibre_state(), AdaptedPoint(*_points(6)[0]),
                                   T=2.0, dt=1e-2)
-    _assert_same_bytes(tmp_path, lambda p: pmp.write_artifacts({p: pmp.trajectory_table(traj)}),
+    _assert_same_bytes(tmp_path,
+                       lambda p: artifacts.write_artifacts({p: pmp.trajectory_table(traj)}),
                        lambda p: _reference_trajectory_csv(traj, p))
 
 
@@ -217,7 +218,8 @@ def test_states_only_adapted_curve_csv_is_the_reference(tmp_path):
     # the orbit script writes flowed curves that carry states alone
     times = np.linspace(0.0, 1.0, 81)
     curve = pmp.Trajectory(ADAPTED, times, np.array(_points(7, n=81)))
-    _assert_same_bytes(tmp_path, lambda p: pmp.write_artifacts({p: pmp.trajectory_table(curve)}),
+    _assert_same_bytes(tmp_path,
+                       lambda p: artifacts.write_artifacts({p: pmp.trajectory_table(curve)}),
                        lambda p: _reference_trajectory_csv(curve, p))
 
 
@@ -225,11 +227,12 @@ def test_states_only_adapted_curve_csv_is_the_reference(tmp_path):
 def test_gait_csvs_and_traces_are_the_reference(tmp_path, system):
     params = pmp.BracketMotionParams(amplitude=0.3, partner=3, steps_per_cycle=300)
     traj = pmp.bracket_motion(params, system)
-    _assert_same_bytes(tmp_path, lambda p: pmp.write_artifacts({p: pmp.trajectory_table(traj)}),
+    _assert_same_bytes(tmp_path,
+                       lambda p: artifacts.write_artifacts({p: pmp.trajectory_table(traj)}),
                        lambda p: _reference_trajectory_csv(traj, p))
     states = traj.states if system == "original" else _reference_to_original(traj.states)
     trace = cli._trace_table(traj.to_original())
-    _assert_same_bytes(tmp_path, lambda p: pmp.write_artifacts({p: trace}),
+    _assert_same_bytes(tmp_path, lambda p: artifacts.write_artifacts({p: trace}),
                        lambda p: _reference_trace_csv(traj.times, states, p))
 
 

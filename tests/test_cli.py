@@ -65,26 +65,29 @@ def test_controllability_sweep(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["sweep"]["growth_counts"] == {"[4, 7]": 100}
+    # the worst certificate |det Gbar| / ||Gbar||_F^7 clears the rank cutoff
+    assert report["sweep"]["min_certificate"] > 1e-7
 
 
 def test_sweep_draws_every_shape_from_one_generator(tmp_path, monkeypatch):
     # one default_rng(seed) stream: the legs as one (N, 3) draw, then phi as one (N,) draw
     from trident47 import mechanism
 
-    controllability, points = mechanism.controllability, []
+    sweep_growth, calls = mechanism.sweep_growth, []
 
-    def record(q, rank_tol):
-        points.append(q.values)
-        return controllability(q, rank_tol=rank_tol)
+    def record(phis, legs, rank_tol):
+        calls.append((phis, legs, rank_tol))
+        return sweep_growth(phis, legs, rank_tol)
 
-    monkeypatch.setattr(mechanism, "controllability", record)
-    assert main(["controllability", "--sweep", "50", "--seed", "4",
+    monkeypatch.setattr(mechanism, "sweep_growth", record)
+    assert main(["controllability", "--sweep", "50", "--seed", "4", "--tol-rank", "1e-8",
                  "--out", str(tmp_path / "sweep.json")]) == 0
     rng = np.random.default_rng(4)
     legs = rng.uniform(0.5, 2.0, (50, 3))
     phis = rng.uniform(-0.3, 0.3, 50)
-    assert points[1:] == [(0.0, 0.0, math.pi / 2.0, phi, *shape)
-                          for phi, shape in zip(phis.tolist(), legs.tolist())]
+    [(got_phis, got_legs, tol)] = calls
+    assert got_phis.tobytes() == phis.tobytes() and got_legs.tobytes() == legs.tobytes()
+    assert got_phis.shape == (50,) and got_legs.shape == (50, 3) and tol == 1e-8
 
 
 def test_controllability_singular_point_exits_2(tmp_path):
@@ -239,6 +242,9 @@ _UNREADABLE = {
     ("--T", "abc"): (["geodesic", "--constants", "example2.json"], "a finite number > 0"),
     ("--perturb", "abc"): (["symmetry-check"], "a finite number"),
     ("--seed", "-1"): (["controllability", "--sweep", "10"], "a non-negative integer"),
+    # a relative cutoff of 1 or more counts no singular value: growth [0, 0] everywhere
+    ("--tol-rank", "1"): (["controllability"], "a number in (0, 1)"),
+    ("--tol-rank", "1e308"): (["controllability", "--sweep", "5"], "a number in (0, 1)"),
 }
 
 
@@ -283,6 +289,24 @@ def test_controllability_does_not_import_sympy(tmp_path):
             "from trident47.cli import main\n"
             f"code = main(['controllability', '--out', {str(tmp_path / 'r.json')!r}])\n"
             "sys.exit(10 * code + ('sympy' in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trident47.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["controllability"], ["trident47.pmp", "trident47.nilpotent"]),
+    (["controllability", "--sweep", "100"], ["trident47.pmp", "trident47.nilpotent"]),
+    (["symmetry-check", "--samples", "10"], ["trident47.pmp"]),
+], ids=["controllability", "sweep", "symmetry-check"])
+def test_json_jobs_load_only_the_modules_they_run(tmp_path, argv, unloaded):
+    # a cold job pays for every module it imports; the JSON writer is not in pmp
+    code = ("import sys\n"
+            "from trident47.cli import main\n"
+            f"code = main({argv + ['--out', str(tmp_path / 'r.json')]!r})\n"
+            f"loaded = sorted(set({unloaded!r}) & set(sys.modules))\n"
+            "sys.exit(f'exit {code}, loaded {loaded}' if code or loaded else 0)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(trident47.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, timeout=120)

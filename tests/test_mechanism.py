@@ -142,10 +142,13 @@ def test_x1_terms_on_arrays_are_gbar_row_0_on_floats(rng):
 
 
 def test_singular_configurations_raise():
-    with pytest.raises(SingularConfiguration):
-        controllability(Configuration.original(0, 0, math.pi / 2, 0, 1, 1e-12, 1))
-    with pytest.raises(SingularConfiguration):
-        controllability(Configuration.original(0, 0, math.pi / 2, 0, -3, 1, 1))  # L = 0
+    for legs in ((1.0, 1e-12, 1.0), (-3.0, 1.0, 1.0)):  # l2 = 0, then L = 0
+        with pytest.raises(SingularConfiguration) as point:
+            controllability(Configuration.original(0, 0, math.pi / 2, 0, *legs))
+        # the sweep refuses the same sample with the same message, as the per-sample loop did
+        with pytest.raises(SingularConfiguration) as sweep:
+            mechanism.sweep_growth(np.zeros(3), np.array([(1.0, 1.0, 1.0), legs, legs]), 1e-9)
+        assert str(sweep.value) == str(point.value)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +300,114 @@ def test_dynamic_pair_rejects_zero_f(q0):
 def test_dynamic_pair_span_invariance(q0):
     # scaling the input fields cannot change the ranks; exercised through
     # different drift scalings which rescale the bracket directions
-    for f in (0.3, 5.0):
+    for f in (0.3, 5.0, 1e-12, 1e-8, 1e9, 1e300):
         res = check_dynamic_pair(q0, f)
         assert (res.rank_v0, res.rank_v1, res.transversal) == (3, 6, True)
     # scaling X2..X4 by nonzero constants does not change span ranks either
     frame = controllability(q0).gbar[:4]
     scaled = np.diag([2.0, -0.7, 11.0]) @ frame[1:4]
     assert mechanism._rank(scaled, 1e-9) == mechanism._rank(frame[1:4], 1e-9) == 3
+
+
+# ---------------------------------------------------------------------------
+# det Gbar in closed form, and the certified sweep
+
+
+def _det_factor(phi, l1, l3):
+    """a sin phi + (1 + 1/L) cos phi: det Gbar's factor that vanishes on Sigma."""
+    L = l1 + l3 + 2.0
+    return S3 * (l1 - l3) / (3.0 * L) * np.sin(phi) + (1.0 + 1.0 / L) * np.cos(phi)
+
+
+def test_gbar_det_is_the_determinant_of_the_symbolic_slice_gbar(rng):
+    rows = [*horizontal_frame_slice(), *slice_bracket_fields()]
+    det = sp.Matrix([list(r.components) for r in rows]).det(method="berkowitz")
+    x, y, th, ph, l1, l2, l3 = coords(ORIGINAL)
+    L = l1 + l3 + 2
+    a = SQRT3 * (l1 - l3) / (3 * L)
+    printed = 2 * SQRT3 * (a * sp.sin(ph) + (1 + 1 / L) * sp.cos(ph)) / (3 * L**3 * l2**2)
+    assert sp.simplify(sp.cancel(sp.together(det - printed))) == 0
+    det_at = sp.lambdify((ph, l1, l2, l3), det)
+    for point in zip(rng.uniform(-1.0, 1.0, 50), *rng.uniform(0.5, 2.0, (3, 50))):
+        point = tuple(map(float, point))
+        assert math.isclose(mechanism.gbar_det(*point), det_at(*point), rel_tol=1e-13)
+
+
+def test_gbar_det_is_the_numeric_determinant_off_sigma():
+    rng = np.random.default_rng(20)
+    phi = rng.uniform(-math.pi, math.pi, 20_000)
+    l1, l2, l3 = rng.uniform(-3.0, 3.0, (3, 20_000))
+    keep = ((np.abs(l1 + l3 + 2.0) >= 0.01) & (np.abs(l2) >= 0.01)
+            & (np.abs(_det_factor(phi, l1, l3)) >= 0.01))
+    phi, l1, l2, l3 = phi[keep], l1[keep], l2[keep], l3[keep]
+    numeric = np.linalg.det(mechanism.closed_form_gbar(0.7, phi, l1, l2, l3))
+    assert np.max(np.abs(mechanism.gbar_det(phi, l1, l2, l3) / numeric - 1.0)) < 1e-12
+
+
+def test_closed_form_gbar_on_arrays_is_the_float_call_per_element(rng):
+    n = 500
+    theta, phi = rng.uniform(-10.0, 10.0, (2, n))
+    l1, l2, l3 = rng.uniform(-3.0, 3.0, (3, n))
+    theta[:10], l3[10:20], phi[20:30] = math.pi / 2.0, l1[10:20], -0.0
+    for th in (theta, math.pi / 2.0):  # the sweep passes theta as one float
+        stack = mechanism.closed_form_gbar(th, phi, l1, l2, l3)
+        ths = th.tolist() if isinstance(th, np.ndarray) else [th] * n
+        floats = [mechanism.closed_form_gbar(*q)
+                  for q in zip(ths, *(c.tolist() for c in (phi, l1, l2, l3)))]
+        # tobytes also tells -0.0 from 0.0
+        assert stack.shape == (n, 7, 7) and stack.tobytes() == np.array(floats).tobytes()
+    dets = [mechanism.gbar_det(*q) for q in zip(*(c.tolist() for c in (phi, l1, l2, l3)))]
+    assert mechanism.gbar_det(phi, l1, l2, l3).tobytes() == np.array(dets).tobytes()
+
+
+def _sweep_oracle(phis, legs, rank_tol):
+    """The per-sample loop: ``controllability`` at each slice point, counted by growth."""
+    counts = {}
+    for phi, shape in zip(phis.tolist(), legs.tolist()):
+        q = Configuration.original(0.0, 0.0, math.pi / 2.0, phi, *shape)
+        growth = controllability(q, rank_tol=rank_tol).growth
+        counts[growth] = counts.get(growth, 0) + 1
+    return counts
+
+
+def _sweep_with_svd_count(monkeypatch, phis, legs, rank_tol):
+    """``sweep_growth``'s result, and how many matrices its stacked fallback ranked."""
+    rank, ranked = mechanism._rank, []
+
+    def record(m, tol):
+        ranked.append(len(m))
+        return rank(m, tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mechanism, "_rank", record)
+        counts, worst = mechanism.sweep_growth(phis, legs, rank_tol)
+    return counts, worst, sum(ranked)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.05, 0.5])
+def test_sweep_growth_counts_are_the_per_sample_loop(monkeypatch, tol):
+    rng = np.random.default_rng(12)
+    legs = rng.uniform(0.5, 2.0, (mechanism.SWEEP_CHUNK + 7, 3))  # a short second chunk
+    phis = rng.uniform(-0.3, 0.3, len(legs))
+    counts, worst, ranked = _sweep_with_svd_count(monkeypatch, phis, legs, tol)
+    assert counts == _sweep_oracle(phis, legs, tol)
+    # the certificate decides every sample at the default tolerance; it never exceeds
+    # 7**-3.5 (AM-GM on the singular values), so a coarse one ranks all of them twice
+    assert ranked == (0 if tol == 1e-9 else 2 * len(legs))
+    gbars = mechanism.closed_form_gbar(math.pi / 2.0, phis, *legs.T)
+    certificates = np.abs(np.linalg.det(gbars)) / np.linalg.norm(gbars, axis=(1, 2)) ** 7
+    assert math.isclose(worst, certificates.min(), rel_tol=1e-12) and worst > 1e-7
+
+
+def test_sweep_growth_falls_back_to_svd_where_the_box_meets_sigma(monkeypatch):
+    # at the reference legs Sigma is phi = +-pi/2: the certificate cannot decide there,
+    # and the stacked SVD must give the loop's answer on both sides of the cutoff
+    phis = np.concatenate([math.pi / 2.0 + np.linspace(-1e-8, 1e-8, 201),
+                           -math.pi / 2.0 + np.linspace(-1e-3, 1e-3, 201)])
+    legs = np.ones((len(phis), 3))
+    counts, worst, ranked = _sweep_with_svd_count(monkeypatch, phis, legs, 1e-9)
+    assert counts == _sweep_oracle(phis, legs, 1e-9)
+    assert counts[(4, 6)] > 0 and counts[(4, 7)] > 0 and ranked > 0 and worst < 1e-9
 
 
 # ---------------------------------------------------------------------------

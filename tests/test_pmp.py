@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import trident47
-from trident47 import pmp
+from trident47 import artifacts, pmp
 from trident47.errors import ZeroHorizontalMomentum
 from trident47.mechanism import Configuration, reference_configuration
 from trident47.nilpotent import AdaptedPoint, centre, from_adapted, group_identity, to_adapted
@@ -1066,7 +1066,7 @@ def _reference_csv_bytes(tmp_path, header, columns) -> bytes:
 
 def _csv_bytes(tmp_path, header, columns) -> bytes:
     path = tmp_path / "written.csv"
-    pmp.write_artifacts({path: (header, columns)})
+    artifacts.write_artifacts({path: (header, columns)})
     return path.read_bytes()
 
 
@@ -1085,8 +1085,8 @@ def test_csv_writer_is_the_per_value_writer_on_special_floats(tmp_path, kind):
     assert _csv_bytes(tmp_path, header, columns) == _reference_csv_bytes(tmp_path, header, columns)
 
 
-@pytest.mark.parametrize("n", [0, 1, pmp.CSV_BLOCK_ROWS - 1, pmp.CSV_BLOCK_ROWS,
-                               pmp.CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n", [0, 1, artifacts.CSV_BLOCK_ROWS - 1, artifacts.CSV_BLOCK_ROWS,
+                               artifacts.CSV_BLOCK_ROWS + 1])
 def test_csv_writer_is_the_per_value_writer_at_block_edges(tmp_path, rng, n):
     columns = list(rng.standard_normal((5, n)) * 10.0 ** rng.integers(-300, 300, (5, n)))
     header = ["t", "u", "v", "w", "z"]
@@ -1100,13 +1100,13 @@ def test_csv_writer_is_the_per_value_writer_on_the_example2_geodesic(tmp_path):
     header = ["t"] + [f"c{i}" for i in range(18)]
     columns = [traj.times, *traj.states.T, *traj.momenta.T, *traj.controls.T]
     written = _csv_bytes(tmp_path, header, columns)
-    assert written.count(b"\r\n") == 6285 and len(traj) > 6 * pmp.CSV_BLOCK_ROWS
+    assert written.count(b"\r\n") == 6285 and len(traj) > 6 * artifacts.CSV_BLOCK_ROWS
     assert written == _reference_csv_bytes(tmp_path, header, columns)
 
 
 def _shared_and_constant_columns(kind, rng):
     # columns that share bytes, or hold one value, each formatted once per block
-    n = pmp.CSV_BLOCK_ROWS + 5
+    n = artifacts.CSV_BLOCK_ROWS + 5
     a = rng.standard_normal(n)
     if kind == "one array twice":
         return [a, a, rng.standard_normal(n)]
@@ -1137,7 +1137,8 @@ def test_csv_writer_is_the_per_value_writer_on_shared_and_constant_columns(tmp_p
 def test_csv_writer_refuses_unequal_columns_before_opening(tmp_path):
     path = tmp_path / "short.csv"
     with pytest.raises(ValueError, match=r"unequal lengths \[3, 2, 3\]"):
-        pmp.write_artifacts({path: (["a", "b", "c"], [np.zeros(3), np.zeros(2), np.zeros(3)])})
+        artifacts.write_artifacts({path: (["a", "b", "c"],
+                                          [np.zeros(3), np.zeros(2), np.zeros(3)])})
     assert not path.exists()
 
 
@@ -1152,8 +1153,8 @@ def test_write_artifacts_writes_all_of_its_files_or_none(tmp_path, error, name, 
     before = tree_bytes(tmp_path)
     table = (["a"], [np.arange(3.0)])
     with pytest.raises(error) as info:
-        pmp.write_artifacts({tmp_path / "new.csv": table, tmp_path / "kept.csv": table,
-                             tmp_path / name: payload})
+        artifacts.write_artifacts({tmp_path / "new.csv": table, tmp_path / "kept.csv": table,
+                                   tmp_path / name: payload})
     assert tree_bytes(tmp_path) == before
     if error is not ValueError:  # named as by open(path, "w"), not by its staging file
         assert str(info.value).endswith(repr(str(tmp_path / name)))
@@ -1163,8 +1164,8 @@ def test_write_artifacts_leaves_no_staging_file_and_the_mode_of_open(tmp_path):
     with open(tmp_path / "plain", "w"):
         pass
     (tmp_path / "a.csv").write_text("old\n")
-    pmp.write_artifacts({tmp_path / "a.csv": (["a", "b"], [[1.0, 0.5], [-0.0, 2.0]]),
-                         tmp_path / "b.json": {"y": [1.5, None], "x": 1}})
+    artifacts.write_artifacts({tmp_path / "a.csv": (["a", "b"], [[1.0, 0.5], [-0.0, 2.0]]),
+                               tmp_path / "b.json": {"y": [1.5, None], "x": 1}})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.json", "plain"]
     assert (tmp_path / "a.csv").read_bytes() == b"a,b\r\n1,-0\r\n0.5,2\r\n"
     assert (tmp_path / "b.json").read_text() == json.dumps({"x": 1, "y": [1.5, None]},
@@ -1177,10 +1178,11 @@ def test_csv_writer_memory_does_not_grow_with_the_rows(tmp_path, rng):
     import tracemalloc
 
     def peak(blocks):
-        columns = list(rng.standard_normal((19, blocks * pmp.CSV_BLOCK_ROWS)))
+        columns = list(rng.standard_normal((19, blocks * artifacts.CSV_BLOCK_ROWS)))
         tracemalloc.start()
         try:
-            pmp.write_artifacts({tmp_path / "big.csv": ([f"c{i}" for i in range(19)], columns)})
+            artifacts.write_artifacts({tmp_path / "big.csv": ([f"c{i}" for i in range(19)],
+                                                              columns)})
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1374,6 +1376,8 @@ def test_shooting_reaches_the_target_at_its_defaults(tmp_path):
     ("symmetry_orbit.py", ["--flow-values", "0.5", "1", "0.5"]),
     # both gaps underflow to 0, so no order can be fitted
     ("amplitude_sweep.py", ["--amplitudes", "1e-200", "1e-201"]),
+    # below A ~ 1e-4 the gap is RK4 rounding, not A^3: the orders read 1.10 and 0.08
+    ("amplitude_sweep.py", ["--amplitudes", "1e-2", "1e-3", "1e-4", "1e-5", "1e-6"]),
 ])
 def test_scripts_reject_invalid_inputs(tmp_path, script, argv):
     out = tmp_path / "out"
@@ -1381,6 +1385,17 @@ def test_scripts_reject_invalid_inputs(tmp_path, script, argv):
     assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
     assert "error:" in proc.stderr and not out.exists()
     assert "iter" not in proc.stdout  # refused before any Levenberg-Marquardt work
+
+
+def test_amplitude_sweep_keeps_the_gaps_above_the_rounding_floor(tmp_path):
+    proc = _run_script("amplitude_sweep.py", "--amplitudes", "1e-3", "1e-4",
+                       "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()[:2]] == ["A=0.001", "A=0.0001"]
+    assert abs(json.loads((tmp_path / "sweep.json").read_text())["orders"][0] - 3.0) < 0.01
+    proc = _run_script("amplitude_sweep.py", "--amplitudes", "1e-4", "1e-5",
+                       "--outdir", str(tmp_path / "refused"))
+    assert proc.returncode == 2 and "error: amplitude 1e-05: |orig - nil| = " in proc.stderr
 
 
 @pytest.mark.parametrize("script, argv", [

@@ -1,6 +1,6 @@
 """Readers and writers the tests need beside the program's own writers.
 
-The program writes trajectory CSV (``pmp.write_artifacts``) and reads
+The program writes trajectory CSV (``artifacts.write_artifacts``) and reads
 solution-constants fixtures (``pmp.load_solution_constants``); the tests
 read the CSV back and write fixtures, with the column names and JSON form
 the program uses, and snapshot output directories.
