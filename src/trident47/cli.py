@@ -17,9 +17,9 @@ precondition breach.
 
 No subcommand loads sympy: ``symmetry-check`` certifies on exact
 polynomial fields (``polyfield``).  Every CSV, traces included, is computed
-on whole arrays, and a job writes all its files in one
-``artifacts.write_artifacts`` call: a job that cannot write one leaves every
-output path as it was.  A job imports only the modules it runs:
+and formatted (``%.17g`` bytes, by a block kernel) on whole arrays, and a
+job writes all its files in one ``artifacts.write_artifacts`` call: a job
+that cannot write one leaves every output path as it was.  A job imports only the modules it runs:
 ``controllability`` at an original-chart point loads neither ``pmp`` nor
 ``nilpotent``, and ``symmetry-check`` does not load ``pmp``.
 """

@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trident47
 from trident47 import artifacts, pmp
@@ -1070,9 +1072,31 @@ def _csv_bytes(tmp_path, header, columns) -> bytes:
     return path.read_bytes()
 
 
+def _kernel_edge_floats() -> list:
+    # the edges of the block kernel's fixed-notation range and of its rounding
+    edges = []
+    for v in (1e-4, 1e16):
+        edges += [np.nextafter(v, 0.0), v, np.nextafter(v, math.inf)]
+    for k in range(-5, 18):
+        v = float(f"1e{k}")
+        edges += [v * (1 + 2.0**-52), v * (1 - 2.0**-52), np.nextafter(v, 0.0),
+                  np.nextafter(v, math.inf)]
+    # exact 17-digit ties: 1000000000000000.25 prints 1000000000000000.2
+    edges += [(4e15 + 1) / 4, (4e15 + 3) / 4, 1 + 2.0**-17, 0.5 + 2.0**-18, 9.5 + 2.0**-17]
+    # subnormals, the least normal, and nan with its sign bit and a payload
+    edges += [2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0), 1e-310]
+    edges += list(np.array([0x7FF8000000000001, 0xFFF8000000000000, 0xFFF0000000000001],
+                           np.uint64).view(np.float64))
+    # integers on both sides of 2**53, values with trailing zeros, one of each exponent class
+    edges += [2.0**53 - 1, 2.0**53 + 2, 120.0, 1000.0, 100.5, 0.1001, 0.5, 12345.678,
+              *[1.2345 * 10.0**k for k in range(-4, 16)]]
+    return [float(v) for v in edges] + [-float(v) for v in edges]
+
+
 _SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
                    1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 1e16, 1e22,
-                   2.0**53, 2.0**53 + 2.0, 1e-5, 0.1, 1.0 / 3.0, 123456789012345678.0]
+                   2.0**53, 2.0**53 + 2.0, 1e-5, 0.1, 1.0 / 3.0, 123456789012345678.0,
+                   *_kernel_edge_floats()]
 
 
 @pytest.mark.parametrize("kind", ["numpy", "python"])
@@ -1081,6 +1105,68 @@ def test_csv_writer_is_the_per_value_writer_on_special_floats(tmp_path, kind):
     columns = [values, values[::-1], values[3:] + values[:3]]
     if kind == "numpy":
         columns = [np.array(c) for c in columns]
+    header = ["a", "b", "c"]
+    assert _csv_bytes(tmp_path, header, columns) == _reference_csv_bytes(tmp_path, header, columns)
+
+
+def test_csv_writer_is_the_per_value_writer_on_int_columns(tmp_path):
+    # int64, uint64 and int32 columns, and Python ints past 2**53, 2**63 and 2**64 (an
+    # object column); each value is written as format(int, ".17g"), a rounded float
+    ints = [0, 1, -1, 3, 2**53 + 1, -(2**53) - 3, 2**62 + 1, -(2**63), 2**63 - 1, 10**16 + 1]
+    big = [2**63 + 1, 2**64 - 1, 2**63, 5, 2**63 + 2**11 + 1, 7, 2**64 - 2**11, 9, 1, 2]
+    huge = [2**64 + 1, -(2**70) - 1, 10**17 + 1, 3, 2**53 + 1, 0, -1, 10**300, 2**100, 1]
+    columns = [np.array(ints, np.int64), ints, np.array(big, np.uint64), big, huge,
+               np.array(ints, np.int64).astype(np.int32)]
+    assert np.asarray(huge).dtype == object
+    header = [f"c{i}" for i in range(len(columns))]
+    assert _csv_bytes(tmp_path, header, columns) == _reference_csv_bytes(tmp_path, header, columns)
+
+
+def test_csv_kernel_thresholds_are_the_least_doubles_above_the_powers_of_ten():
+    from fractions import Fraction
+
+    low = artifacts._kernel_tables()[0]
+    for k, v in zip(range(-4, 17), low):
+        below = Fraction(np.nextafter(v, 0.0))
+        assert Fraction(v) >= Fraction(10) ** k > below
+        # the largest double below 10**k is 8 or more units of its 17th digit short of
+        # it: no 17 digits of the kernel round up to 1e17, so its exponent is the one
+        # %.17g writes
+        assert Fraction(10) ** 17 - below * Fraction(10) ** (17 - k) >= 8
+
+
+def test_csv_writer_formats_per_value_only_the_fallback_classes(tmp_path, rng, monkeypatch):
+    seen = []
+
+    def counting(values):
+        seen.extend(values)
+        return format17(values)
+
+    format17 = artifacts._format17
+    monkeypatch.setattr(artifacts, "_format17", counting)
+    n = 2 * artifacts.CSV_BLOCK_ROWS + 7
+    plain = [rng.uniform(-1e6, 1e6, n), rng.standard_normal(n), np.zeros(n),
+             np.full(n, -0.0), np.round(rng.uniform(-1e4, 1e4, n), 2),
+             rng.uniform(1e-4, 1e-3, n), rng.uniform(2.0**52, 1e16, n)]
+    # (from 1e15 to 2**52, where the spacing of doubles is under 1, a value can be an
+    # exact tie of 17 digits: 1000000000000000.25 is one)
+    header = [f"c{i}" for i in range(len(plain))]
+    assert _csv_bytes(tmp_path, header, plain) == _reference_csv_bytes(tmp_path, header, plain)
+    assert seen == []
+    fallback = [math.nan, -math.inf, 1e-5, 1e16, 1e300, 5e-324, (4e15 + 1) / 4, 1 + 2.0**-17]
+    mixed = np.concatenate([fallback, rng.uniform(-10.0, 10.0, n - len(fallback))])
+    assert _csv_bytes(tmp_path, ["x"], [mixed]) == _reference_csv_bytes(tmp_path, ["x"], [mixed])
+    assert sorted(map(repr, seen)) == sorted(map(repr, fallback))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2**64 - 1).map(
+                    lambda b: float(np.array(b, np.uint64).view(np.float64))),
+                          st.floats(-1e17, 1e17), st.floats(-1e-3, 1e-3)),
+                min_size=artifacts.CSV_BLOCK_ROWS - 2, max_size=artifacts.CSV_BLOCK_ROWS + 3))
+def test_csv_writer_is_the_per_value_writer_on_float64_bit_patterns(tmp_path_factory, values):
+    tmp_path = tmp_path_factory.mktemp("bits")
+    columns = [np.array(values), np.array(values[::-1]), np.roll(values, 5)]
     header = ["a", "b", "c"]
     assert _csv_bytes(tmp_path, header, columns) == _reference_csv_bytes(tmp_path, header, columns)
 
@@ -1158,6 +1244,14 @@ def test_write_artifacts_writes_all_of_its_files_or_none(tmp_path, error, name, 
     assert tree_bytes(tmp_path) == before
     if error is not ValueError:  # named as by open(path, "w"), not by its staging file
         assert str(info.value).endswith(repr(str(tmp_path / name)))
+
+
+def test_write_artifacts_overwrites_a_stale_staging_file_of_its_pid(tmp_path):
+    # a killed job can leave <path>.<pid>.part behind, and pids are reused
+    (tmp_path / f"out.csv.{os.getpid()}.part").write_text("left by a killed job\n")
+    artifacts.write_artifacts({tmp_path / "out.csv": (["a"], [[1.0, 2.0]])})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    assert (tmp_path / "out.csv").read_bytes() == b"a\r\n1\r\n2\r\n"
 
 
 def test_write_artifacts_leaves_no_staging_file_and_the_mode_of_open(tmp_path):
