@@ -12,15 +12,15 @@ exact thresholds, and |x| 10**(16 - k) is formed exactly as Dekker's
 error-free product hi + lo (Dekker, Numer. Math. 18, 1971): the scale
 10**(16 - k) <= 1e20 is an exact double, both factors are split into
 26-bit halves whose products are exact, and hi + lo is the product with no
-error.  The product lies in [1e16, 1e17), so hi >= 2**53 is an integer and
-hi + rint(lo) is the product rounded to an integer: the 17 significant
-digits, which are read four at a time from a table.  None of them rounds
-up to 1e17, as the largest double below each power of ten lies at least 8
-units of the 17th digit below it, so k is also the exponent that %.17g
-writes, and it fixes where the point goes.  The other values go through
+error.  The product lies in [1e16, 1e17), so hi >= 2**53 is an even integer
+and hi + rint(lo) is the product rounded to an integer, an exact tie to even
+as %.17g rounds it (rint rounds lo half to even, and hi is even): the 17
+significant digits, which are read four at a time from a table.  None of
+them rounds up to 1e17, as the largest double below each power of ten lies
+at least 8 units of the 17th digit below it, so k is also the exponent that
+%.17g writes, and it fixes where the point goes.  The other values go through
 ``_format17``, the per-value ``%.17g`` and their only path: nan and inf,
-|x| below 1e-4 or from 1e16 on (mostly exponent form), and exact ties
-(|lo - rint(lo)| = 0.5, such as 1000000000000000.25).
+and |x| below 1e-4 or from 1e16 on (mostly exponent form).
 """
 from __future__ import annotations
 
@@ -185,9 +185,7 @@ def _cells17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = np.rint(lo, out=a)
     digits = hi.astype(np.int64)
     digits += r.astype(np.int64)  # the 17 significant digits
-    lo -= r
-    fallback = np.abs(lo, out=lo) == 0.5
-    fallback |= ~fast & (x != 0)
+    fallback = ~fast & (x != 0)
     del a, s, e, hi, c, t, lo, b, r, fast  # the float scratch, before the digit stage
 
     order = np.argsort(ki.astype(np.uint8), kind="stable")

@@ -258,9 +258,8 @@ def cmd_symmetry_check(args) -> int:
             }
         except NotASymmetry as exc:
             residual_norm = None
-            if exc.residual is not None:
-                probe = np.ones(7)
-                residual_norm = float(np.linalg.norm(exc.residual(probe)))
+            if exc.residual is not None:  # hypot: no overflow or underflow of the squares
+                residual_norm = math.hypot(*exc.residual(np.ones(7)))
             conditions[v.name] = {"error": str(exc), "residual_norm": residual_norm}
             ok = False
     report["symmetry_conditions"] = conditions

@@ -5,13 +5,14 @@ the transitive algebra w) are polynomials in (x, l1, l2, l3, y1, y2, y3) with
 coefficients a + b sqrt(3), a and b rational.  A component maps exponent
 tuples, in chart order, to the pair of ``Fraction``s (a, b); a float input is
 the exact rational it is.  Sums, products and brackets are exact, so a
-certificate is a structural zero test.  The module loads no sympy.
+certificate is a structural zero test: coefficients in a basis are read off
+the term each basis field alone has, then certified by exact subtraction.
 
 Evaluation is bit for bit the lambdified sympy form's: terms are summed in
 sympy's printed order (monomials lex-descending in the coordinates sorted by
 name, l1 l2 l3 x y1 y2 y3, then the rational and the sqrt(3) term by
 ascending value), each multiplied left to right from float(a), or
-float(b) * sqrt(3), through its coordinates in name order.
+float(b) * sqrt(3), through its coordinates in name order.  No sympy is loaded.
 """
 from __future__ import annotations
 
@@ -63,11 +64,6 @@ def _along(X: PolyField, Y: PolyField, i: int, sign: int):
                 yield from ((tuple(map(add, m, dn)), _mul(c, d)) for m, c in Xj.items())
 
 
-def _eliminate(row: list, pivot: list, col: int) -> list:
-    """row - row[col] * pivot, entrywise over Q(sqrt3)."""
-    return [(c[0] - d[0], c[1] - d[1]) for c, d in zip(row, (_mul(row[col], p) for p in pivot))]
-
-
 def _float(c) -> float:
     """a + b sqrt3 as a float, b sqrt3 taken to 2**-200 / den(b) before the one rounding."""
     a, b = c
@@ -107,27 +103,21 @@ class PolyField:
     def coefficients_in(self, basis: list[PolyField]) -> tuple[float, ...]:
         """The constant coefficients c of self = sum_i c_i basis[i], solved exactly.
 
-        One row [f_1 .. f_n | self] per (component, monomial) is reduced over
-        Q(sqrt3), free unknowns 0, and the solution is certified by exact
-        subtraction.  Raises NotASymmetry (residual: the field) when no
-        constant combination of the basis gives the field.
+        c_i = self[t_i] / basis[i][t_i] over Q(sqrt3) at the (component, monomial)
+        term t_i that basis[i] alone has, certified by exact subtraction.  Raises
+        ValueError for a basis field that owns no term, and NotASymmetry
+        (residual: the field) when no constant combination gives the field.
         """
-        fs = (*basis, self)
-        rows = [[f.components[k].get(m, _ZERO) for f in fs]
-                for k in range(7) for m in set().union(*(f.components[k] for f in fs))]
-        solved = []  # (unknown, its reduced row)
-        for col in range(len(basis)):
-            pivot = next((r for r in rows if any(r[col])), None)
-            if pivot is not None:
-                rows.remove(pivot)
-                a, b = pivot[col]
-                norm = a * a - 3 * b * b  # the inverse of a + b sqrt3 is (a - b sqrt3) / norm
-                pivot = [_mul((a / norm, -b / norm), c) for c in pivot]
-                rows = [_eliminate(r, pivot, col) for r in rows]
-                solved = [(j, _eliminate(r, pivot, col)) for j, r in solved] + [(col, pivot)]
-        coeffs = [_ZERO] * len(basis)
-        for j, r in solved:
-            coeffs[j] = r[-1]
+        coeffs = []
+        for i, f in enumerate(basis):
+            others = [g for j, g in enumerate(basis) if j != i]
+            k, m = next(((k, m) for k, comp in enumerate(f.components) for m in comp
+                         if all(m not in g.components[k] for g in others)), (None, None))
+            if k is None:
+                raise ValueError(f"basis field {i} owns no term that no other basis field has")
+            a, b = f.components[k][m]
+            norm = a * a - 3 * b * b  # the inverse of a + b sqrt3 is (a - b sqrt3) / norm
+            coeffs.append(_mul((a / norm, -b / norm), self.components[k].get(m, _ZERO)))
         rest = self
         for c, f in zip(coeffs, basis):
             rest = rest - f * {ONE: c}

@@ -207,6 +207,20 @@ def test_symmetry_check_detects_perturbation(tmp_path):
     assert "error" in bad and bad["residual_norm"] > 0.0
 
 
+@pytest.mark.parametrize("value", [1e200, -1e-200])
+def test_symmetry_check_residual_norm_at_extreme_perturbations(tmp_path, value):
+    # the residual is -p d/dy2: its norm is |p|, with no overflow past 1e154 and no
+    # underflow to 0 below 1e-154 (before, 1e200 exited 2 on an inf and 1e-200 read 0)
+    out = tmp_path / "sym_bad.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["symmetry-check", "--samples", "2", f"--perturb={value!r}",
+                     "--out", str(out)])
+    assert code == 1 and caught == []
+    bad = json.loads(out.read_text())["symmetry_conditions"]["v1(perturbed)"]
+    assert bad["residual_norm"] == abs(value)
+
+
 def test_invalid_point_exits_2(tmp_path, capsys):
     # argparse rejects the malformed value, with its message, and exits with the bad-input code
     for point, message in (("1,2,3", "--point needs 7 comma-separated numbers"),

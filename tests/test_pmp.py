@@ -1148,15 +1148,43 @@ def test_csv_writer_formats_per_value_only_the_fallback_classes(tmp_path, rng, m
     plain = [rng.uniform(-1e6, 1e6, n), rng.standard_normal(n), np.zeros(n),
              np.full(n, -0.0), np.round(rng.uniform(-1e4, 1e4, n), 2),
              rng.uniform(1e-4, 1e-3, n), rng.uniform(2.0**52, 1e16, n)]
-    # (from 1e15 to 2**52, where the spacing of doubles is under 1, a value can be an
-    # exact tie of 17 digits: 1000000000000000.25 is one)
     header = [f"c{i}" for i in range(len(plain))]
     assert _csv_bytes(tmp_path, header, plain) == _reference_csv_bytes(tmp_path, header, plain)
     assert seen == []
-    fallback = [math.nan, -math.inf, 1e-5, 1e16, 1e300, 5e-324, (4e15 + 1) / 4, 1 + 2.0**-17]
-    mixed = np.concatenate([fallback, rng.uniform(-10.0, 10.0, n - len(fallback))])
+    fallback = [math.nan, -math.inf, 1e-5, 1e16, 1e300, 5e-324]
+    # exact 17-digit ties (1000000000000000.25 is one) stay in the kernel
+    ties = [(4e15 + 1) / 4, 1 + 2.0**-17]
+    mixed = np.concatenate([fallback, ties,
+                            rng.uniform(-10.0, 10.0, n - len(fallback) - len(ties))])
     assert _csv_bytes(tmp_path, ["x"], [mixed]) == _reference_csv_bytes(tmp_path, ["x"], [mixed])
     assert sorted(map(repr, seen)) == sorted(map(repr, fallback))
+
+
+def _exact_ties(rng, per_exponent: int) -> np.ndarray:
+    """Doubles whose exact decimal has 18 significant digits ending in 5: odd multiples
+    of 2**(k - 17) in [10**k, 10**(k + 1)), below 2**51 so they are doubles, k = -4..15."""
+    ties = []
+    for k in range(-4, 16):
+        step = 2.0 ** (k - 17)
+        lo, hi = math.ceil(10.0**k / step), math.floor(min(10.0 ** (k + 1), 2.0**51) / step)
+        odd = rng.integers(lo // 2, hi // 2, per_exponent) * 2 + 1
+        ties += list(odd * step)
+    return np.array(ties)
+
+
+def test_csv_kernel_rounds_exact_ties_half_to_even_as_the_per_value_writer(tmp_path, rng,
+                                                                           monkeypatch):
+    from decimal import Decimal
+
+    ties = _exact_ties(rng, 200)
+    for v in ties[::37]:
+        digits = Decimal(float(v)).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    monkeypatch.setattr(artifacts, "_format17", None)  # no value may leave the kernel
+    ties = np.concatenate([ties, -ties])
+    columns = [ties, rng.permutation(ties), np.nextafter(ties, 0.0), np.nextafter(ties, 2.0**52)]
+    header = ["a", "b", "c", "d"]
+    assert _csv_bytes(tmp_path, header, columns) == _reference_csv_bytes(tmp_path, header, columns)
 
 
 @settings(max_examples=40, deadline=None)

@@ -208,6 +208,15 @@ def test_coefficients_in_a_basis_with_sqrt3_pivots():
     assert err.value.residual is outside
 
 
+def test_coefficients_in_needs_a_term_each_basis_field_alone_has():
+    dx, dy1, dy2 = coordinate_field(0), coordinate_field(4), coordinate_field(5)
+    # d/dx owns no term: its constant dx term is also d/dx + d/dy1's
+    with pytest.raises(ValueError, match="basis field 0 owns no term"):
+        (2 * dx).coefficients_in([dx, dx + dy1])
+    # the first owns the dx term, the second the dy2 term; they share dy1
+    assert (dx + 4 * dy1 + 3 * dy2).coefficients_in([dx + dy1, dy1 + dy2]) == (1.0, 3.0)
+
+
 def test_triangular_rank_certifies_less_on_broken_inputs():
     n1, n2, n3, n4 = nilpotent.nilpotent_frame()
     ws = [w.field for w in symmetry.w_fields().values()]
