@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from trident47 import artifacts, pmp
-from trident47.cli import _positive_finite
-from trident47.errors import TridentError
+from trident47.cli import _positive_finite, guarded
 
 
 def main() -> None:
@@ -42,15 +41,15 @@ def main() -> None:
             d_nil = pmp.bracket_displacement(pmp.bracket_motion(params, "nilpotent"))
             orig = pmp.bracket_motion(params, "original")
             d_orig = pmp.bracket_displacement(orig)
-        except (ValueError, TridentError) as exc:
-            ap.error(f"amplitude {A:g}: {exc}")
+        except ValueError as exc:
+            raise ValueError(f"amplitude {A:g}: {exc}") from exc
         diff = float(np.linalg.norm(d_nil - d_orig))
         # RK4's rounding: about one ulp of the largest coordinate per step of the original path
         steps = len(orig.times) - 1
         floor = steps * sys.float_info.epsilon * max(1.0, np.abs(orig.states).max())
         if not diff >= floor:
-            ap.error(f"amplitude {A:g}: |orig - nil| = {diff:.3e} is below the RK4 rounding "
-                     f"floor {floor:.1e}, so no order can be fitted")
+            raise ValueError(f"amplitude {A:g}: |orig - nil| = {diff:.3e} is below the RK4 "
+                             f"rounding floor {floor:.1e}, so no order can be fitted")
         area = math.pi * A * A
         dy = float(d_nil[2 + args.partner])  # y-slot driven by the chosen pair
         rows.append((A, area, dy, diff))
@@ -63,16 +62,13 @@ def main() -> None:
     print("observed convergence orders:", [f"{o:.2f}" for o in orders])
 
     outdir = pathlib.Path(args.outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        artifacts.write_artifacts({
-            outdir / "sweep.csv": (["A", "area_rule", "nilpotent_dy", "difference_norm"],
-                                   list(zip(*rows))),
-            outdir / "sweep.json": {"rows": rows, "orders": orders, "partner": args.partner}})
-    except (OSError, ValueError) as exc:
-        ap.error(str(exc))
+    outdir.mkdir(parents=True, exist_ok=True)
+    artifacts.write_artifacts({
+        outdir / "sweep.csv": (["A", "area_rule", "nilpotent_dy", "difference_norm"],
+                               list(zip(*rows))),
+        outdir / "sweep.json": {"rows": rows, "orders": orders, "partner": args.partner}})
     print(f"wrote {outdir}/sweep.csv and {outdir}/sweep.json")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(guarded(main))

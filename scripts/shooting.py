@@ -11,11 +11,12 @@ general solver.  The solved extremal is written on a --dt grid.
 """
 import argparse
 import pathlib
+import sys
 
 import numpy as np
 
 from trident47 import artifacts, pmp
-from trident47.cli import _finite, _positive_finite, _positive_int
+from trident47.cli import _finite, _positive_finite, _positive_int, guarded
 from trident47.pmp import FibreState
 
 STEP = 1e-30
@@ -34,10 +35,7 @@ def main() -> None:
     args = ap.parse_args()
 
     target = np.array(args.target)
-    try:
-        pmp.time_grid(args.T, args.dt)  # refuse the output grid before any solver work
-    except ValueError as exc:
-        ap.error(str(exc))
+    pmp.time_grid(args.T, args.dt)  # refuse the output grid before any solver work
 
     def residual(h):
         return pmp.exp_map(h, args.T)[:7] - target
@@ -49,11 +47,11 @@ def main() -> None:
     # Levenberg-Marquardt on the endpoint residual; the Jacobian is poorly
     # scaled in the bracket-momenta directions near h5 = h6 = h7 = 0
     lam = 1e-3
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         res = residual(h)
-    history = [float(np.linalg.norm(res))]
+        history = [float(np.linalg.norm(res))]
     if not np.isfinite(history[0]):
-        ap.error(f"the endpoint map overflows at T = {args.T:g}")
+        raise ValueError(f"the endpoint map overflows at T = {args.T:g}")
     for it in range(args.max_iter):
         print(f"iter {it:2d}: |endpoint - target| = {history[-1]:.3e}")
         if history[-1] < args.tol:
@@ -84,15 +82,12 @@ def main() -> None:
         "energy": pmp.hamiltonian(h),
     }
     outdir = pathlib.Path(args.outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        artifacts.write_artifacts({outdir / "shooting_trajectory.csv": pmp.trajectory_table(traj),
-                                   outdir / "shooting_report.json": report})
-    except (OSError, ValueError) as exc:
-        ap.error(str(exc))
+    outdir.mkdir(parents=True, exist_ok=True)
+    artifacts.write_artifacts({outdir / "shooting_trajectory.csv": pmp.trajectory_table(traj),
+                               outdir / "shooting_report.json": report})
     print(f"momenta: {np.array2string(h, precision=6)}")
     print(f"wrote {outdir}/shooting_trajectory.csv and shooting_report.json")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(guarded(main))

@@ -14,12 +14,13 @@ and writes the flowed curves plus a JSON report.
 """
 import argparse
 import pathlib
+import sys
 
 import numpy as np
 
 from trident47 import artifacts, nilpotent, pmp, symmetry
 from trident47.charts import ADAPTED
-from trident47.cli import _finite, _positive_finite
+from trident47.cli import _finite, _positive_finite, guarded
 
 
 def main() -> None:
@@ -70,13 +71,10 @@ def main() -> None:
     print(f"endpoint orbit radius: {max(orbit):.4f} "
           f"(equal-length curves to rotated endpoints)")
 
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        artifacts.write_artifacts({**curves, outdir / "orbit_report.json": report})
-    except (OSError, ValueError) as exc:
-        ap.error(str(exc))
+    outdir.mkdir(parents=True, exist_ok=True)
+    artifacts.write_artifacts({**curves, outdir / "orbit_report.json": report})
     print(f"wrote {outdir}/orbit_report.json and flowed-curve CSVs")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(guarded(main))

@@ -12,8 +12,8 @@ Four subcommands, each writing deterministic CSV/JSON artifacts:
   system, with displacement report and wheel/vertex traces.
 * ``symmetry-check``: certify the symmetry algebra relations.
 
-Exit codes: 0 pass, 1 internal/check failure, 2 invalid input or
-precondition breach.
+Exit codes, the experiment scripts' too (``guarded``): 0 pass, 1 a failed
+check or any other ``TridentError``, 2 an input fault: a ``ValueError`` or an ``OSError``.
 
 No subcommand loads sympy: ``symmetry-check`` certifies on exact
 polynomial fields (``polyfield``).  Every CSV, traces included, is computed
@@ -35,8 +35,8 @@ import numpy as np
 
 from . import artifacts, mechanism
 from .charts import ADAPTED, ORIGINAL
-from .errors import (ChartMismatch, DegenerateGrowth, SingularConfiguration,
-                     NotASymmetry, TridentError, ZeroHorizontalMomentum)
+from .errors import (DegenerateGrowth, SingularConfiguration, NotASymmetry, TridentError,
+                     ZeroHorizontalMomentum)
 from .mechanism import Configuration
 
 EXIT_OK = 0
@@ -104,6 +104,13 @@ def _parse_point(text: str) -> tuple[float, ...]:
     return vals
 
 
+def _finite_image(image: tuple, chart: str) -> tuple:
+    """``--point``'s image in ``chart``: a ValueError where a coordinate overflowed."""
+    if not all(map(math.isfinite, image)):
+        raise ValueError(f"the {chart}-chart image of --point is not finite: {image}")
+    return image
+
+
 def _write_json(path, obj) -> None:
     if path is None:
         artifacts._encode(sys.stdout, obj)
@@ -117,6 +124,7 @@ def cmd_controllability(args) -> int:
     if args.chart == ADAPTED:
         from . import nilpotent
         q = nilpotent.from_adapted(nilpotent.AdaptedPoint(*args.point))
+        _finite_image(q.values, ORIGINAL)
     else:
         q = Configuration(ORIGINAL, args.point)
     try:
@@ -163,6 +171,9 @@ def cmd_geodesic(args) -> int:
     h0 = constants.initial_fibre_state()
     if h0.horizontal_norm() == 0.0:
         raise ZeroHorizontalMomentum("the fixture has zero horizontal momentum")
+    if args.point is not None:
+        start = args.point if args.chart == ADAPTED else _finite_image(
+            nilpotent.original_to_adapted(*args.point), ADAPTED)
 
     traj = pmp.integrate_extremal(h0, nilpotent.group_identity(), args.T, args.dt)
 
@@ -171,11 +182,13 @@ def cmd_geodesic(args) -> int:
     ref = pmp.exp_map(h0.array, traj.times[idx])[:, :7]
     worst = float(np.max(np.abs(ref - traj.states[idx])))
 
-    if args.point is not None:
-        start = args.point if args.chart == ADAPTED else nilpotent.original_to_adapted(*args.point)
-        states = np.stack(nilpotent.group_law(start, traj.states.T), axis=-1)
-        traj = pmp.Trajectory(ADAPTED, traj.times, states, traj.momenta,
-                              traj.controls, traj.diagnostics)
+    with np.errstate(over="ignore", invalid="ignore"):  # a table that overflows is refused below
+        if args.point is not None:
+            states = np.stack(nilpotent.group_law(start, traj.states.T), axis=-1)
+            traj = pmp.Trajectory(ADAPTED, traj.times, states, traj.momenta,
+                                  traj.controls, traj.diagnostics)
+        table = pmp.trajectory_table(traj)
+    pmp._refuse_overflow(traj.times, *table[1])
 
     sidecar = {
         "closed_form_max_deviation": worst,
@@ -184,8 +197,7 @@ def cmd_geodesic(args) -> int:
         "diagnostics": traj.diagnostics.to_json(),
         "spec": spec,
     }
-    artifacts.write_artifacts({args.out: pmp.trajectory_table(traj),
-                               args.out + ".diagnostics.json": sidecar})
+    artifacts.write_artifacts({args.out: table, args.out + ".diagnostics.json": sidecar})
     return EXIT_OK
 
 
@@ -194,12 +206,8 @@ def cmd_bracket_motion(args) -> int:
     spec = _spec(command="bracket-motion", out=args.out, seed=args.seed)
     params = pmp.BracketMotionParams(amplitude=args.A, omega=args.omega,
                                      partner=args.partner, cycles=args.cycles)
-    try:
-        nil = pmp.bracket_motion(params, "nilpotent")
-        orig = pmp.bracket_motion(params, "original")
-    except SingularConfiguration as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    nil = pmp.bracket_motion(params, "nilpotent")
+    orig = pmp.bracket_motion(params, "original")
 
     names = ("dx", "dl1", "dl2", "dl3", "dy1", "dy2", "dy3")
     d_nil = pmp.bracket_displacement(nil)
@@ -344,16 +352,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def guarded(job, *args) -> int:
+    """The exit code of ``job(*args)``: its own, 0 where it returns None, and for an exception
+    ``error: <msg>`` on stderr and 2 for an input fault (a ValueError or an OSError), 1 for any
+    other TridentError.  The CLI's ``main`` and every experiment script exit through it."""
+    try:
+        code = job(*args)
+    except (ValueError, OSError, TridentError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT if isinstance(exc, (ValueError, OSError)) else EXIT_FAIL
+    return EXIT_OK if code is None else code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, ChartMismatch, ZeroHorizontalMomentum, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except TridentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    return guarded(args.func, args)
 
 
 def run() -> None:

@@ -221,9 +221,12 @@ def controllability(q: Configuration, rank_tol: float = RANK_TOL) -> Controllabi
     Stacks the frame and its first-level brackets into the 7x7 matrix Gbar
     and computes the growth vector (rank of the frame, rank of Gbar) with a
     relative singular-value cutoff.  Locally controllable configurations
-    have growth (4, 7) and det Gbar != 0.
+    have growth (4, 7) and det Gbar != 0.  A Gbar that overflows (at legs near
+    the float range) is a ValueError.
     """
     gbar = _gbar(q)
+    if not math.isfinite(gbar.sum()):  # one float: not finite if an entry is or the sum overflows
+        raise ValueError(f"Gbar is not finite at {q.values}")
     growth = (_rank(gbar[:4], rank_tol), _rank(gbar, rank_tol))
     return ControllabilityResult(gbar=gbar, det=float(np.linalg.det(gbar)), growth=growth)
 

@@ -85,8 +85,9 @@ def adapted_to_original(x, l1, l2, l3, y1, y2, y3):
 
 
 def from_adapted(p: AdaptedPoint) -> Configuration:
-    """Adapted chart -> original chart, the exact inverse of to_adapted."""
-    return Configuration.original(*adapted_to_original(*p.array))
+    """Adapted chart -> original chart, the exact inverse of to_adapted (in float arithmetic,
+    so a coordinate that overflows is inf or nan, with no numpy warning)."""
+    return Configuration.original(*adapted_to_original(*p.array.tolist()))
 
 
 @functools.lru_cache(maxsize=1)

@@ -77,7 +77,7 @@ class FibreState:
         return cls(*(float(v) for v in arr))
 
     def horizontal_norm(self) -> float:
-        return math.sqrt(self.h1**2 + self.h2**2 + self.h3**2 + self.h4**2)
+        return math.hypot(self.h1, self.h2, self.h3, self.h4)  # squares would overflow past 1e154
 
 
 def hamiltonian(h) -> float:

@@ -85,10 +85,10 @@ def w_fields() -> dict[str, SymmetryField]:
 
 
 def so3_combination(a1: float, a2: float, a3: float) -> SymmetryField:
-    """The combination a1*v1 + a2*v2 + a3*v3, defined by its finite axis."""
+    """The combination a1*v1 + a2*v2 + a3*v3, defined by its axis of finite norm."""
     axis = (float(a1), float(a2), float(a3))
-    if not all(map(math.isfinite, axis)):
-        raise ValueError(f"the axis must be finite, got {axis}")
+    if not math.isfinite(sum(a * a for a in axis)):  # |a|^2 in floats: no numpy warning
+        raise ValueError(f"the axis and its norm |a| must be finite, got {axis}")
     return SymmetryField(f"{a1}*v1+{a2}*v2+{a3}*v3", axis=axis)
 
 
@@ -169,6 +169,8 @@ def _rotation(v: SymmetryField, t: float, dt: float) -> np.ndarray:
         raise NotASymmetry(f"{v.name} is not a combination of v1, v2, v3; it has no flow")
     a = np.asarray(v.axis, dtype=float)
     norm = float(np.linalg.norm(a))
+    if not math.isfinite(t * norm):
+        raise ValueError(f"the flow angle s |a| = {t:g} * {norm:g} is not finite")
     if norm == 0.0:
         return np.eye(3)
     k = a / norm

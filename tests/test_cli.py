@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 
 import trident47
 from trident47 import pmp
-from trident47.cli import build_parser, main
+from trident47.cli import build_parser, guarded, main
+from trident47.errors import (ChartMismatch, DegenerateGrowth, NotASymmetry,
+                              SingularConfiguration, TridentError, ZeroCombination,
+                              ZeroHorizontalMomentum)
 from trident47.mechanism import MAX_SAMPLES
 
 from trajectory_io import read_trajectory_csv, save_solution_constants, tree_bytes
@@ -370,6 +373,50 @@ def test_geodesic_overflow_exits_2_without_artifacts(tmp_path, capsys, example2_
     err = capsys.readouterr().err
     assert "overflowed" in err and "Traceback" not in err
     assert not out.exists() and not (tmp_path / "x.csv.diagnostics.json").exists()
+
+
+@pytest.mark.parametrize("argv, cause", [
+    # a start whose adapted image overflows (theta = 1e308), and one whose original image does
+    (["geodesic", "--T", "1", "--chart", "original", "--point", "0,0,1e308,0,0,0,0"],
+     "the adapted-chart image of --point is not finite"),
+    (["geodesic", "--T", "3", "--point", "1.7e308,1e308,0,0,0,0,0"], "overflowed"),
+    # h1 = 1e300: the horizontal norm is 1e300 (its squares would overflow), the path overflows
+    (["geodesic", "--constants", "{big}"], "overflowed"),
+    (["controllability", "--chart", "adapted", "--point", "0,1,1,1,0,1.7e308,0"],
+     "the original-chart image of --point is not finite"),
+    # L = l1 + l3 + 2 overflows, so Gbar holds inf / inf
+    (["controllability", "--point", "0,0,0,0,1e308,1,1e308"], "Gbar is not finite"),
+])
+def test_overflowing_input_exits_2_without_warnings_or_files(tmp_path, capsys, example2_fixture,
+                                                             argv, cause):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(dict(C5=0, C6=0, C7=0, C11=1e300, C12=0, C13=0, C14=1, C15=0)))
+    if argv[0] == "geodesic" and "--constants" not in argv:
+        argv = [*argv, "--constants", example2_fixture]
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        assert main([a.format(big=big) for a in argv] + ["--out", str(out / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cause in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_guarded_exits_2_on_input_faults_only(capsys):
+    faults = (SingularConfiguration, DegenerateGrowth, ChartMismatch, ZeroHorizontalMomentum,
+              ZeroCombination)
+    assert all(issubclass(e, ValueError) for e in faults)
+    assert not issubclass(NotASymmetry, ValueError)  # a failed check, not an input fault
+
+    def raising(exc):
+        raise exc
+
+    for exc, code in [*((e("bad"), 2) for e in faults), (ValueError("bad"), 2),
+                      (OSError("bad"), 2), (NotASymmetry("bad"), 1), (TridentError("bad"), 1)]:
+        assert guarded(raising, exc) == code
+        assert capsys.readouterr().err == "error: bad\n"
+    assert guarded(lambda: None) == 0 and guarded(lambda code: code, 1) == 1
 
 
 @pytest.mark.parametrize("argv, cause", [

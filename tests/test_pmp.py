@@ -1500,12 +1500,19 @@ def test_shooting_reaches_the_target_at_its_defaults(tmp_path):
     ("amplitude_sweep.py", ["--amplitudes", "1e-200", "1e-201"]),
     # below A ~ 1e-4 the gap is RK4 rounding, not A^3: the orders read 1.10 and 0.08
     ("amplitude_sweep.py", ["--amplitudes", "1e-2", "1e-3", "1e-4", "1e-5", "1e-6"]),
+    # the step cap, a path that overflows, an axis norm and a flow angle s |a| that overflow
+    ("symmetry_orbit.py", ["--T", "1e10"]),
+    ("symmetry_orbit.py", ["--T", "1e300", "--dt", "1e300"]),
+    ("symmetry_orbit.py", ["--axis", "1e308", "1e308", "1e308"]),
+    ("symmetry_orbit.py", ["--flow-values", "1e308", "--axis", "10", "10", "10"]),
+    # a finite endpoint residual whose norm overflows
+    ("shooting.py", ["--target", "0", "0", "0", "0", "1e300", "0", "0"]),
 ])
 def test_scripts_reject_invalid_inputs(tmp_path, script, argv):
     out = tmp_path / "out"
     proc = _run_script(script, *argv, "--outdir", str(out))
     assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
-    assert "error:" in proc.stderr and not out.exists()
+    assert "error:" in proc.stderr and not out.exists() and "RuntimeWarning" not in proc.stderr
     assert "iter" not in proc.stdout  # refused before any Levenberg-Marquardt work
 
 
