@@ -21,13 +21,13 @@ y + h/6 (k1 + 2 k2 + 2 k3 + k4) that the tests keep as their reference:
 the fibre system steps h1..h4 as four unrolled columns (``_fibre_path``),
 the base system runs in whole-array passes (``_base_path``), and so does
 the original system X1, d/dl1..d/dl3 but for phi, stepped in a scalar loop
-(``_original_path``).  ``drive`` runs every control law, the start's point
-type picking the system; ``bracket_motion`` is the sinusoid law from the
-reference configuration.  Grids have at most ``MAX_STEPS`` steps, and a
-non-finite start or an overflowing path is refused.  ``trajectory_table``
-gives a trajectory's CSV table for ``artifacts.write_artifacts``, the one
-writer; of files the module reads only solution-constants fixtures, and it
-loads no sympy.
+(``_original_path``), which ``drive`` runs under any control law.  On the
+nilpotent system the sinusoid gait of ``bracket_motion`` is an ``exp_map``
+extremal.  Grids have at most ``MAX_STEPS`` steps, and a non-finite start
+or an overflowing path is refused.  ``trajectory_table`` gives a
+trajectory's CSV table for ``artifacts.write_artifacts``, the one writer;
+of files the module reads only solution-constants fixtures, and it loads
+no sympy.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from .errors import ChartMismatch, SingularConfiguration
 from .charts import ADAPTED, ORIGINAL
 from .mechanism import (SINGULAR_EPS, Configuration, _check_regular, _x1_phi_rate, _x1_planar,
                         _x1_rotation, _x1_shape, reference_configuration)
-from .nilpotent import (AdaptedPoint, adapted_to_original, centre, n1_vertical,
+from .nilpotent import (AdaptedPoint, adapted_to_original, centre, group_law, n1_vertical,
                         original_to_adapted, to_adapted)
 
 _S3 = math.sqrt(3.0)
@@ -382,10 +382,10 @@ def _stage_inputs(y, rates, h: float) -> np.ndarray:
     return np.stack([y, y + 0.5 * h * rates[0], y + 0.5 * h * rates[1], y + h * rates[2]])
 
 
-def _base_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarray:
+def _base_path(q0, momenta, times: np.ndarray, h: float) -> np.ndarray:
     """Classical RK4 of ``_base_rates`` from the columns q0, bit for bit, in whole-array passes.
 
-    ``stage_controls(k, m)`` gives u1..u4 at the four stages of steps k..k+m-1.
+    u1..u4 at each stage are h1..h4 rebuilt from the fibre path ``momenta``.
     x and l have rates u1..u4 and y's rates read only x and l, so each column
     is its step increments summed left to right, a block of steps at a time.
     """
@@ -394,15 +394,19 @@ def _base_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarray:
     path[0] = q0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(0, n, block):
-            us, rows = np.asarray(stage_controls(k, min(block, n - k))), path[k:k + block + 1]
-            _accumulate(rows[:, :4], us.swapaxes(1, 2), h)  # (stage, step, u1..u4)
+            rows = path[k:k + block + 1]
+            ys = [list(momenta[k:k + len(rows) - 1].swapaxes(0, 1))]
+            for c in (0.5 * h, 0.5 * h, h):
+                ys.append([a + c * b for a, b in zip(ys[0], _fibre_rates(ys[-1]))])
+            us = np.asarray([y[:4] for y in ys])  # (stage, u1..u4, step)
+            _accumulate(rows[:, :4], us.swapaxes(1, 2), h)
             qs = _stage_inputs(rows[:-1, :4].swapaxes(0, 1), us, h)
             rates = [_base_rates(qi, u)[4:] for qi, u in zip(qs, us)]
             _accumulate(rows[:, 4:], np.swapaxes(rates, 1, 2), h)
     return path
 
 
-def _original_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarray:
+def _original_path(q0, controls, column, times: np.ndarray, h: float) -> np.ndarray:
     """Classical RK4 of the original gait u1 X1 + u2 d/dl1 + u3 d/dl2 + u4 d/dl3, bit for bit.
 
     Only phi steps in Python.  The legs have rates u2..u4, theta's rate
@@ -434,7 +438,8 @@ def _original_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarra
         for k in range(0, n, _BLOCK_SAMPLES):
             m = min(_BLOCK_SAMPLES, n - k)
             rows = path[k:k + m + 1]
-            u = np.stack(stage_controls(k, m)).transpose(0, 2, 1)  # (stage, step, u1..u4)
+            mids, ends = (controls(times[k:k + m] + c) for c in (half, h))  # k2 and k3, k4
+            u = np.stack([column[:, k:k + m], mids, mids, ends]).swapaxes(1, 2)  # stage, step, u
             _accumulate(rows[:, 4:], u[..., 1:], h)
             l1, l2, l3 = np.moveaxis(_stage_inputs(rows[:-1, 4:], u[..., 1:], h), -1, 0)
             L, a, dtheta = _x1_shape(l1, l3)
@@ -468,11 +473,11 @@ def _original_path(q0, stage_controls, times: np.ndarray, h: float) -> np.ndarra
     return path
 
 
-def _refuse_overflow(times: np.ndarray, *paths) -> None:
-    """A ValueError at the first time where one of the paths is not finite."""
+def _refuse_overflow(times: np.ndarray, *paths, what: str = "path") -> None:
+    """A ValueError naming ``what`` at the first time where one of the paths is not finite."""
     finite = np.logical_and.reduce([np.isfinite(p.reshape(len(p), -1)).all(axis=1) for p in paths])
     if not finite.all():
-        raise ValueError(f"the path overflowed at t = {times[np.argmin(finite)]:.6g}; "
+        raise ValueError(f"the {what} overflowed at t = {times[np.argmin(finite)]:.6g}; "
                          "use a smaller step or smaller inputs")
 
 
@@ -483,14 +488,7 @@ def _extremal_paths(q0, h0, times: np.ndarray, h: float) -> tuple[np.ndarray, np
     if not np.isfinite(q0).all():
         raise ValueError("the start point q0 must be finite")
     momenta = _fibre_path(h0, times, h)
-
-    def stage_controls(k, m):  # h1..h4 at the four stages, rebuilt from the fibre path
-        ys = [list(momenta[k:k + m].swapaxes(0, 1))]
-        for c in (0.5 * h, 0.5 * h, h):
-            ys.append([a + c * b for a, b in zip(ys[0], _fibre_rates(ys[-1]))])
-        return [y[:4] for y in ys]
-
-    states = _base_path(q0, stage_controls, times, h)
+    states = _base_path(q0, momenta, times, h)
     _refuse_overflow(times, states, momenta)
     return states, momenta
 
@@ -501,11 +499,14 @@ def integrate_extremal(h0: FibreState, q0: AdaptedPoint, T: float, dt: float = 1
     The returned trajectory carries the momenta, the controls (equal to
     h1..h4) and drift diagnostics; an advisory flag is raised in the
     diagnostics when Hamiltonian drift per unit time exceeds 1e-6.  A path
-    that overflows (T or dt far too large) is a ValueError.
+    that overflows (T or dt far too large), or a Hamiltonian that does, is a
+    ValueError naming it and the time.
     """
     times, h = time_grid(T, dt)
     states, momenta = _extremal_paths(tuple(q0.array.tolist()), tuple(h0.array.tolist()), times, h)
-    energies = 0.5 * np.sum(momenta[:, :4] ** 2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing H is refused below
+        energies = 0.5 * np.sum(momenta[:, :4] ** 2, axis=1)
+    _refuse_overflow(times, energies, what="Hamiltonian")
     h_drift = float(np.max(np.abs(energies - energies[0])))
     casimir = float(np.max(np.abs(momenta[:, 4:] - momenta[0, 4:])))
     rate = h_drift / T
@@ -650,48 +651,49 @@ class BracketMotionParams:
         return u
 
 
-def drive(q_start, controls, grid) -> Trajectory:
-    """RK4 of the control law ``controls`` from q_start over ``grid`` = (times, h).
+def drive(q_start: Configuration, controls, grid) -> Trajectory:
+    """RK4 of the control law ``controls`` on the original system from q_start over ``grid``.
 
-    The start's type picks the system: an ``AdaptedPoint`` runs N1..N4, a
-    ``Configuration`` X1, d/dl1..d/dl3 under ``_original_path``'s guard of
-    the singular set; any other start is a ChartMismatch.  A non-finite start
-    or path is a ValueError.  ``controls`` maps times t to u1..u4, (4,) +
-    shape(t): one call gives the controls column, and each block of steps
-    one at t + h/2 (k2, k3) and one at t + h (k4).
+    ``grid`` is (times, h); ``_original_path`` guards the singular set.  A start
+    that is not a ``Configuration`` is a ChartMismatch, a non-finite start or
+    path a ValueError.  ``controls`` maps times t to u1..u4, (4,) + shape(t): one
+    call gives the controls column, and each block of steps one at t + h/2 (k2,
+    k3) and one at t + h (k4).
     """
-    if isinstance(q_start, AdaptedPoint):
-        path, q0, chart = _base_path, tuple(q_start.array.tolist()), ADAPTED
-    elif isinstance(q_start, Configuration):
-        path, q0, chart = _original_path, q_start.values, ORIGINAL
-    else:
-        raise ChartMismatch(f"a {type(q_start).__name__} is not an AdaptedPoint or a Configuration")
-    if not np.isfinite(q0).all():
+    if not isinstance(q_start, Configuration):
+        raise ChartMismatch(f"a {type(q_start).__name__} is not a Configuration")
+    if not np.isfinite(q_start.values).all():
         raise ValueError("the start point q0 must be finite")
     times, h = grid
     with np.errstate(over="ignore", invalid="ignore"):  # the path's overflow is refused below
         column = controls(times)
-
-    def stage_controls(k, m):  # u1..u4 at the four stages of steps k..k+m-1
-        mids = controls(times[k:k + m] + 0.5 * h)
-        return [column[:, k:k + m], mids, mids, controls(times[k:k + m] + h)]
-
-    states = path(q0, stage_controls, times, h)
+    states = _original_path(q_start.values, controls, column, times, h)
     _refuse_overflow(times, states)
-    return Trajectory(chart, times, states, None, column.T, None)
+    return Trajectory(ORIGINAL, times, states, None, column.T, None)
 
 
 def bracket_motion(params: BracketMotionParams, system: str = "nilpotent") -> Trajectory:
-    """``drive`` of the sinusoid law ``params`` from the reference configuration.
+    """The sinusoid law u1 = -A w sin(wt), u_p = A w cos(wt) of ``params`` from the reference p0.
 
-    One cycle of u1 = -A w sin(wt), u_i = A w cos(wt) moves the system along
-    the bracket of the driven pair; on the nilpotent system the only net
-    motion is pi*A^2 along the corresponding y-direction.
+    The original system is ``drive``'s.  On the nilpotent one, with s = wt,
+    the law is the extremal h1 = -A sin s, h_p = A cos s of h0 = A e_p + e_{p+3},
+    so the gait is p0 * exp_map(h0, wt) (scaled time keeps w out of b.b t^2):
+    exact, a net pi*A^2 along y_{p-1} per cycle.  An overflow is a ValueError.
     """
     if system not in ("nilpotent", "original"):
         raise ValueError("system must be 'nilpotent' or 'original'")
-    q = reference_configuration()
-    return drive(q if system == "original" else to_adapted(q), params.controls, params.grid)
+    q, (times, _) = reference_configuration(), params.grid
+    if system == "original":
+        return drive(q, params.controls, params.grid)
+    h0, p0, states = np.zeros(7), to_adapted(q).array, np.empty((len(times), 7))
+    h0[[params.partner - 1, params.partner + 2]] = params.amplitude, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # the path's overflow is refused below
+        controls = params.controls(times)
+        for k in range(0, len(times), _BLOCK_SAMPLES):  # bounds exp_map's scratch
+            s = params.omega * times[k:k + _BLOCK_SAMPLES]
+            states[k:k + len(s)] = np.stack(group_law(p0, exp_map(h0, s)[:, :7].T), axis=-1)
+    _refuse_overflow(times, states)
+    return Trajectory(ADAPTED, times, states, None, controls.T, None)
 
 
 def bracket_displacement(traj: Trajectory) -> np.ndarray:

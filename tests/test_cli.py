@@ -188,6 +188,17 @@ def test_bracket_motion_partner_three(tmp_path):
     assert report["nilpotent"]["dy2"] == pytest.approx(math.pi * 0.16, abs=1e-6)
 
 
+@pytest.mark.parametrize("omega", ["1e300", "1e-300"])
+def test_bracket_motion_meets_the_area_rule_at_extreme_frequencies(tmp_path, omega):
+    # the nilpotent gait is exp_map in the scaled time s = wt, so w stays out of its
+    # b.b t^2; warnings are errors, and the report is finite
+    assert main(["bracket-motion", "--omega", omega, "--out", str(tmp_path / "g")]) == 0
+    report = json.loads((tmp_path / "g_displacement.json").read_text())
+    nil = report["nilpotent"]
+    assert abs(nil.pop("dy1") - report["area_rule_dy"]) <= 4e-15
+    assert max(map(abs, nil.values())) <= 1e-14
+
+
 def test_symmetry_check_passes(tmp_path):
     out = tmp_path / "sym.json"
     code = main(["symmetry-check", "--samples", "50", "--out", str(out)])
@@ -252,8 +263,6 @@ def test_controllability_on_sigma_exits_2(tmp_path, point):
 # tokens that float() or int() cannot read, or that the option's type refuses: the option's
 # subcommand, and what its type expects
 _UNREADABLE = {
-    ("--dynamic-f", "1,abc"): (["controllability"], "comma-separated numbers"),
-    ("--dynamic-f", "2,0"): (["controllability"], "comma-separated nonzero numbers"),
     ("--sweep", "abc"): (["controllability"], f"an integer in [0, {MAX_SAMPLES}]"),
     ("--samples", "1.5"): (["symmetry-check"], f"an integer in [1, {MAX_SAMPLES}]"),
     ("--T", "abc"): (["geodesic", "--constants", "example2.json"], "a finite number > 0"),
@@ -267,8 +276,7 @@ _UNREADABLE = {
 
 @pytest.mark.parametrize("option, value", [("--point", "nan,0,1.5707963,0,1,1,1"),
                                            ("--point", "0,inf,1.5707963,0,1,1,1"),
-                                           ("--point", "0,0,1,nan,1,1,1"),
-                                           ("--dynamic-f", "1,nan"), *_UNREADABLE])
+                                           ("--point", "0,0,1,nan,1,1,1"), *_UNREADABLE])
 def test_non_finite_input_exits_2(tmp_path, capsys, option, value):
     out = tmp_path / "r.json"
     command, expected = _UNREADABLE.get((option, value), (["controllability"], None))
@@ -386,18 +394,35 @@ def test_geodesic_overflow_exits_2_without_artifacts(tmp_path, capsys, example2_
      "the original-chart image of --point is not finite"),
     # L = l1 + l3 + 2 overflows, so Gbar holds inf / inf
     (["controllability", "--point", "0,0,0,0,1e308,1,1e308"], "Gbar is not finite"),
+    # finite momenta near 1e154 and 1e300, whose squares overflow in H
+    (["geodesic", "--constants", "{huge_h2}", "--T", "0.01", "--dt", "1e-3"],
+     "the Hamiltonian overflowed at t = 0"),
+    (["geodesic", "--constants", "{huge_h4}", "--T", "1", "--dt", "1e-5"],
+     "the Hamiltonian overflowed at t = 0"),
+    # H and the RK4 path are finite, but exp_map's r^2 (r = -b.a = -1e155) is not
+    (["geodesic", "--constants", "{huge_r}", "--T", "0.01", "--dt", "1e-3"],
+     "the closed-form cross-check overflowed at t = 0"),
 ])
 def test_overflowing_input_exits_2_without_warnings_or_files(tmp_path, capsys, example2_fixture,
                                                              argv, cause):
-    big = tmp_path / "big.json"
-    big.write_text(json.dumps(dict(C5=0, C6=0, C7=0, C11=1e300, C12=0, C13=0, C14=1, C15=0)))
+    fixtures = {
+        "big": dict(C5=0, C6=0, C7=0, C11=1e300, C12=0, C13=0, C14=1, C15=0),
+        "huge_h2": dict(C5=100, C6=-1e-300, C7=1, C11=-0.0, C12=1e154, C13=1e-300, C14=-2,
+                        C15=1e154),
+        "huge_h4": dict(C5=-1, C6=1e-300, C7=0, C11=1e-5, C12=-1, C13=-1e-300, C14=-2,
+                        C15=-1e300),
+        "huge_r": dict(C5=100, C6=0, C7=0, C11=0, C12=0, C13=1e153, C14=0, C15=0),
+    }
+    for name, constants in fixtures.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(constants))
     if argv[0] == "geodesic" and "--constants" not in argv:
         argv = [*argv, "--constants", example2_fixture]
     out = tmp_path / "out"
     out.mkdir()
+    paths = {name: tmp_path / f"{name}.json" for name in fixtures}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
-        assert main([a.format(big=big) for a in argv] + ["--out", str(out / "x")]) == 2
+        assert main([a.format(**paths) for a in argv] + ["--out", str(out / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and cause in err and "Traceback" not in err
     assert list(out.iterdir()) == []
@@ -603,7 +628,6 @@ _CONTROLLABILITY = st.tuples(
     st.sampled_from(["--chart=original", "--chart=adapted"]),
     _number("1e-9", "1e-6").map("--tol-rank={}".format),
     st.sampled_from(["0", "3", "-3"]).map("--sweep={}".format),
-    st.sampled_from(["1,2", "1,nan", "0", "-0.5"]).map("--dynamic-f={}".format),
 )
 _GEODESIC = st.tuples(
     st.just("geodesic"),

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,8 @@ import trident47
 from trident47 import artifacts, pmp
 from trident47.errors import ZeroHorizontalMomentum
 from trident47.mechanism import Configuration, reference_configuration
-from trident47.nilpotent import AdaptedPoint, centre, from_adapted, group_identity, to_adapted
+from trident47.nilpotent import (AdaptedPoint, centre, from_adapted, group_identity, group_law,
+                                 to_adapted)
 from trident47.pmp import (BracketMotionParams, FibreState, SolutionConstants,
                            base_rhs, bracket_displacement, bracket_motion,
                            closed_form_base, example_constants, example_momenta,
@@ -251,7 +253,9 @@ def test_integrate_extremal_batch_is_the_reference_rk4_bit_for_bit(rng):
     _assert_negative_brackets_path(momenta[-1])
 
 
-@pytest.mark.parametrize("system", ["nilpotent", "original"])
+# the nilpotent gait is an extremal, not RK4: its oracles are _translated_extremal and the
+# order-4 approach of _reference_gait below
+@pytest.mark.parametrize("system", ["original"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_bracket_motion_is_the_reference_gait_bit_for_bit(system, seed):
     from trident47.mechanism import Configuration, reference_configuration
@@ -267,9 +271,8 @@ def test_bracket_motion_is_the_reference_gait_bit_for_bit(system, seed):
                                      cycles=int(rng.integers(1, 3)), steps_per_cycle=150)
     q = Configuration.original(*(np.array(reference_configuration().values)
                                  + rng.uniform(-0.1, 0.1, 7)))
-    start = to_adapted(q) if system == "nilpotent" else q
-    traj = pmp.drive(start, params.controls, params.grid)
-    times, states, controls = _reference_gait(params, system, start)
+    traj = pmp.drive(q, params.controls, params.grid)
+    times, states, controls = _reference_gait(params, system, q)
     _assert_same_bits(traj.times, times)
     _assert_same_bits(traj.states, states)
     _assert_same_bits(traj.controls, controls)
@@ -303,46 +306,77 @@ def test_array_passes_are_the_reference_across_block_edges(n):
     params = BracketMotionParams(amplitude=0.3, omega=1.5, partner=3, steps_per_cycle=n)
     original = Configuration.original(*(np.array(reference_configuration().values)
                                         + np.linspace(0.2, -0.2, 7)))
-    for system, start in (("nilpotent", AdaptedPoint.from_array(np.linspace(0.2, -0.2, 7))),
-                          ("original", original)):
-        gait = pmp.drive(start, params.controls, params.grid)
-        _, states, controls = _reference_gait(params, system, start)
-        _assert_same_bits(gait.states, states)
-        _assert_same_bits(gait.controls, controls)
+    gait = pmp.drive(original, params.controls, params.grid)
+    _, states, controls = _reference_gait(params, "original", original)
+    _assert_same_bits(gait.states, states)
+    _assert_same_bits(gait.controls, controls)
+    # the nilpotent gait evaluates exp_map a block of samples at a time
+    _assert_same_bits(bracket_motion(params, "nilpotent").states, _translated_extremal(params)[1])
 
 
 @pytest.mark.parametrize("system", ["nilpotent", "original"])
-def test_gait_controls_are_one_array_call_per_block(system):
-    # the controls column is one call on the grid; each block of pmp._BLOCK_SAMPLES
-    # steps adds one call at the midpoints (k2 and k3) and one at t + h (k4)
-    calls = []
+def test_gait_controls_are_one_array_call_per_block(system, monkeypatch):
+    # the controls column is one call on the grid; each block of pmp._BLOCK_SAMPLES steps of
+    # the original gait adds one call at the midpoints (k2 and k3) and one at t + h (k4), and
+    # the nilpotent gait, an extremal, none
+    calls, law = [], BracketMotionParams.controls
 
-    def counted(t):
+    def counted(self, t):
         calls.append(t)
-        return params.controls(t)
+        return law(self, t)
 
+    monkeypatch.setattr(BracketMotionParams, "controls", counted)
     params = BracketMotionParams(amplitude=0.2, omega=2.5, partner=4, cycles=3,
                                  steps_per_cycle=700)
-    q = reference_configuration()
-    traj = pmp.drive(to_adapted(q) if system == "nilpotent" else q, counted, params.grid)
+    traj = bracket_motion(params, system)
     n = params.cycles * params.steps_per_cycle
     assert all(isinstance(t, np.ndarray) for t in calls)
-    assert len(calls) == 1 + 2 * math.ceil(n / pmp._BLOCK_SAMPLES) == 7
-    _assert_same_bits(traj.controls, params.controls(traj.times).T)
+    if system == "original":
+        assert len(calls) == 1 + 2 * math.ceil(n / pmp._BLOCK_SAMPLES) == 7
+    else:
+        assert len(calls) == 1
+    _assert_same_bits(traj.controls, law(params, traj.times).T)
+
+
+def _translated_extremal(params):
+    """Times and states p0 * exp_map(A e_p + e_{p+3}, wt) of the nilpotent gait of params, from
+    the reference configuration's adapted image p0, in one array pass."""
+    times, _ = params.grid
+    h0 = np.zeros(7)
+    h0[params.partner - 1], h0[params.partner + 2] = params.amplitude, 1.0
+    p0 = to_adapted(reference_configuration()).array
+    extremal = pmp.exp_map(h0, params.omega * times)
+    return times, np.stack(group_law(p0, extremal[:, :7].T), axis=-1), extremal
 
 
 def test_gait_steers_the_nilpotent_system_along_an_extremal():
-    # controls given as h1..h4 of exp_map drive the nilpotent system along that extremal
-    h0 = np.array([0.6, -0.3, 0.5, 0.2, 0.7, -0.4, 0.9])
+    # with s = wt the sinusoid law is h1 = -A sin s, h_p = A cos s of the covector
+    # A e_p + e_{p+3}: the nilpotent gait is that extremal, left-translated to p0
+    for partner, cycles in itertools.product((2, 3, 4), (1, 3)):
+        params = BracketMotionParams(amplitude=0.3, omega=1.7, partner=partner, cycles=cycles)
+        traj = bracket_motion(params, "nilpotent")
+        times, states, extremal = _translated_extremal(params)
+        assert traj.chart == "adapted"
+        _assert_same_bits(traj.times, times)
+        _assert_same_bits(traj.states, states)
+        _assert_same_bits(traj.states[0], to_adapted(reference_configuration()).array)
+        _assert_same_bits(traj.controls, params.controls(times).T)
+        # the controls are w h1..h4 of the extremal, to rounding
+        assert np.abs(traj.controls - params.omega * extremal[:, 7:11]).max() < 1e-14
 
-    def extremal(t):
-        return np.moveaxis(pmp.exp_map(h0, t)[..., 7:11], -1, 0)
 
-    traj = pmp.drive(AdaptedPoint(), extremal,
-                     BracketMotionParams(omega=2.0 * math.pi, steps_per_cycle=2000).grid)
-    path = pmp.exp_map(h0, traj.times)
-    assert np.abs(traj.states - path[:, :7]).max() <= 1e-9
-    assert np.array_equal(traj.controls, path[:, 7:11])
+def test_nilpotent_gait_converges_to_the_reference_gait():
+    # the classical RK4 of the sinusoid law on N1..N4 approaches the exact gait at order 4:
+    # the gap falls about 16x per doubling from 250 to 1,000 steps per cycle (4.1e-10,
+    # 2.6e-11, 1.7e-12); at 2,000 it is rounding (1.1e-13)
+    p0 = to_adapted(reference_configuration())
+    gaps = []
+    for n in (250, 500, 1000, 2000):
+        params = BracketMotionParams(steps_per_cycle=n)
+        _, states, _ = _reference_gait(params, "nilpotent", p0)
+        gaps.append(np.abs(bracket_motion(params, "nilpotent").states - states).max())
+    assert gaps[-1] <= 1e-9
+    assert all(14.0 < a / b < 17.0 for a, b in zip(gaps, gaps[1:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -902,30 +936,32 @@ def test_bracket_motion_params_accept_the_step_cap():
 
 
 def test_nilpotent_gait_refuses_an_original_chart_start():
-    # the reference configuration's bare values, as an array or a tuple, are not adapted
-    # coordinates; only an AdaptedPoint starts the nilpotent system
+    # the nilpotent gait starts at to_adapted of an original-chart Configuration: the
+    # reference configuration's bare values, as an array or a tuple, are refused there and
+    # by drive, and the gait's first state is the reference configuration's adapted image
     from trident47.errors import ChartMismatch
 
     params = BracketMotionParams(partner=2)
     for start in (reference_configuration().array, reference_configuration().values):
-        with pytest.raises(ChartMismatch, match="is not an AdaptedPoint or a Configuration"):
+        with pytest.raises(ChartMismatch, match="expects an original-chart Configuration"):
+            to_adapted(start)
+        with pytest.raises(ChartMismatch, match="^a [a-zA-Z]+ is not a Configuration$"):
             pmp.drive(start, params.controls, params.grid)
     adapted = to_adapted(reference_configuration())
-    traj = pmp.drive(adapted, params.controls, params.grid)
+    traj = bracket_motion(params, "nilpotent")
     assert traj.chart == "adapted" and np.array_equal(traj.states[0], adapted.array)
 
 
 def test_original_gait_refuses_an_adapted_point_start():
-    # adapted coordinates never start the original system: their bare values are refused,
-    # an AdaptedPoint starts the nilpotent system, and only a Configuration the original one
+    # drive runs the original system only: an AdaptedPoint, or adapted values as an array,
+    # are refused; only a Configuration starts it
     from trident47.errors import ChartMismatch
 
     params = BracketMotionParams(partner=2)
-    for point in (to_adapted(reference_configuration()), AdaptedPoint()):
-        with pytest.raises(ChartMismatch, match="is not an AdaptedPoint or a Configuration"):
-            pmp.drive(point.array, params.controls, params.grid)
-        traj = pmp.drive(point, params.controls, params.grid)
-        assert traj.chart == "adapted" and np.array_equal(traj.states[0], point.array)
+    adapted = to_adapted(reference_configuration())
+    for start in (adapted, AdaptedPoint(), adapted.array):
+        with pytest.raises(ChartMismatch, match="^a [a-zA-Z]+ is not a Configuration$"):
+            pmp.drive(start, params.controls, params.grid)
     q = reference_configuration()
     traj = pmp.drive(q, params.controls, params.grid)
     assert traj.chart == "original" and np.array_equal(traj.states[0], q.array)
@@ -934,8 +970,7 @@ def test_original_gait_refuses_an_adapted_point_start():
 @pytest.mark.parametrize("start", [
     Configuration.original(math.nan, 0, math.pi / 2, 0, 1, 1, 1),
     Configuration.original(0, 0, math.pi / 2, 0, 1, math.nan, 1),
-    AdaptedPoint(x=math.nan), AdaptedPoint(y1=math.inf),
-], ids=["original-nan-x", "original-nan-l2", "adapted-nan-x", "adapted-inf-y1"])
+], ids=["original-nan-x", "original-nan-l2"])
 def test_drive_refuses_a_non_finite_start(start):
     params = BracketMotionParams()
     with pytest.raises(ValueError, match="^the start point q0 must be finite$"):
@@ -1507,6 +1542,9 @@ def test_shooting_reaches_the_target_at_its_defaults(tmp_path):
     ("symmetry_orbit.py", ["--flow-values", "1e308", "--axis", "10", "10", "10"]),
     # a finite endpoint residual whose norm overflows
     ("shooting.py", ["--target", "0", "0", "0", "0", "1e300", "0", "0"]),
+    # a warm start target[:4] / T that overflows
+    ("shooting.py", ["--target", "3", "1e6", "1e300", "0.5", "-0", "1e300", "1e300",
+                     "--T", "1e-300"]),
 ])
 def test_scripts_reject_invalid_inputs(tmp_path, script, argv):
     out = tmp_path / "out"
@@ -1514,6 +1552,33 @@ def test_scripts_reject_invalid_inputs(tmp_path, script, argv):
     assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
     assert "error:" in proc.stderr and not out.exists() and "RuntimeWarning" not in proc.stderr
     assert "iter" not in proc.stdout  # refused before any Levenberg-Marquardt work
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["--target", "3", "1e6", "1e300", "0.5", "-0", "1e300", "1e300", "--T", "1e-300"],
+     "the warm start target[:4] / T overflows at T = 1e-300"),
+    (["--T", "1e300", "--dt", "1e300"], "the endpoint map overflows at T = 1e+300"),
+    (["--target", "0", "0", "0", "0", "1e300", "0", "0"],
+     "the endpoint residual is finite, but its norm overflows"),
+], ids=["warm-start", "endpoint", "residual-norm"])
+def test_shooting_names_what_overflows(tmp_path, argv, cause):
+    proc = _run_script("shooting.py", *argv, "--outdir", str(tmp_path / "out"))
+    assert proc.returncode == 2 and proc.stderr == f"error: {cause}\n"
+
+
+def test_shooting_that_stops_short_writes_its_report_and_exits_1(tmp_path):
+    # one iteration, whose trials all overflow in exp_map: no descent from the warm start,
+    # whose residual is 1e154
+    proc = _run_script("shooting.py", "--target", "-2", "3", "1e6", "2", "5e-324", "-2", "1e154",
+                       "--T", "2", "--max-iter", "1", "--dt", "1e-2", "--outdir", str(tmp_path))
+    assert proc.returncode == 1, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr == "not solved: residual 1.000e+154 >= tol 1e-12\n"
+    assert "no descent direction found" in proc.stdout
+    report = json.loads((tmp_path / "shooting_report.json").read_text())
+    assert report["residual_norm"] == report["residual_history"][-1] >= 1e-12
+    assert report["iterations"] == 0
+    assert len(read_trajectory_csv(tmp_path / "shooting_trajectory.csv")) == 201
 
 
 def test_amplitude_sweep_keeps_the_gaps_above_the_rounding_floor(tmp_path):
