@@ -72,7 +72,8 @@ _finite = _argtype(float, math.isfinite, "a finite number")
 _positive_finite = _argtype(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
 #: a relative singular-value cutoff: at 1 or above no singular value would count
 _unit_interval = _argtype(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
-#: a generator seed (numpy's default_rng takes no negative one)
+#: a generator seed: ``random.Random`` takes |seed|, so a negative seed stays refused rather
+#: than drawing the stream of its absolute value
 _seed = _argtype(int, lambda v: v >= 0, "a non-negative integer")
 
 
@@ -146,10 +147,9 @@ def cmd_controllability(args) -> int:
     ok = res.det_nonzero
 
     if args.sweep > 0:
-        rng = np.random.default_rng(args.seed)
-        legs = rng.uniform(0.5, 2.0, (args.sweep, 3))
-        counts, worst = mechanism.sweep_growth(rng.uniform(-0.3, 0.3, args.sweep), legs,
-                                               args.tol_rank)
+        legs, phis = mechanism.seeded_uniform(args.seed, (0.5, 2.0, (args.sweep, 3)),
+                                              (-0.3, 0.3, (args.sweep,)))
+        counts, worst = mechanism.sweep_growth(phis, legs, args.tol_rank)
         growths = {str(list(g)): n for g, n in counts.items()}
         report["sweep"] = {"samples": args.sweep, "growth_counts": growths,
                            "min_certificate": worst}

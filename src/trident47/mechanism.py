@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import collections
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,25 @@ RANK_TOL = 1e-9
 #: most samples one run may draw: the CLI's --sweep and --samples, and
 #: nilpotent.check_left_invariance (whose samples are one array)
 MAX_SAMPLES = 100_000
+
+
+def seeded_uniform(seed: int, *draws) -> tuple[np.ndarray, ...]:
+    """One array per (low, high, shape) in ``draws``, uniform on [low, high), in order from one
+    stream: the standard library's ``random.Random(seed)``, which takes |seed|.
+
+    Each array is filled straight from the generator, with no transient copy, as
+    low + (high - low) u, element by element in C order, u = ``random()``.  The
+    standard library's generator spares a cold job the import of ``numpy.random``.
+    """
+    rng = random.Random(seed)
+    out = []
+    for low, high, shape in draws:
+        u = np.fromiter(iter(rng.random, -1.0), float, math.prod(shape)).reshape(shape)
+        u *= high - low
+        u += low
+        out.append(u)
+    return tuple(out)
+
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -228,7 +248,9 @@ def controllability(q: Configuration, rank_tol: float = RANK_TOL) -> Controllabi
     if not math.isfinite(gbar.sum()):  # one float: not finite if an entry is or the sum overflows
         raise ValueError(f"Gbar is not finite at {q.values}")
     growth = (_rank(gbar[:4], rank_tol), _rank(gbar, rank_tol))
-    return ControllabilityResult(gbar=gbar, det=float(np.linalg.det(gbar)), growth=growth)
+    with np.errstate(divide="ignore"):  # numpy's det sums log |pivot|: a pivot that underflows
+        det = float(np.linalg.det(gbar))
+    return ControllabilityResult(gbar=gbar, det=det, growth=growth)
 
 
 #: samples per array pass of ``sweep_growth``: its memory is bounded at every sweep size

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ChartMismatch
-from .mechanism import MAX_SAMPLES, Configuration
+from .mechanism import MAX_SAMPLES, Configuration, seeded_uniform
 
 if TYPE_CHECKING:
     from .polyfield import PolyField
@@ -166,19 +166,31 @@ class LeftInvarianceReport:
     samples: int
 
 
+@functools.lru_cache(maxsize=1)
+def _left_invariance_pairs(samples: int, seed: int) -> np.ndarray:
+    """The read-only (2, samples, 7) arrays g and p of ``check_left_invariance``, drawn once
+    per (samples, seed), so the fields of one check share one draw."""
+    (pairs,) = seeded_uniform(seed, (-2.0, 2.0, (samples, 2, 7)))
+    pairs.flags.writeable = False
+    return pairs.transpose(1, 0, 2)
+
+
 def check_left_invariance(X: PolyField, samples: int = 1000, seed: int = 0,
                           tol: float = 1e-9) -> LeftInvarianceReport:
     """Check dL_g(X(p)) = X(g*p) at random (g, p) pairs, in one array pass.
 
-    The pairs are one uniform (samples, 2, 7) draw from [-2, 2]^7, with
-    samples in [1, mechanism.MAX_SAMPLES].  The product is affine in its right
-    factor, so dL_g is exact: the identity plus column 0's y rows
+    The pairs are one uniform (samples, 2, 7) draw from [-2, 2]^7 by
+    ``mechanism.seeded_uniform(seed, ...)``, g then p for each sample, with
+    samples in [1, mechanism.MAX_SAMPLES], refused above it before anything is
+    drawn.  The draw is cached for the last (samples, seed), so checking the
+    seven fields of the extended frame draws once.  The product is affine in its
+    right factor, so dL_g is exact: the identity plus column 0's y rows
     (sqrt(3)/2 gx - gl1, -gl2, -sqrt(3)/2 gx - gl3).
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"left invariance needs at least one sample and at most "
                          f"{MAX_SAMPLES}, got {samples}")
-    g, p = np.random.default_rng(seed).uniform(-2.0, 2.0, (samples, 2, 7)).transpose(1, 0, 2)
+    g, p = _left_invariance_pairs(samples, seed)
     gx, gl1, gl2, gl3 = g[:, :4].T
     lhs = X(p)
     lhs[:, 4:] += lhs[:, :1] * np.stack((_S3 / 2.0 * gx - gl1, -gl2, -_S3 / 2.0 * gx - gl3),

@@ -196,21 +196,34 @@ def _stumpff(z):
 
     Below the cutoff c4, c5 are series and c3..c0 follow from c_k = 1/k! - z c_{k+2};
     above it each is its closed form in sqrt z, c0 = cos sqrt z (Battin, section 4.5).
+    Each form is evaluated only on the entries of z it serves; the six results have z's shape.
     """
+    z = np.asarray(z)
     small = np.abs(z) < STUMPFF_SERIES_CUTOFF
-    zs = np.where(small, z, 0.0)
+    if z.ndim == 0:  # one value: its own form, in numpy's scalar arithmetic
+        return _stumpff_series(z) if small else _stumpff_closed(z)
+    out = np.empty((6,) + z.shape, dtype=np.result_type(z, 0.0))
+    out[:, small] = _stumpff_series(z[small])
+    out[:, ~small] = _stumpff_closed(z[~small])
+    return tuple(out)
+
+
+def _stumpff_series(z):
+    """``_stumpff`` below the cutoff: c4, c5 by Horner, then c3..c0 by the recurrence."""
     c4, c5 = 0.0, 0.0
     for k4, k5 in _SERIES:
-        c4, c5 = k4 - zs * c4, k5 - zs * c5
-    c3, c2 = 1.0 / 6.0 - zs * c5, 0.5 - zs * c4
-    series = (1.0 - zs * c2, 1.0 - zs * c3, c2, c3, c4, c5)
-    zc = np.where(small, STUMPFF_SERIES_CUTOFF, z)
-    s = np.sqrt(zc)
+        c4, c5 = k4 - z * c4, k5 - z * c5
+    c3, c2 = 1.0 / 6.0 - z * c5, 0.5 - z * c4
+    return 1.0 - z * c2, 1.0 - z * c3, c2, c3, c4, c5
+
+
+def _stumpff_closed(z):
+    """``_stumpff`` above the cutoff: the closed forms in s = sqrt z."""
+    s = np.sqrt(z)
     # numpy divides complex a / b as a * (1/b); so does this, so real and complex round alike
-    cos, sin, iz, i_s = np.cos(s), np.sin(s), 1.0 / zc, 1.0 / s
-    closed = (cos, sin * i_s, (1.0 - cos) * iz, (s - sin) * iz * i_s,
-              (0.5 * zc - 1.0 + cos) * iz * iz, (zc * s * (1.0 / 6.0) - s + sin) * iz * iz * i_s)
-    return tuple(np.where(small, a, b) for a, b in zip(series, closed))
+    cos, sin, iz, i_s = np.cos(s), np.sin(s), 1.0 / z, 1.0 / s
+    return (cos, sin * i_s, (1.0 - cos) * iz, (s - sin) * iz * i_s,
+            (0.5 * z - 1.0 + cos) * iz * iz, (z * s * (1.0 / 6.0) - s + sin) * iz * iz * i_s)
 
 
 def exp_map(h0, t) -> np.ndarray:

@@ -84,10 +84,18 @@ def w_fields() -> dict[str, SymmetryField]:
     return {name: SymmetryField(name, f) for name, f in w.items()}
 
 
+def _axis_norm(axis) -> float:
+    """|a| of an axis: numpy's norm where the squared sum is finite, else ``math.hypot``,
+    which scales by max |a_i|, so a finite |a| never overflows; inf or nan where |a| is."""
+    if math.isfinite(sum(a * a for a in axis)):  # |a|^2 in floats: no numpy warning
+        return float(np.linalg.norm(axis))
+    return math.hypot(*axis)
+
+
 def so3_combination(a1: float, a2: float, a3: float) -> SymmetryField:
     """The combination a1*v1 + a2*v2 + a3*v3, defined by its axis of finite norm."""
     axis = (float(a1), float(a2), float(a3))
-    if not math.isfinite(sum(a * a for a in axis)):  # |a|^2 in floats: no numpy warning
+    if not math.isfinite(_axis_norm(axis)):
         raise ValueError(f"the axis and its norm |a| must be finite, got {axis}")
     return SymmetryField(f"{a1}*v1+{a2}*v2+{a3}*v3", axis=axis)
 
@@ -168,7 +176,7 @@ def _rotation(v: SymmetryField, t: float, dt: float) -> np.ndarray:
     if v.axis is None:
         raise NotASymmetry(f"{v.name} is not a combination of v1, v2, v3; it has no flow")
     a = np.asarray(v.axis, dtype=float)
-    norm = float(np.linalg.norm(a))
+    norm = _axis_norm(v.axis)
     if not math.isfinite(t * norm):
         raise ValueError(f"the flow angle s |a| = {t:g} * {norm:g} is not finite")
     if norm == 0.0:

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -73,7 +74,8 @@ def test_controllability_sweep(tmp_path):
 
 
 def test_sweep_draws_every_shape_from_one_generator(tmp_path, monkeypatch):
-    # one default_rng(seed) stream: the legs as one (N, 3) draw, then phi as one (N,) draw
+    # one random.Random(seed) stream: the legs as one (N, 3) draw, then phi as one (N,) draw,
+    # each value low + (high - low) * random() in C order
     from trident47 import mechanism
 
     sweep_growth, calls = mechanism.sweep_growth, []
@@ -85,9 +87,9 @@ def test_sweep_draws_every_shape_from_one_generator(tmp_path, monkeypatch):
     monkeypatch.setattr(mechanism, "sweep_growth", record)
     assert main(["controllability", "--sweep", "50", "--seed", "4", "--tol-rank", "1e-8",
                  "--out", str(tmp_path / "sweep.json")]) == 0
-    rng = np.random.default_rng(4)
-    legs = rng.uniform(0.5, 2.0, (50, 3))
-    phis = rng.uniform(-0.3, 0.3, 50)
+    rng = random.Random(4)
+    legs = np.array([[0.5 + 1.5 * rng.random() for _ in range(3)] for _ in range(50)])
+    phis = np.array([-0.3 + 0.6 * rng.random() for _ in range(50)])
     [(got_phis, got_legs, tol)] = calls
     assert got_phis.tobytes() == phis.tobytes() and got_legs.tobytes() == legs.tobytes()
     assert got_phis.shape == (50,) and got_legs.shape == (50, 3) and tol == 1e-8
@@ -210,6 +212,23 @@ def test_symmetry_check_passes(tmp_path):
     assert all(v["ok"] for v in report["left_invariance"].values())
 
 
+def test_symmetry_check_draws_once_for_its_seven_fields(tmp_path, monkeypatch):
+    from trident47 import nilpotent
+
+    draw, calls = nilpotent.seeded_uniform, []
+
+    def record(seed, *draws):
+        calls.append((seed, draws))
+        return draw(seed, *draws)
+
+    monkeypatch.setattr(nilpotent, "seeded_uniform", record)
+    nilpotent._left_invariance_pairs.cache_clear()
+    out = tmp_path / "sym.json"
+    assert main(["symmetry-check", "--samples", "12", "--seed", "5", "--out", str(out)]) == 0
+    assert calls == [(5, ((-2.0, 2.0, (12, 2, 7)),))]
+    assert len(json.loads(out.read_text())["left_invariance"]) == 7
+
+
 def test_symmetry_check_detects_perturbation(tmp_path):
     out = tmp_path / "sym_bad.json"
     code = main(["symmetry-check", "--samples", "20", "--perturb", "0.01",
@@ -248,13 +267,18 @@ def test_invalid_point_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("point", ["0,0,1.5707963267948966,1.5707963267948966,1,1,1",
-                                   "0,0,1.0,-1.5119510507162652,1.2,0.8,0.7"],
-                         ids=["right-angle-joint", "generic"])
+                                   "0,0,1.0,-1.5119510507162652,1.2,0.8,0.7",
+                                   "0,0,1.5707963267948966,0,1,1e154,1"],
+                         ids=["right-angle-joint", "generic", "huge-l2"])
 def test_controllability_on_sigma_exits_2(tmp_path, point):
     # on Sigma, where [X1, d/dl2] = 0, the growth drops and Gbar loses a rank:
-    # today's answer is an error report, not a growth vector
+    # today's answer is an error report, not a growth vector.  At l2 = 1e154 the
+    # point is off Sigma and the rank-6 answer is the SVD's conditioning, not
+    # structure; what holds there is that det Gbar, which underflows, warns of nothing
     out = tmp_path / "sigma.json"
-    assert main(["controllability", "--point", point, "--out", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["controllability", "--point", point, "--out", str(out)]) == 2
     report = json.loads(out.read_text())
     assert "Gbar has rank 6 < 7" in report["error"]
     assert "growth" not in report
@@ -322,11 +346,13 @@ def test_controllability_does_not_import_sympy(tmp_path):
 
 @pytest.mark.parametrize("argv, unloaded", [
     (["controllability"], ["trident47.pmp", "trident47.nilpotent"]),
-    (["controllability", "--sweep", "100"], ["trident47.pmp", "trident47.nilpotent"]),
-    (["symmetry-check", "--samples", "10"], ["trident47.pmp"]),
+    (["controllability", "--sweep", "100"],
+     ["trident47.pmp", "trident47.nilpotent", "numpy.random"]),
+    (["symmetry-check", "--samples", "10"], ["trident47.pmp", "numpy.random"]),
 ], ids=["controllability", "sweep", "symmetry-check"])
 def test_json_jobs_load_only_the_modules_they_run(tmp_path, argv, unloaded):
-    # a cold job pays for every module it imports; the JSON writer is not in pmp
+    # a cold job pays for every module it imports; the JSON writer is not in pmp, and the
+    # sampled checks draw from the standard library's generator, not numpy.random
     code = ("import sys\n"
             "from trident47.cli import main\n"
             f"code = main({argv + ['--out', str(tmp_path / 'r.json')]!r})\n"

@@ -548,6 +548,46 @@ def test_stumpff_functions_match_a_60_digit_series():
         assert np.abs(got[k] - np.array(want)).max() * math.factorial(k) <= 4e-15
 
 
+def _reference_stumpff(z):
+    """``pmp._stumpff`` as both forms over every entry, one kept per entry by ``np.where``."""
+    small = np.abs(z) < pmp.STUMPFF_SERIES_CUTOFF
+    zs = np.where(small, z, 0.0)
+    c4, c5 = 0.0, 0.0
+    for k4, k5 in pmp._SERIES:
+        c4, c5 = k4 - zs * c4, k5 - zs * c5
+    c3, c2 = 1.0 / 6.0 - zs * c5, 0.5 - zs * c4
+    series = (1.0 - zs * c2, 1.0 - zs * c3, c2, c3, c4, c5)
+    zc = np.where(small, pmp.STUMPFF_SERIES_CUTOFF, z)
+    s = np.sqrt(zc)
+    cos, sin, iz, i_s = np.cos(s), np.sin(s), 1.0 / zc, 1.0 / s
+    closed = (cos, sin * i_s, (1.0 - cos) * iz, (s - sin) * iz * i_s,
+              (0.5 * zc - 1.0 + cos) * iz * iz, (zc * s * (1.0 / 6.0) - s + sin) * iz * iz * i_s)
+    return tuple(np.where(small, a, b) for a, b in zip(series, closed))
+
+
+def test_stumpff_evaluates_each_form_on_its_own_entries_bit_for_bit(monkeypatch):
+    # grids that straddle the cutoff, the cutoff itself included, as (2, n) stacks like
+    # exp_map's, complex-step perturbed, and one value at a time (0-d)
+    seen = []
+    for name in ("_stumpff_series", "_stumpff_closed"):
+        monkeypatch.setattr(pmp, name, lambda z, form=getattr(pmp, name): seen.append(z) or form(z))
+    rng = np.random.default_rng(8)
+    z = np.concatenate([np.linspace(0.0, 8.0, 801), rng.uniform(3.9, 4.1, 199), [4.0]])
+    for grid in (z, np.stack([z, 4.0 * z]), np.stack([z, 4.0 * z]).reshape(2, 7, 143)):
+        for values in (grid, grid + 1e-20j, grid * (1.0 + 1e-3j)):
+            seen.clear()
+            got, want = pmp._stumpff(values), _reference_stumpff(values)
+            assert len(got) == 6
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            small = np.abs(values) < pmp.STUMPFF_SERIES_CUTOFF
+            assert [v.tobytes() for v in seen] == [values[small].tobytes(),
+                                                  values[~small].tobytes()]
+    for value in (0.0, 3.999, 4.0, 4.001, 37.5, np.float64(2.5), 3.0 + 1e-20j, 9.0 - 0.5j):
+        for a, b in zip(pmp._stumpff(value), _reference_stumpff(value)):
+            assert np.shape(a) == () and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 @pytest.mark.parametrize("K", [1e-2, 1e-4, 1e-6, 1e-8, 0.0])
 def test_closed_form_matches_rk4_as_k_goes_to_zero(K):
     # the K > 0 formula in C divided by K^2: 3.4e-9 at K = 1e-4, 0.25 at 1e-8
@@ -1535,7 +1575,8 @@ def test_shooting_reaches_the_target_at_its_defaults(tmp_path):
     ("amplitude_sweep.py", ["--amplitudes", "1e-200", "1e-201"]),
     # below A ~ 1e-4 the gap is RK4 rounding, not A^3: the orders read 1.10 and 0.08
     ("amplitude_sweep.py", ["--amplitudes", "1e-2", "1e-3", "1e-4", "1e-5", "1e-6"]),
-    # the step cap, a path that overflows, an axis norm and a flow angle s |a| that overflow
+    # the step cap, a path that overflows, and flow angles s |a| that overflow (the first
+    # axis's |a| = 1.7e308 is finite; its squared sum is not)
     ("symmetry_orbit.py", ["--T", "1e10"]),
     ("symmetry_orbit.py", ["--T", "1e300", "--dt", "1e300"]),
     ("symmetry_orbit.py", ["--axis", "1e308", "1e308", "1e308"]),

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pathlib
@@ -341,6 +342,28 @@ def test_orbit_script_rejects_non_finite_inputs(tmp_path, argv):
     proc = _run_orbit_script(*argv, "--outdir", str(tmp_path))
     assert proc.returncode == 2 and argv[0] in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "orbit_report.json").exists()
+
+
+@pytest.mark.parametrize("axis", [["1e154", "1e154", "1e154"], ["1e200", "-3", "0"]],
+                         ids=["1e154", "1e200"])
+def test_orbit_script_accepts_an_axis_whose_squared_sum_overflows(tmp_path, axis):
+    # |a| is finite, so the flows are exact rotations about a / |a|
+    proc = _run_orbit_script("--axis", *axis, "--T", "0.5", "--outdir", str(tmp_path))
+    assert proc.returncode == 0 and "Warning" not in proc.stderr, proc.stderr
+    report = json.loads((tmp_path / "orbit_report.json").read_text())
+    for flow in report["flows"].values():
+        assert flow["horizontality_residual"] < 1e-12
+        assert flow["relative_length_change"] < 1e-12
+
+
+def test_axis_norm_is_numpys_where_the_squared_sum_is_finite():
+    for axis in ((1.0, 1.0, 1.0), (0.3184848170829566, -0.9045200484068716, 1.7034773792668148),
+                 (1e153, 1e153, 1e153), (0.0, 0.0, 0.0)):
+        assert symmetry._axis_norm(axis) == float(np.linalg.norm(axis))
+    assert symmetry._axis_norm((1e154, 1e154, 1e154)) == math.hypot(1e154, 1e154, 1e154)
+    assert symmetry._axis_norm((1e308, 1e308, 1e308)) == math.hypot(1e308, 1e308, 1e308)
+    for bad in ((math.inf, 0.0, 0.0), (0.0, -math.inf, 1e308), (math.nan, 1.0, 1.0)):
+        assert not math.isfinite(symmetry._axis_norm(bad))
 
 
 def test_numeric_symmetry_path_does_not_import_sympy(tmp_path):
